@@ -22,7 +22,7 @@ from scipy import integrate, optimize
 
 from .errors import DomainError
 from .optimal_coeffs import run_pipeline
-from .prime_arith import LambdaTable, lambda_sieve
+from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
 from .special_f import f_closed_form
 from .zeros_table import ZeroTable
@@ -54,17 +54,9 @@ def dirichlet_term(t: float, x: float, table: LambdaTable | None = None) -> floa
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x."""
     if x < 2:
         return 0.0
-    if table is None or table.limit < x:
-        table = lambda_sieve(int(math.floor(x)))
-    ns = table.prime_powers(x)
-    if len(ns) == 0:
-        return 0.0
-    nsf = ns.astype(float)
-    ln = np.log(nsf)
     logx = math.log(x)
-    weights = f_closed_form((logx - ln) / logx) / logx
-    vals = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln) * weights
-    return fsum(vals)
+    return dirichlet_cos_sum(covering_table(x, table), x, t,
+                             lambda n, ln: f_closed_form((logx - ln) / logx) / logx)
 
 
 def archimedean_term(t: float, x: float) -> float:
@@ -291,8 +283,7 @@ def scan_margins(t_min: float, t_max: float, points: int,
     else:
         raise DomainError(f"unknown x policy {x_policy!r}")
     ts = np.geomspace(t_min, t_max, points)
-    x_hi = max(x_of(float(t)) for t in ts)
-    table = lambda_sieve(max(2, int(math.floor(x_hi))))
+    table = covering_table(max(x_of(float(t)) for t in ts))
     out = []
     for t in ts:
         t = float(t)

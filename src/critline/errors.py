@@ -40,6 +40,11 @@ class DomainError(CritlineError):
     """Argument outside the supported domain of a special function."""
 
 
+class CrossCheckFailed(CritlineError):
+    """Two routes to the same quantity disagree, or a stated error budget is
+    not met."""
+
+
 class PoleAtOne(CritlineError):
     """zeta evaluation requested at (or too close to) s = 1."""
 

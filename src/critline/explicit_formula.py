@@ -23,9 +23,9 @@ from math import fsum
 
 import numpy as np
 
-from .errors import DegenerateBeta, InsufficientHeight
-from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m
-from .prime_arith import LambdaTable, lambda_sieve
+from .errors import CrossCheckFailed, DegenerateBeta, InsufficientHeight
+from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m, kernel_constants
+from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .quadrature import geometric_tail, panel_integrate_chunked
 from .zeros_table import ZeroTable
 from .zeta_oracle import re_digamma_quarter, zeta_logderiv
@@ -98,9 +98,7 @@ def _archimedean(sign: str, p: KernelParams, t: float, window: float = ARCH_WIND
     beta*Delta inflates that bound (1/D blows up as the kernels degenerate).
     """
     beta, delta = p.beta, p.delta
-    A = math.exp(2 * math.pi * beta * delta) + math.exp(-2 * math.pi * beta * delta)
-    e = math.exp(math.pi * beta * delta)
-    D = (e - 1 / e) ** 2 if sign == "+" else (e + 1 / e) ** 2
+    A, D = kernel_constants(sign, p)
     omega = 2 * math.pi * delta
     while _osc_tail_bound(D, beta, omega, t, window) > 2e-7:
         window *= 2
@@ -125,6 +123,16 @@ def _archimedean(sign: str, p: KernelParams, t: float, window: float = ARCH_WIND
     return (main + tail_smooth) / (2 * math.pi)
 
 
+def _sinh_sum(t: float, x: float, beta: float, lambdas: LambdaTable) -> float:
+    """S = Re sum_{n<=x} Lambda(n) n^{-1/2-it} sinh(beta log(x/n))."""
+    return dirichlet_cos_sum(lambdas, x, t, lambda n, ln: np.sinh(beta * np.log(x / n)))
+
+
+def _sinh_norm(sign: str, xb: float) -> float:
+    """2 x^beta/(x^beta -+ 1)^2, the factor in front of S for m^{sign}."""
+    return 2 * xb / ((xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2)
+
+
 def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable):
     """Both algebraic forms of the prime-power sum; they must agree to 1e-9.
 
@@ -132,22 +140,11 @@ def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable):
     sinh form:  (2 x^beta/(x^beta -+ 1)^2) Re sum Lambda(n) n^{-1/2-it} sinh(beta log(x/n))
     """
     x = p.x
-    ns = lambdas.prime_powers(x)
-    if len(ns) == 0:
-        return 0.0, 0.0
-    nsf = ns.astype(float)
-    ln = np.log(nsf)
-    lam = lambdas.log_p(ns)
-    base = lam / np.sqrt(nsf) * np.cos(t * ln)
-
-    ft = ft_m(sign, p, ln / (2 * math.pi))
-    form_ft = fsum(base * ft) / math.pi
-
-    xb = x ** p.beta
-    den = (xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2
-    form_sinh = 2 * xb / den * fsum(base * np.sinh(p.beta * np.log(x / nsf)))
-    assert abs(form_ft - form_sinh) <= 1e-9, \
-        f"prime-term forms disagree: {form_ft} vs {form_sinh}"
+    form_ft = dirichlet_cos_sum(lambdas, x, t,
+                                lambda n, ln: ft_m(sign, p, ln / (2 * math.pi))) / math.pi
+    form_sinh = _sinh_norm(sign, x ** p.beta) * _sinh_sum(t, x, p.beta, lambdas)
+    if not abs(form_ft - form_sinh) <= 1e-9:
+        raise CrossCheckFailed(f"prime-term forms disagree: {form_ft} vs {form_sinh}")
     return form_ft, form_sinh
 
 
@@ -156,8 +153,7 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
     """Right-hand side of the identity at t (zero_side/tail filled by verify_gw)."""
     if t < 10:
         raise ValueError("t must be >= 10")
-    if lambdas is None or lambdas.limit < p.x:
-        lambdas = lambda_sieve(max(2, int(math.floor(p.x))))
+    lambdas = covering_table(p.x, lambdas)
     boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
     ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
     arch = _archimedean(sign, p, t)
@@ -235,18 +231,10 @@ def lemma3_bracket(t: float, x: float, beta: float,
         raise ValueError("beta must lie in (0, 1]")
     if t < 10 or x < 2:
         raise ValueError("need t >= 10 and x >= 2")
-    if lambdas is None or lambdas.limit < x:
-        lambdas = lambda_sieve(max(2, int(math.floor(x))))
-    ns = lambdas.prime_powers(x)
-    if len(ns):
-        nsf = ns.astype(float)
-        S = fsum(lambdas.log_p(ns) / np.sqrt(nsf) * np.cos(t * np.log(nsf))
-                 * np.sinh(beta * np.log(x / nsf)))
-    else:
-        S = 0.0
+    S = _sinh_sum(t, x, beta, covering_table(x, lambdas))
     xb = x ** beta
     logt = math.log(t)
-    left = -logt / (xb - 1) + 2 * xb / (xb - 1) ** 2 * S
-    right = logt / (xb + 1) + 2 * xb / (xb + 1) ** 2 * S
+    left = -logt / (xb - 1) + _sinh_norm("+", xb) * S
+    right = logt / (xb + 1) + _sinh_norm("-", xb) * S
     middle = -zeta_logderiv(complex(0.5 + beta, t)).real
     return LogDerivBracket(left_main=left, middle=middle, right_main=right)

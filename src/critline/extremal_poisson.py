@@ -47,11 +47,12 @@ def _sign_factor(sign: str) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _ab(p: KernelParams):
-    """(A, D+, D-): numerator constant and the two squared denominators."""
+def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
+    """(A, D) of m^{sign}: the numerator constant e^{2 pi beta Delta} +
+    e^{-2 pi beta Delta} and the squared denominator; rejects a bad sign."""
     e = math.exp(math.pi * p.beta * p.delta)
-    A = e * e + 1 / (e * e)
-    return A, (e - 1 / e) ** 2, (e + 1 / e) ** 2
+    D = (e - 1 / e) ** 2 if _sign_factor(sign) > 0 else (e + 1 / e) ** 2
+    return e * e + 1 / (e * e), D
 
 
 def poisson_h(p: KernelParams, x):
@@ -70,9 +71,7 @@ def eval_m(sign: str, p: KernelParams, z):
     is replaced by its local expansion through second order, and the zero of
     beta^2+z^2 is cancelled explicitly.
     """
-    s = _sign_factor(sign)
-    A, dplus, dminus = _ab(p)
-    D = dplus if s > 0 else dminus
+    A, D = kernel_constants(sign, p)
     beta, delta = p.beta, p.delta
     if not isinstance(z, complex):
         x = np.asarray(z, dtype=float)
@@ -96,9 +95,7 @@ def ft_m(sign: str, p: KernelParams, xi):
 
     For |xi| <= Delta:  pi (e^{2 pi beta (Delta-|xi|)} - e^{-2 pi beta (Delta-|xi|)}) / D.
     """
-    s = _sign_factor(sign)
-    A, dplus, dminus = _ab(p)
-    D = dplus if s > 0 else dminus
+    _, D = kernel_constants(sign, p)
     xi = np.asarray(xi, dtype=float)
     a = 2 * math.pi * p.beta * (p.delta - np.abs(xi))
     out = np.where(np.abs(xi) <= p.delta,
@@ -118,20 +115,19 @@ def l1_dist(sign: str, p: KernelParams) -> float:
 def envelope_constant(sign: str, p: KernelParams) -> float:
     """K with |m^{sign}(x)| <= K * beta/(beta^2+x^2) on the real line
     (numerator bound A + 2 over the denominator)."""
-    s = _sign_factor(sign)
-    A, dplus, dminus = _ab(p)
-    return (A + 2) / (dplus if s > 0 else dminus)
+    A, D = kernel_constants(sign, p)
+    return (A + 2) / D
 
 
 # ---------------------------------------------------------------------------
 # quadrature cross-checks of the closed forms
 # ---------------------------------------------------------------------------
 
-def _kernel_cos_quadrature(coefs, p: KernelParams, extra, T: float,
+def _kernel_cos_quadrature(coefs, p: KernelParams, T: float,
                            order: int = 12) -> tuple[float, float]:
-    """2 * integral_0^inf [sum_i coefs_i cos(omega_i x)] beta/(beta^2+x^2) dx
-    + 2 * integral_0^inf extra(x) dx, split at T into vectorized panels plus
-    analytic tails; returns (value, tail error bound)."""
+    """2 * integral_0^inf [sum_i coefs_i cos(omega_i x)] beta/(beta^2+x^2) dx,
+    split at T into vectorized panels plus analytic tails; returns (value,
+    tail error bound)."""
     from .quadrature import panel_integrate_chunked, poisson_cos_tail
 
     beta = p.beta
@@ -143,8 +139,6 @@ def _kernel_cos_quadrature(coefs, p: KernelParams, extra, T: float,
         for c, w in coefs:
             out += c * np.cos(w * x)
         out *= env
-        if extra is not None:
-            out += extra(x)
         return out
 
     # panels must resolve both the oscillation and the beta-scale envelope peak
@@ -170,9 +164,7 @@ def numeric_ft(sign: str, p: KernelParams, xi: float, T: float | None = None) ->
     {xi, Delta+xi, |Delta-xi|} and is evaluated exactly (arctan) or by two
     integrations by parts with a bounded remainder.
     """
-    s = _sign_factor(sign)
-    A, dplus, dminus = _ab(p)
-    D = dplus if s > 0 else dminus
+    A, D = kernel_constants(sign, p)
     if T is None:
         T = max(1e3, 1e3 * p.delta)
     xi = abs(float(xi))
@@ -180,18 +172,16 @@ def numeric_ft(sign: str, p: KernelParams, xi: float, T: float | None = None) ->
     coefs = [(A / D, tp * xi),
              (-1.0 / D, tp * (p.delta + xi)),
              (-1.0 / D, tp * abs(p.delta - xi))]
-    val, _ = _kernel_cos_quadrature(coefs, p, None, T)
+    val, _ = _kernel_cos_quadrature(coefs, p, T)
     return val
 
 
 def l1_numeric(sign: str, p: KernelParams, T: float | None = None) -> float:
     """integral over R of |m^{sign} - h| (= +-(m - h) by one-sidedness), by the
     same split quadrature; cross-checks :func:`l1_dist`."""
-    s = _sign_factor(sign)
-    A, dplus, dminus = _ab(p)
-    D = dplus if s > 0 else dminus
+    A, D = kernel_constants(sign, p)
     if T is None:
         T = max(1e3, 1e3 * p.delta)
     coefs = [(A / D - 1.0, 0.0), (-2.0 / D, 2 * math.pi * p.delta)]
-    val, _ = _kernel_cos_quadrature(coefs, p, None, T)
-    return s * val
+    val, _ = _kernel_cos_quadrature(coefs, p, T)
+    return _sign_factor(sign) * val

@@ -106,11 +106,12 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     Zser = ps_revert(ps_recip(w1))
     zorder = Zser.order  # = m_log + 2 >= K + 1
 
-    # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m)
+    # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m); the
+    # numerator stops at m = K, since a_{K+1} Z^{K+2} starts beyond B's order K+1
     numer = TruncatedSeries.zero(zorder + 1)
     denom = TruncatedSeries.constant(4, zorder)
     zpow = Zser
-    for m in range(1, K + 2):
+    for m in range(1, K + 1):
         zpow = ps_mul(zpow, Zser)  # Z^{m+1}
         if not a[m].is_zero():
             numer = ps_add(numer, ps_scale(zpow, a[m]))

@@ -1,14 +1,19 @@
-"""Von Mangoldt sieve and weighted prime-power sums.
+"""Von Mangoldt sieve and the one Dirichlet-polynomial kernel.
 
 The table stores each prime power n = p^m as the exact pair (p, m); log p is
-taken in floating point only at use sites.  Lambda-weighted sums use exact
-compensated summation (math.fsum) because downstream Dirichlet polynomials
-cancel heavily.
+taken in floating point only at use sites.  :func:`covering_table` is the one
+rule for whether a table reaches a cutoff x, and :func:`dirichlet_cos_sum` is
+the one place that forms Lambda(n)/sqrt(n) cos(t log n).  The bound's
+Dirichlet term, both prime-side forms of the explicit formula and the
+log-derivative bracket supply only their weights; :func:`weighted_psi` is the
+kernel at t = 0.  Sums use exact compensated summation (math.fsum) because
+these polynomials cancel heavily.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
 
@@ -72,36 +77,43 @@ def lambda_sieve(x: int, cap: int = SIEVE_CAP) -> LambdaTable:
     return LambdaTable(limit=x, prime=prime, power=power)
 
 
-def weighted_psi(x: int, table: LambdaTable | None = None) -> float:
-    """sum_{n<=x} Lambda(n)/sqrt(n); under RH this is 2 sqrt(x) + O(log^3 x)."""
-    if table is None or table.limit < x:
-        table = lambda_sieve(x)
-    ns = table.prime_powers(x)
-    vals = table.log_p(ns) / np.sqrt(ns.astype(float))
-    return fsum(vals)
+def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:
+    """``table`` if it holds every n <= x, else a fresh sieve to max(2, floor(x)).
 
-
-def chebyshev_psi(x: int, table: LambdaTable | None = None) -> float:
-    """sum_{n<=x} Lambda(n)."""
-    if table is None or table.limit < x:
-        table = lambda_sieve(x)
-    ns = table.prime_powers(x)
-    return fsum(table.log_p(ns))
+    The limit is compared with floor(x), not with x: a table built to floor(x)
+    covers a fractional x.
+    """
+    n = math.floor(x)
+    if table is None or table.limit < n:
+        table = lambda_sieve(max(2, n))
+    return table
 
 
 def dirichlet_cos_sum(table: LambdaTable, x: float, t: float,
-                      weights: np.ndarray | None = None) -> float:
-    """Re sum_{n<=x} Lambda(n) n^{-1/2-it} w_n  =  sum Lambda(n) cos(t log n) w_n / sqrt(n).
+                      weight: Callable | None = None) -> float:
+    """Re sum_{n<=x} Lambda(n) n^{-1/2-it} w(n)  =  sum Lambda(n)/sqrt(n) cos(t log n) w(n).
 
     The shared evaluation kernel for every Dirichlet polynomial in the
-    package; ``weights`` aligns with ``table.prime_powers(x)``.
+    package.  ``weight(n, log n)`` maps the float arrays of prime powers
+    n <= x and their logarithms to w(n); None means w = 1.
     """
     ns = table.prime_powers(x)
     if len(ns) == 0:
         return 0.0
     nsf = ns.astype(float)
     ln = np.log(nsf)
-    vals = table.log_p(ns) * np.cos(t * ln) / np.sqrt(nsf)
-    if weights is not None:
-        vals = vals * weights
+    vals = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
+    if weight is not None:
+        vals = vals * weight(nsf, ln)
     return fsum(vals)
+
+
+def weighted_psi(x: int, table: LambdaTable | None = None) -> float:
+    """sum_{n<=x} Lambda(n)/sqrt(n); under RH this is 2 sqrt(x) + O(log^3 x)."""
+    return dirichlet_cos_sum(covering_table(x, table), x, 0.0)
+
+
+def chebyshev_psi(x: int, table: LambdaTable | None = None) -> float:
+    """sum_{n<=x} Lambda(n)."""
+    table = covering_table(x, table)
+    return fsum(table.log_p(table.prime_powers(x)))

@@ -18,7 +18,7 @@ from math import fsum
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError
+from .errors import CrossCheckFailed, DomainError
 from .zeta_oracle import digamma, zeta_real
 
 U_MAX = 0.99
@@ -48,7 +48,8 @@ def f_quadrature(u: float) -> float:
         return 0.0
     Y = max(30.0, 18.0 / (1.0 - u))
     tail = 4 * math.exp(-2 * (1 - u) * Y) / (2 * (1 - u))
-    assert tail <= 1e-12
+    if tail > 1e-12:
+        raise CrossCheckFailed(f"F quadrature tail bound {tail:.1e} above 1e-12 at u={u}")
 
     def integrand(y):
         # sinh(2uy)/cosh^2(y), rewritten so nothing overflows for large y

@@ -1,16 +1,27 @@
 """Acceptance suite: runs every criterion at its stated tolerance and prints
 one pass/fail line per criterion (same checks as ``critline selftest``)."""
 
+import csv
+import math
+
 import pytest
 
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
 from conftest import REPO, ZEROS_PATH
 
+SCAN_CSV = "scan_t1e3_1e6.csv"
+#: per-field tolerance against the tracked scan artifact: absolute 1e-10, far
+#: above the last-ulp drift (~4e-16) seen across platforms; the one-ulp
+#: relative term only matters for t near 1e6, where an ulp is 1.2e-10
+SCAN_ABS_TOL = 1e-10
+SCAN_REL_TOL = 2.0 ** -52
+
 
 @pytest.fixture(scope="module")
-def ctx():
+def ctx(tmp_path_factory):
+    # criterion 8 writes its artifact here, never over the tracked copy
     return CheckContext(zeros_path=str(ZEROS_PATH),
-                        artifacts_dir=str(REPO / "artifacts"))
+                        artifacts_dir=str(tmp_path_factory.mktemp("artifacts")))
 
 
 @pytest.mark.parametrize("number,name", [(n, name) for n, name, _ in CRITERIA],
@@ -19,3 +30,25 @@ def test_criterion(ctx, number, name):
     result = run_criterion(number, ctx)
     print(result.line())
     assert result.passed, result.detail
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_scan_artifact_matches_tracked_copy(ctx):
+    out = f"{ctx.artifacts_dir}/{SCAN_CSV}"
+    try:
+        new_rows = _read_csv(out)
+    except FileNotFoundError:  # criterion 8 deselected: write the artifact now
+        assert run_criterion(8, ctx).passed
+        new_rows = _read_csv(out)
+    old_rows = _read_csv(REPO / "artifacts" / SCAN_CSV)
+    assert new_rows[0] == old_rows[0]
+    assert len(new_rows) == len(old_rows)
+    for i, (new, old) in enumerate(zip(new_rows[1:], old_rows[1:]), start=2):
+        assert len(new) == len(old), i
+        for name, a, b in zip(old_rows[0], new, old):
+            assert math.isclose(float(a), float(b), rel_tol=SCAN_REL_TOL,
+                                abs_tol=SCAN_ABS_TOL), (i, name, a, b)

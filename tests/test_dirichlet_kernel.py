@@ -1,0 +1,124 @@
+"""The one Dirichlet-polynomial kernel and the one sieve-cover rule.
+
+Every prime-power sum in the package goes through
+:func:`critline.prime_arith.dirichlet_cos_sum`.  The ``ref_*`` functions
+below are the formulas each caller used to write out inline; the kernel keeps
+their arithmetic and its order, so the values are compared with ``==``.
+"""
+
+import math
+import random
+from math import fsum
+
+import numpy as np
+import pytest
+
+from critline import prime_arith
+from critline.bound_engine import dirichlet_term, scan_margins
+from critline.explicit_formula import _prime_term, lemma3_bracket
+from critline.extremal_poisson import KernelParams, ft_m
+from critline.prime_arith import covering_table, lambda_sieve, weighted_psi
+from critline.special_f import f_closed_form
+
+
+def ref_dirichlet_term(t, x, table):
+    ns = table.prime_powers(x)
+    nsf = ns.astype(float)
+    ln = np.log(nsf)
+    logx = math.log(x)
+    weights = f_closed_form((logx - ln) / logx) / logx
+    return fsum(table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln) * weights)
+
+
+def ref_prime_term(sign, p, t, table):
+    x = p.x
+    ns = table.prime_powers(x)
+    nsf = ns.astype(float)
+    ln = np.log(nsf)
+    base = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
+    form_ft = fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
+    xb = x ** p.beta
+    den = (xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2
+    form_sinh = 2 * xb / den * fsum(base * np.sinh(p.beta * np.log(x / nsf)))
+    return form_ft, form_sinh
+
+
+def ref_bracket_sides(t, x, beta, table):
+    ns = table.prime_powers(x)
+    nsf = ns.astype(float)
+    S = fsum(table.log_p(ns) / np.sqrt(nsf) * np.cos(t * np.log(nsf))
+             * np.sinh(beta * np.log(x / nsf)))
+    xb = x ** beta
+    logt = math.log(t)
+    return (-logt / (xb - 1) + 2 * xb / (xb - 1) ** 2 * S,
+            logt / (xb + 1) + 2 * xb / (xb + 1) ** 2 * S)
+
+
+def ref_weighted_psi(x, table):
+    ns = table.prime_powers(x)
+    return fsum(table.log_p(ns) / np.sqrt(ns.astype(float)))
+
+
+def _grid(n=25, seed=4417):
+    """Seeded (t, x, beta, Delta) draws; x is fractional and p.x stays below 1e4."""
+    rng = random.Random(seed)
+    return [(rng.uniform(10, 2000), rng.uniform(2, 9000), rng.uniform(0.1, 1.0),
+             rng.uniform(math.log(2) / (2 * math.pi), 1.4)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("t,x,beta,delta", _grid())
+def test_kernel_callers_bit_identical(lam_small, t, x, beta, delta):
+    assert dirichlet_term(t, x, lam_small) == ref_dirichlet_term(t, x, lam_small)
+    p = KernelParams(beta, delta)
+    for sign in ("+", "-"):
+        assert _prime_term(sign, p, t, lam_small) == ref_prime_term(sign, p, t, lam_small)
+    br = lemma3_bracket(t, x, beta, lam_small)
+    assert (br.left_main, br.right_main) == ref_bracket_sides(t, x, beta, lam_small)
+    assert weighted_psi(int(x), lam_small) == ref_weighted_psi(int(x), lam_small)
+
+
+def test_kernel_weight_sees_n_and_log_n(lam_small):
+    seen = {}
+
+    def weight(n, ln):
+        seen["n"], seen["ln"] = n, ln
+        return np.ones_like(n)
+
+    assert prime_arith.dirichlet_cos_sum(lam_small, 30.5, 7.0, weight) == \
+        prime_arith.dirichlet_cos_sum(lam_small, 30.5, 7.0)
+    assert list(seen["n"]) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+    assert np.array_equal(seen["ln"], np.log(seen["n"]))
+
+
+def test_cover_rule_compares_floor_of_x():
+    table = lambda_sieve(1234)
+    assert covering_table(1234.5, table) is table
+    assert covering_table(1234, table) is table
+    assert covering_table(1235.0, table).limit == 1235
+    assert covering_table(1.5).limit == 2
+    assert covering_table(77.9).limit == 77
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """The limits of every lambda_sieve call made through the cover rule."""
+    calls = []
+
+    def counting_sieve(x, *args):
+        calls.append(x)
+        return lambda_sieve(x, *args)
+
+    monkeypatch.setattr(prime_arith, "lambda_sieve", counting_sieve)
+    return calls
+
+
+def test_fractional_fixed_x_scan_sieves_once(sieve_calls):
+    reports = scan_margins(1e3, 2e3, 5, x_policy="fixed", x_fixed=1234.5)
+    assert sieve_calls == [1234]
+    assert all(r.x == 1234.5 for r in reports)
+
+
+def test_dirichlet_term_without_table_sieves_to_floor(sieve_calls):
+    val = dirichlet_term(500.0, 99.75)
+    assert sieve_calls == [99]
+    assert val == ref_dirichlet_term(500.0, 99.75, lambda_sieve(99))

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from critline.errors import DegenerateBeta, InsufficientHeight
+from critline import explicit_formula
+from critline.errors import CrossCheckFailed, DegenerateBeta, InsufficientHeight
 from critline.explicit_formula import (
     _prime_term,
     gw_prime_side,
@@ -63,6 +64,19 @@ def test_prime_forms_agree_randomized(lam600):
         p = KernelParams(beta, delta)
         a, b = _prime_term("+" if rng.random() < 0.5 else "-", p, t, lam600)
         assert abs(a - b) <= 1e-9
+
+
+def test_prime_forms_disagreement_raises(lam600, monkeypatch):
+    # perturb the FT form only: the check must raise, also under python -O
+    ft = explicit_formula.ft_m
+    monkeypatch.setattr(explicit_formula, "ft_m", lambda *a: 1.001 * ft(*a))
+    with pytest.raises(CrossCheckFailed, match="prime-term forms disagree"):
+        _prime_term("+", KernelParams(0.5, 1.0), 100.0, lam600)
+
+
+def test_archimedean_rejects_bad_sign():
+    with pytest.raises(ValueError):
+        explicit_formula._archimedean("*", KernelParams(0.5, 1.0), 100.0)
 
 
 def test_prime_term_small_cutoff(lam600):

@@ -8,6 +8,7 @@ from critline.extremal_poisson import (
     envelope_constant,
     eval_m,
     ft_m,
+    kernel_constants,
     l1_dist,
     l1_numeric,
     numeric_ft,
@@ -140,3 +141,19 @@ def test_decay_envelope_constant():
         assert fitted <= 100.0, (p, fitted)
         # the explicit closed-form envelope dominates the fit (beta <= 1 here)
         assert fitted <= envelope_constant("+", p) + 1e-9
+
+
+def test_kernel_constants_match_the_closed_form():
+    for p in PARAM_GRID:
+        q = math.exp(2 * math.pi * p.beta * p.delta)
+        e = math.exp(math.pi * p.beta * p.delta)
+        for sign, D in (("+", (e - 1 / e) ** 2), ("-", (e + 1 / e) ** 2)):
+            A, got_D = kernel_constants(sign, p)
+            assert got_D == D
+            assert A == pytest.approx(q + 1 / q, rel=1e-15)
+
+
+@pytest.mark.parametrize("fn", [eval_m, ft_m])
+def test_bad_sign_rejected(fn):
+    with pytest.raises(ValueError):
+        fn("*", KernelParams(0.5, 1.0), 0.3)
