@@ -242,6 +242,15 @@ def theorem2_curve(t: float, policy: CurvePolicy, K: int | None = None) -> float
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _z_coefficients_numeric(K: int) -> tuple:
+    """z_1, z_2, ... of the stationary-point series z(w) at the oracle's
+    constant bindings."""
+    Z = run_pipeline(K).Z
+    env = constant_env()
+    return tuple(coeff_eval(Z.coefficient(k), env) for k in range(1, Z.order + 1))
+
+
 def optimal_cutoff(t: float, K: int = 3) -> float:
     """The pipeline's optimal Dirichlet cutoff x(t): log x = 1/z(w) with
     z(w) the stationary-point series at w = 1/log log t."""
@@ -249,10 +258,7 @@ def optimal_cutoff(t: float, K: int = 3) -> float:
     if loglog <= 0:
         raise DomainError("need log log t > 0")
     w = 1.0 / loglog
-    result = run_pipeline(K)
-    env = constant_env()
-    z = fsum(coeff_eval(result.Z.coefficient(k), env) * w ** k
-             for k in range(1, result.Z.order + 1))
+    z = fsum(zk * w ** k for k, zk in enumerate(_z_coefficients_numeric(K), 1))
     return max(2.0, math.exp(1.0 / z))
 
 
@@ -282,16 +288,16 @@ def scan_margins(t_min: float, t_max: float, points: int,
             return optimal_cutoff(t)
     else:
         raise DomainError(f"unknown x policy {x_policy!r}")
-    ts = np.geomspace(t_min, t_max, points)
-    table = covering_table(max(x_of(float(t)) for t in ts))
-    out = []
-    for t in ts:
+    ts = []
+    for t in np.geomspace(t_min, t_max, points):
         t = float(t)
         if zeros is not None:
             while t <= zeros.max_height and zeros.distance_to_nearest(t) < MARGIN_GUARD_RADIUS:
                 t += 2 * MARGIN_GUARD_RADIUS
-        out.append(theorem1_rhs(t, max(2.0, x_of(t)), table, zeros))
-    return out
+        ts.append(t)
+    xs = [max(2.0, x_of(t)) for t in ts]
+    table = covering_table(max(xs))
+    return [theorem1_rhs(t, x, table, zeros) for t, x in zip(ts, xs)]
 
 
 CSV_HEADER = "t,x,log_abs_zeta,dirichlet_term,arch_term,rhs_main,margin,error_scale"

@@ -18,6 +18,17 @@ from .zeros_table import default_zeros_path, load_zeros
 from .zeta_oracle import constant_env
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="critline",
@@ -33,35 +44,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bound", help="bound report at a single (t, x)")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, default=None,
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, default=None,
                    help="Dirichlet cutoff (default log^2 t)")
     p.add_argument("--zeros", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scan", help="margin scan over log-spaced t, CSV output")
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--t-min", type=_finite_float, required=True)
+    p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--x-policy", choices=("logsq", "fixed", "optimal"), default="logsq")
-    p.add_argument("--x", type=float, default=None, help="cutoff for --x-policy fixed")
+    p.add_argument("--x", type=_finite_float, default=None, help="cutoff for --x-policy fixed")
     p.add_argument("--zeros", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify-ef", help="explicit-formula verification at (t, beta, delta)")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p.add_argument("--zeros", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("extremal", help="kernel checks (pointwise, L1, FT) at (beta, delta)")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("special-f", help="weight function by all three methods")
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -23,7 +23,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import CrossCheckFailed, DegenerateBeta, InsufficientHeight
+from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m, kernel_constants
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .quadrature import geometric_tail, panel_integrate_chunked
@@ -103,7 +103,7 @@ def _archimedean(sign: str, p: KernelParams, t: float, window: float = ARCH_WIND
     while _osc_tail_bound(D, beta, omega, t, window) > 2e-7:
         window *= 2
         if window > 2 ** 8 * ARCH_WINDOW:
-            raise ValueError(
+            raise DomainError(
                 f"kernel parameters beta={beta}, delta={delta} are too degenerate "
                 "for the archimedean quadrature budget")
 

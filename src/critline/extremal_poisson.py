@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 SING_RADIUS = 1e-6
 
 
@@ -31,7 +33,7 @@ class KernelParams:
 
     def __post_init__(self):
         if self.beta <= 0 or self.delta <= 0:
-            raise ValueError("beta and delta must be positive")
+            raise DomainError("beta and delta must be positive")
 
     @property
     def x(self) -> float:

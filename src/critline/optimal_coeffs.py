@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import OrderTooLarge
+from .errors import CrossCheckFailed, OrderTooLarge
 from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
@@ -107,23 +107,22 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     zorder = Zser.order  # = m_log + 2 >= K + 1
 
     # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m); the
-    # numerator stops at m = K, since a_{K+1} Z^{K+2} starts beyond B's order K+1
+    # numerator stops at m = K, since a_{K+1} Z^{K+2} starts beyond B's order
+    # K+1.  One chain powers[m] = Z^{m+1} feeds both sums.
+    powers = [Zser]
+    for _ in range(K):
+        powers.append(ps_mul(powers[-1], Zser))
     numer = TruncatedSeries.zero(zorder + 1)
     denom = TruncatedSeries.constant(4, zorder)
-    zpow = Zser
     for m in range(1, K + 1):
-        zpow = ps_mul(zpow, Zser)  # Z^{m+1}
         if not a[m].is_zero():
-            numer = ps_add(numer, ps_scale(zpow, a[m]))
-    zpow = TruncatedSeries.constant(1, zorder)
-    for m in range(1, K + 1):
-        zpow = ps_mul(zpow, Zser)  # Z^m
+            numer = ps_add(numer, ps_scale(powers[m], a[m]))
         if not b[m].is_zero():
-            denom = ps_add(denom, ps_scale(zpow, b[m]))
+            denom = ps_add(denom, ps_scale(powers[m - 1], b[m]))
     B = ps_add(ps_scale(Zser, ExactCoefficient.log2_power(1)),
                ps_mul(numer, ps_recip(denom)))
     if B.order < K:
-        raise AssertionError("internal truncation bookkeeping failed")
+        raise CrossCheckFailed("internal truncation bookkeeping failed")
     C = tuple(B.coefficient(k) for k in range(1, K + 1))
     return PipelineResult(order=K, a=tuple(a), b=tuple(b), w1=w1, Z=Zser, B=B, C=C)
 
@@ -136,7 +135,7 @@ def format_report(result: PipelineResult, constants=None) -> str:
     from .pari_text import format_coefficient, format_series
 
     lines = [f"w1 = {format_series(result.w1)}",
-             f"Z = {format_series(result.Z, var='z')}"]
+             f"Z = {format_series(result.Z)}"]
     for k in range(1, result.order + 1):
         line = f"C_{k} = {format_coefficient(result.coefficient(k))}"
         if constants is not None:

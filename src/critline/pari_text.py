@@ -71,7 +71,7 @@ def format_coefficient(c: ExactCoefficient) -> str:
     return " ".join(parts)
 
 
-def format_series(ts: TruncatedSeries, var: str = "z") -> str:
+def format_series(ts: TruncatedSeries) -> str:
     parts = []
     for k in range(ts.valuation, ts.order + 1):
         c = ts.coefficient(k)
@@ -93,8 +93,7 @@ def format_series(ts: TruncatedSeries, var: str = "z") -> str:
     if not parts:
         parts.append("0")
     parts.append(f"+ O(z^{ts.order + 1})")
-    out = " ".join(parts)
-    return out if var == "z" else out.replace("z", var)
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

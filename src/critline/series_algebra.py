@@ -100,9 +100,6 @@ class ExactCoefficient:
             raise ValueError("coefficient is not a pure rational")
         return self._terms[_EMPTY]
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def monomial_inverse(self) -> "ExactCoefficient":
         """Inverse of q*L^k; anything else leaves the ring."""
         if len(self._terms) != 1:
@@ -300,11 +297,6 @@ class TruncatedSeries:
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls.monomial(1, 1, order)
 
-    @classmethod
-    def from_coeff_list(cls, valuation: int, coeffs: Iterable,
-                        order: int | None = None) -> "TruncatedSeries":
-        return cls(valuation, coeffs, order)
-
     # -- accessors --------------------------------------------------------------
 
     def coefficient(self, k: int) -> ExactCoefficient:
@@ -418,15 +410,6 @@ def ps_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(v, [a.coefficient(k) for k in range(v, order + 1)], order)
 
 
-def _pad_candidate(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    # internal Newton helper: extend with zero coefficients as a *candidate*,
-    # making no claim that the extension is correct
-    if order <= a.order:
-        return ps_truncate(a, order)
-    coeffs = list(a.coeffs) + [EC_ZERO] * (order - a.order)
-    return TruncatedSeries(a.valuation, coeffs, order)
-
-
 def ps_recip(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse: ps_mul(a, ps_recip(a)) == 1 up to truncation.
 
@@ -507,45 +490,25 @@ def ps_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     return acc
 
 
-def ps_derivative(a: TruncatedSeries) -> TruncatedSeries:
-    coeffs = [a.coefficient(k) * k for k in range(a.valuation, a.order + 1)]
-    if a.valuation == 0:
-        coeffs = coeffs[1:]
-        return TruncatedSeries(0, coeffs, a.order - 1)
-    return TruncatedSeries(a.valuation - 1, coeffs, a.order - 1)
-
-
 def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse by Newton iteration: compose(a, result) == z.
+    """Compositional inverse by Lagrange inversion: compose(a, result) == z.
 
-    Quadratic convergence in the number of correct coefficients; every step
-    is exact ring arithmetic, so the result agrees coefficient-for-coefficient
-    with Lagrange inversion.
+    With h = z/a(z), known through z^(n-1) for a of order n, the inverse has
+    [z^k] a^{-1} = [z^(k-1)] h^k / k, so one chain of powers of h gives
+    every coefficient.  The result has valuation 1 and order a.order.
     """
     if a.valuation != 1:
         raise PositiveValuationRequired(
             f"reversion requires valuation exactly 1, got {a.valuation}")
-    f1 = a.coefficient(1)
+    n = a.order
     try:
-        f1_inv = f1.monomial_inverse()
+        h = ps_recip(TruncatedSeries(0, a.coeffs, n - 1))
     except NonInvertibleLeadingCoefficient as exc:
         raise NonInvertibleLinearCoefficient(str(exc)) from None
-    n = a.order
-    g = TruncatedSeries(1, [f1_inv], 1)
-    known = 1
-    aprime = ps_derivative(a) if n >= 1 else None
-    while known < n:
-        target = min(2 * known, n)
-        gp = _pad_candidate(g, target)
-        fa = ps_truncate(a, target)
-        residual = ps_sub(ps_compose(fa, gp), TruncatedSeries.identity(target))
-        if residual.is_zero():
-            g = gp
-            known = target
-            continue
-        dfa = ps_truncate(aprime, min(aprime.order, target))
-        deriv = ps_compose(dfa, gp)
-        update = ps_mul(residual, ps_recip(deriv))
-        g = ps_truncate(ps_sub(gp, update), target)
-        known = target
-    return g
+    hk = h
+    coeffs = []
+    for k in range(1, n + 1):
+        coeffs.append(hk.coefficient(k - 1) * Fraction(1, k))
+        if k < n:
+            hk = ps_mul(hk, h)
+    return TruncatedSeries(1, coeffs, n)

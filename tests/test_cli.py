@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from critline.cli import main, parse_args
 from critline.errors import UsageError
-from conftest import ZEROS_PATH
+from conftest import REPO, ZEROS_PATH
 
 
 def run_cli(capsys, *args):
@@ -138,6 +141,23 @@ def test_computation_error_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bound", "--t", "100", "--zeros", str(bad))
     assert code == 1
     assert "SuspiciousFirstZero" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["extremal", "--beta", "-1", "--delta", "1"],
+    ["bound", "--t", "nan"],
+    ["verify-ef", "--t", "100", "--beta", "0.001", "--delta", "0.01",
+     "--zeros", str(ZEROS_PATH)],
+    ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
+])
+def test_bad_input_exits_without_traceback(args):
+    # a fresh interpreter, so an uncaught exception shows as a real traceback
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "critline.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from critline import explicit_formula
-from critline.errors import CrossCheckFailed, DegenerateBeta, InsufficientHeight
+from critline.errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from critline.explicit_formula import (
     _prime_term,
     gw_prime_side,
@@ -125,7 +125,7 @@ def test_gw_prime_side_requires_t_ge_10(lam600):
 def test_archimedean_rejects_degenerate_kernels():
     from critline.explicit_formula import _archimedean
     # beta*Delta so small that even a 256x window cannot meet the budget
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(DomainError, match="degenerate"):
         _archimedean("+", KernelParams(1e-3, 0.05), 50.0)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from critline.errors import DomainError
 from critline.extremal_poisson import (
     KernelParams,
     envelope_constant,
@@ -33,9 +34,9 @@ def test_poisson_kernel_mass():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         KernelParams(0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         KernelParams(1.0, -2.0)
     assert abs(KernelParams(1.0, 1.0).x - math.exp(2 * math.pi)) < 1e-9
 

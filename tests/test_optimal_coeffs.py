@@ -74,10 +74,10 @@ def test_truncation_monotonicity_across_orders():
 
 
 def test_reversion_roundtrip_inside_pipeline():
-    r = run_pipeline(6)
-    comp = ps_compose(ps_recip(r.w1), r.Z)
-    assert comp == TruncatedSeries.identity(order=comp.order)
-    assert comp.order >= r.order + 1
+    for r in (run_pipeline(6), run_pipeline(9, extrapolated=True)):
+        comp = ps_compose(ps_recip(r.w1), r.Z)
+        assert comp == TruncatedSeries.identity(order=comp.order)
+        assert comp.order >= r.order + 1
 
 
 def test_stationarity_identity():
@@ -130,7 +130,8 @@ def test_format_report_numeric_column():
 #
 # The exact engine is cross-checked end-to-end by redoing the whole
 # computation in plain float arrays with *different* series algorithms
-# (integral-form logarithm, back-substitution reversion instead of Newton).
+# (integral-form logarithm, back-substitution reversion instead of Lagrange
+# inversion).
 
 
 def _f_mul(a, b, n):

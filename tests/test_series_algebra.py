@@ -299,37 +299,47 @@ def test_revert_with_symbolic_linear_coeff():
     assert comp == TS.identity(order=comp.order)
 
 
-def _lagrange_revert(f):
-    # independent reversion oracle: [z^k] g = (1/k) [z^{k-1}] (z/f)^k
+def _newton_revert(f):
+    # independent reversion reference: Newton's g <- g - (f(g) - z) / f'(g),
+    # doubling the number of known coefficients per step from g = z / f_1
     n = f.order
-    u = TS(0, [f.coefficient(j) for j in range(1, n + 1)], n - 1)
-    uinv = ps_recip(u)
-    coeffs = []
-    power = TS.constant(1, n - 1)
-    for k in range(1, n + 1):
-        power = ps_mul(power, uinv)
-        coeffs.append(power.coefficient(k - 1) * Fraction(1, k))
-    return TS(1, coeffs, n)
+    fprime = TS(0, [f.coefficient(k) * k for k in range(1, n + 1)], n - 1)
+    g = TS(1, [f.coefficient(1).monomial_inverse()], 1)
+    while g.order < n:
+        target = min(2 * g.order, n)
+        # zero-padded candidate: no claim that the new coefficients are right
+        gp = TS(1, list(g.coeffs) + [EC_ZERO] * (target - g.order), target)
+        residual = ps_sub(ps_compose(ps_truncate(f, target), gp), TS.identity(target))
+        if residual.is_zero():
+            g = gp
+            continue
+        deriv = ps_compose(ps_truncate(fprime, min(fprime.order, target)), gp)
+        g = ps_truncate(ps_sub(gp, ps_mul(residual, ps_recip(deriv))), target)
+    return g
 
 
 def test_newton_reversion_agrees_with_lagrange():
     rng = random.Random(2718)
-    for trial in range(25):
+    cases = []
+    for _ in range(25):
         coeffs = [rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
         while coeffs[0].is_zero():
             coeffs[0] = rational(rng.randint(1, 9))
-        a = series(1, coeffs, 10)
-        assert ps_revert(a) == _lagrange_revert(a), trial
-    # and on a symbolic series with an invertible monomial linear term
-    a = series(1, [EC.log2_power(-1, Fraction(1, 2)), Z(3), L, rational(7, 3)], 4)
-    assert ps_revert(a) == _lagrange_revert(a)
+        cases.append(series(1, coeffs, 10))
+    # a symbolic series with an invertible monomial linear term, and order 1
+    cases.append(series(1, [EC.log2_power(-1, Fraction(1, 2)), Z(3), L, rational(7, 3)], 4))
+    cases += [series(1, [rational(-3, 7)], 1), series(1, [EC.log2_power(2, Fraction(5, 2))], 1)]
+    for trial, a in enumerate(cases):
+        g = ps_revert(a)
+        assert g == _newton_revert(a), trial
+        assert ps_compose(a, g) == TS.identity(order=a.order), trial
 
 
-def test_pipeline_reversion_agrees_with_lagrange():
+def test_pipeline_reversion_agrees_with_newton():
     from critline.optimal_coeffs import run_pipeline
     r = run_pipeline(7)
     f = ps_recip(r.w1)
-    assert ps_revert(f) == _lagrange_revert(f) == r.Z
+    assert ps_revert(f) == _newton_revert(f) == r.Z
 
 
 # --- truncation + structure -----------------------------------------------------
