@@ -3,14 +3,17 @@
 
 Method: scan the Riemann-Siegel Z function (computed from an Euler-Maclaurin
 evaluation of zeta on the critical line, exact to ~1e-12) on a uniform grid,
-bracket sign changes, refine each bracket with Brent's method, and verify
-completeness of the list against the zero-counting formula
-N(T) = theta(T)/pi + 1 + S(T).  Regions where the running count falls behind
+bracket sign changes, refine each bracket with Brent's method (scipy's
+``brentq``), and verify completeness of the list against the zero-counting
+formula N(T) = theta(T)/pi + 1 + S(T).  Regions where the running count falls behind
 the prediction (close pairs, e.g. the near-degenerate pair at t ~ 7005) are
 rescanned on a 20x finer grid until the drift statistic is clean.
 
 A random sample of the resulting ordinates is cross-checked against mpmath
 (independent implementation) before the file is written.
+
+Needs the installed package (``pip install -e .``, or ``PYTHONPATH=src``): the
+Bernoulli numbers come from ``critline.zeta_oracle``.
 
 Usage: python scripts/make_zeros_table.py --height 10050 --out data/zeros_height1e4.txt
 """
@@ -20,21 +23,11 @@ import math
 import random
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import brentq
 
-
-def bernoulli_numbers(n_max):
-    b = [Fraction(0)] * (n_max + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n_max + 1):
-        s = sum(math.comb(m + 1, k) * b[k] for k in range(m))
-        b[m] = Fraction(-s, m + 1)
-    return b
-
-
-_BERN_F = [float(x) for x in bernoulli_numbers(60)]
+from critline.zeta_oracle import _B2J  # B_2, B_4, ..., B_60
 
 
 def rs_theta(t):
@@ -63,9 +56,9 @@ def zeta_crit_em(ts, M=None):
     res = out + M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
     rising = s.copy()
     for j in range(1, 28):
-        res = res + _BERN_F[2 * j] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
+        res = res + _B2J[j - 1] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
         rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-        nxt = abs(_BERN_F[2 * j + 2]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
+        nxt = abs(_B2J[j]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
         if nxt < 1e-15:
             break
     return res
@@ -99,55 +92,13 @@ def Z_grid(t0, t1, step):
         vals += M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
         rising = s.copy()
         for j in range(1, 28):
-            vals = vals + _BERN_F[2 * j] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
+            vals = vals + _B2J[j - 1] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
             rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-            nxt = abs(_BERN_F[2 * j + 2]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
+            nxt = abs(_B2J[j]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
             if nxt < 1e-15:
                 break
         out[i0:i0 + block] = (np.exp(1j * rs_theta(tb)) * vals).real
     return ts, out
-
-
-def brent(f, a, b, fa, fb, xtol=1e-11, maxit=120):
-    """Standard Brent root refinement on a sign-change bracket."""
-    if fa * fb > 0:
-        raise ValueError("no sign change")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(maxit):
-        if fb * fc > 0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2 * 2.22e-16 * abs(b) + xtol / 2
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2 * m * s
-                q = 1 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b = b + (d if abs(d) > tol else (tol if m > 0 else -tol))
-        fb = f(b)
-    return b
 
 
 def predicted_count(T):
@@ -211,8 +162,8 @@ def main():
     print(f"refining {len(brackets)} roots ...", flush=True)
     t0 = time.time()
     gammas = []
-    for (a, b, fa, fb) in brackets:
-        gammas.append(brent(Z_scalar, a, b, fa, fb))
+    for a, b, _, _ in brackets:
+        gammas.append(brentq(Z_scalar, a, b, xtol=1e-11))
     gammas = np.array(sorted(gammas))
     print(f"  done, {time.time() - t0:.1f}s", flush=True)
 

@@ -236,9 +236,12 @@ def _cmd_selftest(ns) -> int:
     ctx = CheckContext(zeros_path=path, artifacts_dir=ns.artifacts)
     results = run_all(ctx, quick=ns.quick)
     lines = _header(ns) + [r.line() for r in results]
-    ok = all(r.passed for r in results)
+    ran = [r for r in results if not r.skipped]
+    ok = all(r.passed for r in ran)
+    skipped = len(results) - len(ran)
     lines.append(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} "
-                 f"({sum(r.passed for r in results)}/{len(results)})")
+                 f"({sum(r.passed for r in ran)}/{len(ran)}"
+                 + (f", {skipped} skipped)" if skipped else ")"))
     _emit(lines, ns.out)
     return 0 if ok else 1
 

@@ -67,10 +67,11 @@ class LimitTooLarge(CritlineError):
     """Sieve limit above the configured cap."""
 
 
-# --- zero tables --------------------------------------------------------------
+# --- parsing and zero tables -------------------------------------------------
 
 class ParseError(CritlineError):
-    """Malformed zero-table file; carries the offending line number."""
+    """Malformed input text: a zero-table file (with the offending line
+    number) or a Pari-dialect golden expression."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")

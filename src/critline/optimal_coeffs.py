@@ -145,8 +145,3 @@ def format_report(result: PipelineResult, constants=None) -> str:
         lines.append(line)
     return "\n".join(lines) + "\n"
 
-
-def write_golden(path, K: int = K_MAX_GOLDEN) -> None:
-    """Emit the regression anchor file (Pari-like syntax) for diffing."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(run_pipeline(K)))

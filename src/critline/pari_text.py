@@ -8,9 +8,11 @@ canonical simplification instead of byte-by-byte.
 
 from __future__ import annotations
 
+import ast
 import re
 from fractions import Fraction
 
+from .errors import NonInvertibleLeadingCoefficient, ParseError
 from .series_algebra import (
     EC_ONE,
     EC_ZERO,
@@ -97,161 +99,89 @@ def format_series(ts: TruncatedSeries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: Python's own parser reads the text (with ^ as **), and a whitelist
+# walker maps each node onto the ring; the text is never evaluated
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _O_RE = re.compile(r"\+\s*O\(\s*z\^(\d+)\s*\)\s*$")
+_MINUS_ONE = {0: -EC_ONE}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            pos = m.end()
-            if m.group(1):
-                self.toks.append(("num", int(m.group(1))))
-            elif m.group(2):
-                self.toks.append(("name", m.group(2)))
-            else:
-                self.toks.append(("op", m.group(3)))
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _plus(a: dict, b: dict) -> dict:
+    out = {e: a.get(e, EC_ZERO) + b.get(e, EC_ZERO) for e in a | b}
+    return {e: c for e, c in out.items() if not c.is_zero()}
 
 
-# Laurent polynomial in z over the coefficient ring, as {exponent: coefficient}
-_Laurent = dict
-
-
-def _lp_add(a, b, s=1):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, EC_ZERO) + (c * s if s != 1 else c)
-        if v.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def _lp_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            v = out.get(e1 + e2, EC_ZERO) + c1 * c2
-            if v.is_zero():
-                out.pop(e1 + e2, None)
-            else:
-                out[e1 + e2] = v
-    return out
-
-
-def _lp_div(a, b):
+def _times(a: dict, b: dict) -> dict:
+    """a * b, where at least one factor is a single z-monomial c*z^e."""
     if len(b) != 1:
-        raise ValueError("division only by a single monomial")
+        a, b = b, a
+    if len(b) != 1:
+        raise ParseError("a product needs a single z-monomial factor")
     (e, c), = b.items()
-    inv = {-e: c.monomial_inverse()}
-    return _lp_mul(a, inv)
+    out = {k + e: v * c for k, v in a.items()}
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _lp_pow(a, n):
-    if n < 0:
-        return _lp_div({0: EC_ONE}, _lp_pow(a, -n))
-    out = {0: EC_ONE}
-    for _ in range(n):
-        out = _lp_mul(out, a)
-    return out
+def _inverse(a: dict) -> dict:
+    if len(a) != 1:
+        raise ParseError("only a single z-monomial can be inverted")
+    (e, c), = a.items()
+    try:
+        return {-e: c.monomial_inverse()}
+    except NonInvertibleLeadingCoefficient as exc:
+        raise ParseError(f"cannot invert {format_coefficient(c)}") from exc
 
 
-def _parse_expr(tk: _Tokens):
-    sign = 1
-    kind, val = tk.peek()
-    if kind == "op" and val in "+-":
-        tk.next()
-        sign = -1 if val == "-" else 1
-    out = _lp_scale(_parse_term(tk), sign)
-    while True:
-        kind, val = tk.peek()
-        if kind == "op" and val in "+-":
-            tk.next()
-            out = _lp_add(out, _parse_term(tk), -1 if val == "-" else 1)
-        else:
-            return out
+def _integer(node: ast.expr) -> int:
+    match node:
+        case ast.Constant(value=n) if type(n) is int:
+            return n
+        case ast.UnaryOp(op=ast.USub(), operand=ast.Constant(value=n)) if type(n) is int:
+            return -n
+    raise ParseError(f"exponent must be an integer, got {ast.unparse(node)!r}")
 
 
-def _lp_scale(a, s):
-    return a if s == 1 else {e: -c for e, c in a.items()}
-
-
-def _parse_term(tk: _Tokens):
-    out = _parse_atom(tk)
-    while True:
-        kind, val = tk.peek()
-        if kind == "op" and val in "*/":
-            tk.next()
-            rhs = _parse_atom(tk)
-            out = _lp_mul(out, rhs) if val == "*" else _lp_div(out, rhs)
-        else:
-            return out
-
-
-def _parse_atom(tk: _Tokens):
-    base = _parse_primary(tk)
-    kind, val = tk.peek()
-    if kind == "op" and val == "^":
-        tk.next()
-        k2, v2 = tk.next()
-        neg = False
-        if k2 == "op" and v2 == "-":
-            neg = True
-            k2, v2 = tk.next()
-        if k2 != "num":
-            raise ValueError("exponent must be an integer")
-        return _lp_pow(base, -v2 if neg else v2)
-    return base
-
-
-def _parse_primary(tk: _Tokens):
-    kind, val = tk.next()
-    if kind == "num":
-        return {0: ExactCoefficient.rational(val)}
-    if kind == "name":
-        if val == "L":
+def _walk(node: ast.expr) -> dict:
+    """The {z-exponent: coefficient} value of one whitelisted syntax node."""
+    match node:
+        case ast.Constant(value=n) if type(n) is int:
+            return {0: ExactCoefficient.rational(n)}
+        case ast.Name(id="L"):
             return {0: ExactCoefficient.log2_power(1)}
-        if val in ("z", "w"):
+        case ast.Name(id="z" | "w"):
             return {1: EC_ONE}
-        m = re.fullmatch(r"Z(\d+)", val)
-        if m:
-            return {0: ExactCoefficient.zeta_odd(int(m.group(1)))}
-        raise ValueError(f"unknown symbol {val!r}")
-    if kind == "op" and val == "(":
-        inner = _parse_expr(tk)
-        k2, v2 = tk.next()
-        if (k2, v2) != ("op", ")"):
-            raise ValueError("missing closing parenthesis")
-        return inner
-    if kind == "op" and val == "-":
-        return _lp_scale(_parse_primary(tk), -1)
-    raise ValueError(f"unexpected token {val!r}")
+        case ast.Name(id=name) if re.fullmatch(r"Z\d+", name):
+            try:
+                return {0: ExactCoefficient.zeta_odd(int(name[1:]))}
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+        case ast.UnaryOp(op=ast.UAdd(), operand=x):
+            return _walk(x)
+        case ast.UnaryOp(op=ast.USub(), operand=x):
+            return _times(_walk(x), _MINUS_ONE)
+        case ast.BinOp(left=a, op=ast.Add(), right=b):
+            return _plus(_walk(a), _walk(b))
+        case ast.BinOp(left=a, op=ast.Sub(), right=b):
+            return _plus(_walk(a), _times(_walk(b), _MINUS_ONE))
+        case ast.BinOp(left=a, op=ast.Mult(), right=b):
+            return _times(_walk(a), _walk(b))
+        case ast.BinOp(left=a, op=ast.Div(), right=b):
+            return _times(_walk(a), _inverse(_walk(b)))
+        case ast.BinOp(left=a, op=ast.Pow(), right=n):
+            base, k = _walk(a), _integer(n)
+            out = {0: EC_ONE}
+            for _ in range(abs(k)):
+                out = _times(out, base)
+            return out if k >= 0 else _inverse(out)
+    raise ParseError(f"unsupported expression {ast.unparse(node)!r}")
 
 
 def parse_laurent(text: str) -> tuple[dict, int | None]:
     """Parse a Pari-like expression; returns ({z-exponent: coefficient}, O-order).
 
-    The O-order is the k of a trailing ``+ O(z^k)``, or None.
+    The O-order is the k of a trailing ``+ O(z^k)``, or None.  Anything
+    outside the dialect raises ``ParseError``.
     """
     text = text.strip()
     o_order = None
@@ -259,18 +189,18 @@ def parse_laurent(text: str) -> tuple[dict, int | None]:
     if m:
         o_order = int(m.group(1))
         text = text[: m.start()].strip()
-    tk = _Tokens(text)
-    out = _parse_expr(tk)
-    if tk.peek() != (None, None):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return out, o_order
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ParseError(f"cannot parse {text!r}: {exc}") from None
+    return _walk(tree.body), o_order
 
 
 def parse_coefficient(text: str) -> ExactCoefficient:
     lp, _ = parse_laurent(text)
     bad = [e for e in lp if e != 0]
     if bad:
-        raise ValueError(f"expression is not z-free (exponents {bad})")
+        raise ParseError(f"expression is not z-free (exponents {bad})")
     return lp.get(0, EC_ZERO)
 
 
@@ -284,6 +214,6 @@ def series_matches_text(ts: TruncatedSeries, text: str) -> bool:
     lp, o_order = parse_laurent(text)
     hi = (o_order - 1) if o_order is not None else max(lp)
     if hi > ts.order:
-        raise ValueError(f"golden text extends to z^{hi}, series only to z^{ts.order}")
+        raise ParseError(f"golden text extends to z^{hi}, series only to z^{ts.order}")
     lo = min([ts.valuation] + list(lp))
     return all(ts.coefficient(k) == lp.get(k, EC_ZERO) for k in range(lo, hi + 1))

@@ -66,6 +66,10 @@ STATEMENT_C = {
 }
 
 
+class SkipCriterion(Exception):
+    """A criterion's input is not configured, so it reports SKIP, not FAIL."""
+
+
 @dataclass
 class CheckContext:
     zeros_path: str | None = None
@@ -75,7 +79,7 @@ class CheckContext:
     def zeros(self) -> ZeroTable:
         if self._zeros is None:
             if self.zeros_path is None:
-                raise FileNotFoundError(
+                raise SkipCriterion(
                     "no zero table configured (flag --zeros or CRITLINE_ZEROS)")
             self._zeros = load_zeros(self.zeros_path)
         return self._zeros
@@ -88,9 +92,10 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    skipped: bool = False
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status = "SKIP" if self.skipped else "PASS" if self.passed else "FAIL"
         return f"{status}  criterion {self.number:2d}  {self.name}  [{self.seconds:.2f}s]  {self.detail}"
 
 
@@ -243,11 +248,7 @@ def criterion_7(ctx: CheckContext):
 
 def criterion_8(ctx: CheckContext):
     """Empirical margins over 50 log-spaced t, with CSV artifact."""
-    z = None
-    try:
-        z = ctx.zeros()
-    except FileNotFoundError:
-        pass
+    z = ctx.zeros() if ctx.zeros_path is not None else None
     reports = bound_engine.scan_margins(1e3, 1e6, 50, zeros=z)
     margins = [r.margin for r in reports]
     path = Path(ctx.artifacts_dir)
@@ -352,6 +353,9 @@ def run_criterion(number: int, ctx: CheckContext) -> CriterionResult:
             t0 = time.perf_counter()
             try:
                 passed, detail = fn(ctx)
+            except SkipCriterion as exc:
+                return CriterionResult(num, name, False, str(exc),
+                                       time.perf_counter() - t0, skipped=True)
             except Exception as exc:  # surfaced, not swallowed: a crash is a FAIL
                 passed, detail = False, f"error: {type(exc).__name__}: {exc}"
             return CriterionResult(num, name, passed, detail, time.perf_counter() - t0)

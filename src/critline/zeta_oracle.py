@@ -2,8 +2,8 @@
 
 Everything here is independent of the bound machinery it is used to check.
 zeta is evaluated by Euler-Maclaurin summation with the standard remainder
-bound verified at runtime; digamma by upward recurrence plus the asymptotic
-series.  Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6.
+bound verified at runtime; digamma is scipy's ``psi``, real on real input.
+Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import fsum
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     DomainError,
@@ -176,37 +177,19 @@ def log_abs_zeta_crit(t: float, zeros=None) -> float:
 # digamma
 # ---------------------------------------------------------------------------
 
-_PSI_SHIFT = 10.0
-_PSI_B2J = _B2J[:8]  # B_2 .. B_16; at |w| >= 10 the omitted term is < 5e-17
-
-
 def digamma(z):
-    """psi(z) for complex scalars or ndarrays, error <= 1e-12.
+    """psi(z) for real or complex scalars and ndarrays, by ``scipy.special.psi``.
 
-    Upward recurrence pushes Re z above 10, then the asymptotic series
-    log w - 1/(2w) - sum B_2j/(2j w^{2j}) applies.
+    Real input stays real, on scipy's real psi; complex input uses scipy's
+    complex psi.  A scalar in gives a scalar out.  Poles at the non-positive
+    integers raise instead of returning inf or nan.
     """
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    re = arr.real
-    on_real_axis = np.abs(arr.imag) == 0
-    near_int = np.abs(arr.real - np.round(arr.real)) == 0
-    if np.any(on_real_axis & near_int & (re <= 0)):
+    arr = np.asarray(z) if np.iscomplexobj(z) else np.asarray(z, dtype=float)
+    nonpositive = arr[arr.real <= 0]
+    if np.any(nonpositive == np.round(nonpositive.real)):
         raise PoleAtNonpositiveInteger("digamma pole at a non-positive integer")
-    shift = int(max(0.0, math.ceil(_PSI_SHIFT - re.min())))
-    acc = np.zeros_like(arr)
-    for k in range(shift):
-        acc += 1.0 / (arr + k)
-    w = arr + shift
-    winv2 = 1.0 / (w * w)
-    series = np.zeros_like(arr)
-    power = winv2.copy()
-    for j, b in enumerate(_PSI_B2J, start=1):
-        series += b / (2 * j) * power
-        power = power * winv2
-    out = np.log(w) - 0.5 / w - series - acc
-    return complex(out[0]) if scalar else out
+    out = special.psi(arr)
+    return out.item() if out.ndim == 0 else out
 
 
 def re_digamma_quarter(y):

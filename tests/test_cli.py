@@ -187,3 +187,32 @@ def test_selftest_quick(capsys, tmp_path):
     assert code == 0
     assert "ALL PASS" in out
     assert "FAIL" not in out.replace("FAILURES PRESENT", "")
+
+
+@pytest.fixture
+def table_criteria(monkeypatch):
+    """Restrict selftest to the criteria that need a zero table."""
+    from critline import selfcheck
+    monkeypatch.setattr(selfcheck, "CRITERIA",
+                        [c for c in selfcheck.CRITERIA if c[0] in (5, 6, 10)])
+    monkeypatch.delenv("CRITLINE_ZEROS", raising=False)
+
+
+def test_selftest_without_table_skips(capsys, tmp_path, table_criteria):
+    # with no table configured each reports SKIP, and a skip does not fail the run
+    code, out, _ = run_cli(capsys, "selftest", "--artifacts", str(tmp_path))
+    assert code == 0
+    for n in (5, 6, 10):
+        assert f"SKIP  criterion {n:2d}" in out
+    assert "FAIL" not in out
+    assert "ALL PASS (0/0, 3 skipped)" in out
+
+
+def test_selftest_unreadable_table_fails(capsys, tmp_path, table_criteria):
+    # a configured table that cannot be read is a failure, not a skip
+    code, out, _ = run_cli(capsys, "selftest", "--zeros", str(tmp_path / "missing.txt"),
+                           "--artifacts", str(tmp_path))
+    assert code == 1
+    for n in (5, 6, 10):
+        assert f"FAIL  criterion {n:2d}" in out
+    assert "SKIP" not in out and "FAILURES PRESENT (0/3)" in out

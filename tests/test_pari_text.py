@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from critline.errors import ParseError
 from critline.pari_text import (
     format_coefficient,
     format_series,
@@ -47,8 +48,22 @@ def test_parse_grouped_products():
 
 
 def test_parse_rejects_z_in_coefficient():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_coefficient("L + z")
+
+
+@pytest.mark.parametrize("text", [
+    "1.5*L",  # not an integer literal
+    "Q3",  # unknown symbol
+    '__import__("os")',  # calls are not in the dialect
+    "L.real",  # nor is attribute access
+    "L^(1/2)",  # fractional exponent
+    "(L + 1",  # syntax error
+    "(1+z)*(1+z)",  # neither factor is a single z-monomial
+])
+def test_parse_rejects_outside_dialect(text):
+    with pytest.raises(ParseError):
+        parse_laurent(text)
 
 
 def test_round_trip_through_text():
@@ -73,5 +88,5 @@ def test_series_matches_detects_difference():
 
 def test_series_matches_refuses_beyond_order():
     ts = TruncatedSeries(1, [Fraction(1, 2)], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         series_matches_text(ts, "1/2*z + L*z^2 + O(z^5)")

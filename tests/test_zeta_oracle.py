@@ -128,6 +128,16 @@ def test_digamma_against_mpmath():
     for z in (0.25 + 50j, 3.5 - 2j, 0.1 + 0j, 12.0 + 1e5j):
         ref = complex(mpmath.digamma(mpmath.mpc(z.real, z.imag)))
         assert abs(digamma(z) - ref) <= 1e-12, z
+    # real input, where F's closed form evaluates psi(u/2) and psi((u+1)/2)
+    xs = np.concatenate([np.linspace(0.01, 0.49, 13), np.linspace(0.51, 0.99, 13)])
+    vals = digamma(xs)
+    assert vals.dtype == np.float64
+    for x, v in zip(xs, vals):
+        ref = float(mpmath.digamma(x))
+        tol = 1e-12 * max(1.0, abs(ref))
+        assert abs(v - ref) <= tol, x
+        scalar = digamma(float(x))
+        assert isinstance(scalar, float) and abs(scalar - ref) <= tol, x
 
 
 def test_digamma_vectorized():
