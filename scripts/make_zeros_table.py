@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
 """Generate a table of positive ordinates of nontrivial zeta zeros up to a target height.
 
-Method: scan the Riemann-Siegel Z function (computed from an Euler-Maclaurin
-evaluation of zeta on the critical line, exact to ~1e-12) on a uniform grid,
-bracket sign changes, refine each bracket with Brent's method (scipy's
-``brentq``), and verify completeness of the list against the zero-counting
-formula N(T) = theta(T)/pi + 1 + S(T).  Regions where the running count falls behind
-the prediction (close pairs, e.g. the near-degenerate pair at t ~ 7005) are
-rescanned on a 20x finer grid until the drift statistic is clean.
+Method: scan the Riemann-Siegel Z function on a uniform grid, bracket sign
+changes, refine each bracket with Brent's method (scipy's ``brentq``), and
+verify completeness of the list against the zero-counting formula
+N(T) = theta(T)/pi + 1 + S(T).  Z is zeta(1/2 + i t) rotated by theta: the
+head sum runs by phase rotation along the grid, and the Euler-Maclaurin
+correction terms come from the package's zeta oracle
+(``critline.zeta_oracle._em_tail``).  Regions where the running count falls
+behind the prediction (close pairs, e.g. the near-degenerate pair at t ~ 7005)
+are rescanned on a 20x finer grid until the drift statistic is clean.
 
 A random sample of the resulting ordinates is cross-checked against mpmath
-(independent implementation) before the file is written.
+(independent implementation).  The table is then written to a temporary file
+next to ``--out``, validated with the package's own checks (``load_zeros``,
+``zero_count_check``, ``verify_ordinates``), and only then moved onto ``--out``.
 
-Needs the installed package (``pip install -e .``, or ``PYTHONPATH=src``): the
-Bernoulli numbers come from ``critline.zeta_oracle``.
+Needs the installed package (``pip install -e .``, or ``PYTHONPATH=src``).
 
 Usage: python scripts/make_zeros_table.py --height 10050 --out data/zeros_height1e4.txt
 """
 
 import argparse
 import math
+import os
 import random
 import sys
 import time
@@ -27,7 +31,14 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from critline.zeta_oracle import _B2J  # B_2, B_4, ..., B_60
+from critline.errors import CritlineError, CrossCheckFailed, WindowExceeded
+from critline.zeros_table import (
+    load_zeros,
+    verify_ordinates,
+    zero_count_check,
+    zero_count_predicted,
+)
+from critline.zeta_oracle import _em_tail
 
 
 def rs_theta(t):
@@ -35,38 +46,6 @@ def rs_theta(t):
     return (t / 2 * np.log(t / (2 * np.pi)) - t / 2 - np.pi / 8
             + 1 / (48 * t) + 7 / (5760 * t ** 3) + 31 / (80640 * t ** 5)
             + 127 / (430080 * t ** 7))
-
-
-def zeta_crit_em(ts, M=None):
-    """zeta(1/2 + i t) for an array of t > 0 via Euler-Maclaurin, shared cutoff M."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if M is None:
-        M = max(int(math.ceil(2 * ts.max())), 16)
-    n = np.arange(1, M)
-    ln = np.log(n)
-    amp = n ** -0.5
-    out = np.empty(len(ts), dtype=complex)
-    # iterative phase update within uniform sub-runs is handled by caller for
-    # bulk scans; here plain outer-product evaluation in memory-bounded chunks.
-    chunk = max(1, int(6e6 / M))
-    for i in range(0, len(ts), chunk):
-        ph = np.exp(-1j * np.outer(ts[i:i + chunk], ln))
-        out[i:i + chunk] = ph @ amp
-    s = 0.5 + 1j * ts
-    res = out + M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
-    rising = s.copy()
-    for j in range(1, 28):
-        res = res + _B2J[j - 1] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-        nxt = abs(_B2J[j]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
-        if nxt < 1e-15:
-            break
-    return res
-
-
-def Z_scalar(t):
-    z = zeta_crit_em(np.array([t]))[0]
-    return float((np.exp(1j * rs_theta(t)) * z).real)
 
 
 def Z_grid(t0, t1, step):
@@ -83,32 +62,77 @@ def Z_grid(t0, t1, step):
         ln = np.log(n)
         amp = n ** -0.5
         phase = np.exp(-1j * tb[0] * ln)
-        rot = np.exp(-1j * step * ln)
         vals = np.empty(len(tb), dtype=complex)
-        for k in range(len(tb)):
-            vals[k] = phase @ amp
-            phase *= rot
-        s = 0.5 + 1j * tb
-        vals += M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
-        rising = s.copy()
-        for j in range(1, 28):
-            vals = vals + _B2J[j - 1] / math.factorial(2 * j) * M ** (1 - s - 2 * j) * rising
-            rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-            nxt = abs(_B2J[j]) / math.factorial(2 * j + 2) * M ** (-1.5 - 2 * j) * np.abs(rising).max()
-            if nxt < 1e-15:
-                break
-        out[i0:i0 + block] = (np.exp(1j * rs_theta(tb)) * vals).real
+        vals[0] = phase @ amp
+        if len(tb) > 1:
+            rot = np.exp(-1j * step * ln)
+            for k in range(1, len(tb)):
+                phase *= rot
+                vals[k] = phase @ amp
+            s = 0.5 + 1j * tb
+        else:
+            s = complex(0.5, tb[0])  # the oracle's scalar path: no numpy call per term
+        tail = _em_tail(s, M, 1e-12)
+        if tail is None:
+            raise WindowExceeded(f"Euler-Maclaurin tail does not converge at M = {M}")
+        out[i0:i0 + block] = (np.exp(1j * rs_theta(tb)) * (vals + tail[0])).real
     return ts, out
 
 
-def predicted_count(T):
-    return rs_theta(T) / math.pi + 1.0
+def Z_scalar(t):
+    return Z_grid(t, t, 1.0)[1][0]
 
 
 def scan_range(t0, t1, step):
     ts, zs = Z_grid(t0, t1, step)
     idx = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
     return [(ts[i], ts[i + 1], zs[i], zs[i + 1]) for i in idx]
+
+
+def refine(a, b, za, zb):
+    """Brent root of Z in [a, b]; the scan's values at the ends are reused."""
+    known = {a: za, b: zb}
+    return brentq(lambda t: known[t] if t in known else Z_scalar(t), a, b, xtol=1e-11)
+
+
+def mpmath_spot_check(gammas, n_checks):
+    """Compare a seeded sample of ordinates, plus the first two and the last,
+    with mpmath's zetazero; exit with a message on a mismatch."""
+    import mpmath
+    mpmath.mp.dps = 20
+    rng = random.Random(12345)
+    picks = sorted(rng.sample(range(len(gammas)), min(n_checks, len(gammas))))
+    for k in picks + [0, 1, len(gammas) - 1]:
+        ref = float(mpmath.zetazero(k + 1).imag)
+        if not abs(ref - gammas[k]) < 5e-9:
+            sys.exit(f"mpmath cross-check failed: ordinate {k + 1} is {gammas[k]!r}, "
+                     f"mpmath gives {ref!r}")
+    print(f"mpmath cross-check of {len(picks) + 3} ordinates OK (<5e-9)")
+
+
+def write_validated(gammas, height, out):
+    """Write the table next to ``out``, validate that file, then move it onto ``out``."""
+    tmp = out + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("# positive ordinates of nontrivial zeros of the Riemann zeta function\n")
+            fh.write(f"# height <= {height}, {len(gammas)} ordinates, strictly ascending\n")
+            fh.write("# generated by scripts/make_zeros_table.py (Euler-Maclaurin zeta,\n")
+            fh.write("# Riemann-Siegel Z sign scan + Brent refinement, mpmath spot-checked)\n")
+            for g in gammas:
+                fh.write(f"{g:.12f}\n")
+        table = load_zeros(tmp)
+        count = zero_count_check(table, table.max_height)
+        print(f"count to {table.max_height}: {count.counted}, predicted {count.predicted:.2f}")
+        if not count.gap < 2.5:
+            raise CrossCheckFailed(f"count gap {count.gap:.2f} vs the counting formula")
+        worst = verify_ordinates(table, sample=50, tol=1e-8)
+        print(f"max |zeta(1/2+i g)| over 50 sampled ordinates: {worst:.2e}")
+    except CritlineError as exc:
+        os.remove(tmp)
+        sys.exit(f"table fails validation, {out} not written: {exc}")
+    os.replace(tmp, out)
+    print(f"wrote {out}")
 
 
 def main():
@@ -135,7 +159,7 @@ def main():
         # drift at checkpoints every ~2 units
         chk = np.arange(t_start + 2, t_end, 2.0)
         counted = np.searchsorted(gammas_lo, chk)
-        drift = counted - predicted_count(chk)
+        drift = counted - zero_count_predicted(chk)
         # smooth over ~10 units
         kern = np.ones(5) / 5
         smooth = np.convolve(drift, kern, mode="same")
@@ -161,41 +185,11 @@ def main():
 
     print(f"refining {len(brackets)} roots ...", flush=True)
     t0 = time.time()
-    gammas = []
-    for a, b, _, _ in brackets:
-        gammas.append(brentq(Z_scalar, a, b, xtol=1e-11))
-    gammas = np.array(sorted(gammas))
+    gammas = np.array(sorted(refine(*b) for b in brackets))
     print(f"  done, {time.time() - t0:.1f}s", flush=True)
 
-    # sanity: strictly ascending, first zero, final count consistency
-    assert np.all(np.diff(gammas) > 0), "ordinates not strictly ascending"
-    assert abs(gammas[0] - 14.134725141734693) < 1e-8, gammas[0]
-    cnt, pred = len(gammas), predicted_count(t_end)
-    print(f"count to {t_end}: {cnt}, predicted {pred:.2f}")
-    assert abs(cnt - pred) < 2.5, "count mismatch vs counting formula"
-
-    # independent spot checks with mpmath
-    import mpmath
-    mpmath.mp.dps = 20
-    rng = random.Random(12345)
-    n_chk = min(args.mpmath_checks, len(gammas))
-    for k in sorted(rng.sample(range(len(gammas)), n_chk)) + [0, 1, len(gammas) - 1]:
-        ref = mpmath.zetazero(k + 1).imag
-        err = abs(float(ref) - gammas[k])
-        assert err < 5e-9, (k, gammas[k], float(ref), err)
-    print(f"mpmath cross-check of {args.mpmath_checks + 3} ordinates OK (<5e-9)")
-    zmod = np.abs(zeta_crit_em(gammas[rng.sample(range(len(gammas)), min(50, len(gammas)))]))
-    print(f"max |zeta(1/2+i g)| over 50 sampled ordinates: {zmod.max():.2e}")
-    assert zmod.max() < 1e-8
-
-    with open(args.out, "w") as fh:
-        fh.write("# positive ordinates of nontrivial zeros of the Riemann zeta function\n")
-        fh.write(f"# height <= {t_end}, {cnt} ordinates, strictly ascending\n")
-        fh.write("# generated by scripts/make_zeros_table.py (Euler-Maclaurin zeta,\n")
-        fh.write("# Riemann-Siegel Z sign scan + Brent refinement, mpmath spot-checked)\n")
-        for g in gammas:
-            fh.write(f"{g:.12f}\n")
-    print(f"wrote {args.out}")
+    mpmath_spot_check(gammas, args.mpmath_checks)
+    write_validated(gammas, t_end, args.out)
 
 
 if __name__ == "__main__":

@@ -208,11 +208,12 @@ def series_matches_text(ts: TruncatedSeries, text: str) -> bool:
     """Does the series agree with the expression, coefficient by exact coefficient?
 
     Comparison runs through the expression's O() order minus one when present
-    (else through its highest explicit exponent), and fails loudly if that
-    exceeds what the series knows.
+    (else through its highest explicit exponent, or through the series' own
+    order for a text that is zero), and fails loudly if that exceeds what the
+    series knows.
     """
     lp, o_order = parse_laurent(text)
-    hi = (o_order - 1) if o_order is not None else max(lp)
+    hi = (o_order - 1) if o_order is not None else max(lp, default=ts.order)
     if hi > ts.order:
         raise ParseError(f"golden text extends to z^{hi}, series only to z^{ts.order}")
     lo = min([ts.valuation] + list(lp))

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HeightExceeded, NotAscending, ParseError, SuspiciousFirstZero
+from .errors import (
+    CrossCheckFailed,
+    HeightExceeded,
+    NotAscending,
+    ParseError,
+    SuspiciousFirstZero,
+)
+from .zeta_oracle import zeta_em
 
 FIRST_ZERO = 14.134725141734693
 ENV_VAR = "CRITLINE_ZEROS"
@@ -90,10 +97,11 @@ def default_zeros_path() -> str | None:
     return os.environ.get(ENV_VAR) or None
 
 
-def zero_count_predicted(T: float) -> float:
-    """Smooth zero-count main term (T/2pi) log(T/2pi) - T/2pi + 7/8."""
+def zero_count_predicted(T):
+    """Smooth zero-count main term (T/2pi) log(T/2pi) - T/2pi + 7/8, for a
+    float or an ndarray of heights."""
     a = T / (2 * math.pi)
-    return a * math.log(a) - a + 0.875
+    return a * np.log(a) - a + 0.875
 
 
 def verify_ordinates(table: ZeroTable, sample: int = 50, full: bool = False,
@@ -104,9 +112,6 @@ def verify_ordinates(table: ZeroTable, sample: int = 50, full: bool = False,
     The full sweep costs one zeta evaluation per ordinate and is therefore
     behind a flag.
     """
-    import numpy as np
-
-    from .zeta_oracle import zeta_em
     if full:
         picks = table.gammas
     else:
@@ -116,8 +121,7 @@ def verify_ordinates(table: ZeroTable, sample: int = 50, full: bool = False,
     for g in picks:
         worst = max(worst, abs(zeta_em(complex(0.5, float(g)))))
     if worst > tol:
-        from .errors import CritlineError
-        raise CritlineError(f"an ordinate fails |zeta| <= {tol}: worst {worst:.2e}")
+        raise CrossCheckFailed(f"an ordinate fails |zeta| <= {tol}: worst {worst:.2e}")
     return worst
 
 

@@ -86,6 +86,13 @@ def test_series_matches_detects_difference():
     assert not series_matches_text(ts, "1/2*z + L*z^2 + z^2 + O(z^3)")
 
 
+def test_series_matches_zero_text():
+    # no O() and nothing left after cancellation: the zero series through ts.order
+    assert series_matches_text(TruncatedSeries(0, [0, 0, 0], 2), "z - z")
+    assert not series_matches_text(TruncatedSeries(1, [Fraction(1, 2), L], 2), "z - z")
+    assert not series_matches_text(TruncatedSeries(0, [0, 0, 1], 2), "z^2 - z^2")
+
+
 def test_series_matches_refuses_beyond_order():
     ts = TruncatedSeries(1, [Fraction(1, 2)], 1)
     with pytest.raises(ParseError):

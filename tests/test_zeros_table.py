@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from critline.errors import (
+    CrossCheckFailed,
     HeightExceeded,
     NotAscending,
     ParseError,
     SuspiciousFirstZero,
 )
-from critline.zeros_table import load_zeros, verify_ordinates, zero_count_check
+from critline.zeros_table import (
+    load_zeros,
+    verify_ordinates,
+    zero_count_check,
+    zero_count_predicted,
+)
 from critline.zeta_oracle import zeta_em
 
 THREE = "14.134725142\n21.022039639\n25.010857580\n"
@@ -94,6 +100,18 @@ def test_table_ordinates_are_zeros(zeros):
 
 def test_verify_ordinates_sample(zeros):
     assert verify_ordinates(zeros, sample=25) <= 1e-5
+
+
+def test_verify_ordinates_rejects_a_non_zero(tmp_path):
+    f = tmp_path / "z.txt"
+    f.write_text("14.134725142\n21.022039639\n25.500000000\n")
+    with pytest.raises(CrossCheckFailed):
+        verify_ordinates(load_zeros(f), full=True)
+
+
+def test_zero_count_predicted_on_arrays():
+    Ts = np.array([20.0, 100.0, 1e4])
+    assert np.array_equal(zero_count_predicted(Ts), [zero_count_predicted(T) for T in Ts])
 
 
 def test_gap_sanity(zeros):

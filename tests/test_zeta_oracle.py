@@ -12,6 +12,7 @@ from critline.errors import (
     WindowExceeded,
 )
 from critline.zeta_oracle import (
+    _em_tail,
     constant_env,
     digamma,
     log_abs_zeta_crit,
@@ -90,9 +91,30 @@ def test_logderiv_against_dirichlet_series():
 
 
 def test_logderiv_derivative_against_mpmath():
-    for s in (complex(0.5, 100), complex(1.5, 50)):
+    for s in (complex(0.5, 100), complex(1.5, 50), complex(2, 0), complex(0.5, 0),
+              complex(0, 0), complex(7.5, 0), complex(0.5, 1e4), complex(1.2, -1e4)):
         ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), derivative=1))
-        assert abs(zeta_deriv_em(s) - ref) <= 1e-9
+        assert abs(zeta_deriv_em(s) - ref) <= 1e-9, s
+
+
+def test_em_tail_array_matches_scalar():
+    # one cutoff per block, as the zero-table scan uses it: the array call's
+    # J is the worst entry's, and both tests pass at every entry
+    for ts, sigma, M in ((np.linspace(100, 101, 51), 0.5, 202),
+                         (np.linspace(1000, 1010, 17), 1.5, 2020)):
+        s = sigma + 1j * ts
+        val, der = _em_tail(s, M, 1e-12)
+        for k, sk in enumerate(s):
+            ref_val, ref_der = _em_tail(complex(sk), M, 1e-12)
+            assert abs(val[k] - ref_val) <= 1e-15 * abs(ref_val), sk
+            assert abs(der[k] - ref_der) <= 1e-15 * abs(ref_der), sk
+
+
+def test_em_tail_refuses_a_short_cutoff():
+    # at M = 10 the correction terms grow long before t = 1e3 is reached
+    assert _em_tail(complex(0.5, 1e3), 10, 1e-12) is None
+    assert _em_tail(0.5 + 1j * np.array([10.0, 1e3]), 10, 1e-12) is None
+    assert _em_tail(complex(0.5, 1e3), 2000, 1e-12) is not None
 
 
 def test_logderiv_guards():
@@ -161,6 +183,12 @@ def test_constant_env_precision():
     assert env["L"] == math.log(2)
     for k in (3, 5, 7, 9):
         assert abs(env[f"Z{k}"] - float(mpmath.zeta(k))) <= 1e-15
+
+
+def test_zeta_real_rejects_small_m():
+    for m in (1, 0, -3):
+        with pytest.raises(DomainError):
+            zeta_real(m)
 
 
 def test_zeta_real_large_argument_shortcut():
