@@ -5,11 +5,12 @@ Method: scan the Riemann-Siegel Z function on a uniform grid, bracket sign
 changes, refine each bracket with Brent's method (scipy's ``brentq``), and
 verify completeness of the list against the zero-counting formula
 N(T) = theta(T)/pi + 1 + S(T).  Z is zeta(1/2 + i t) rotated by theta: the
-head sum runs by phase rotation along the grid, and the Euler-Maclaurin
+head sum runs by phase rotation along the grid; theta and the Euler-Maclaurin
 correction terms come from the package's zeta oracle
-(``critline.zeta_oracle._em_tail``).  Regions where the running count falls
-behind the prediction (close pairs, e.g. the near-degenerate pair at t ~ 7005)
-are rescanned on a 20x finer grid until the drift statistic is clean.
+(``critline.zeta_oracle.theta`` and ``_em_tail``).  Regions where the running
+count falls behind the prediction (close pairs, e.g. the near-degenerate pair
+at t ~ 7005) are rescanned on a 20x finer grid until the drift statistic is
+clean.
 
 A random sample of the resulting ordinates is cross-checked against mpmath
 (independent implementation).  The table is then written to a temporary file
@@ -38,14 +39,7 @@ from critline.zeros_table import (
     zero_count_check,
     zero_count_predicted,
 )
-from critline.zeta_oracle import _em_tail
-
-
-def rs_theta(t):
-    """Riemann-Siegel theta, asymptotic series (good to ~1e-11 for t >= 10)."""
-    return (t / 2 * np.log(t / (2 * np.pi)) - t / 2 - np.pi / 8
-            + 1 / (48 * t) + 7 / (5760 * t ** 3) + 31 / (80640 * t ** 5)
-            + 127 / (430080 * t ** 7))
+from critline.zeta_oracle import _em_tail, theta
 
 
 def Z_grid(t0, t1, step):
@@ -75,7 +69,7 @@ def Z_grid(t0, t1, step):
         tail = _em_tail(s, M, 1e-12)
         if tail is None:
             raise WindowExceeded(f"Euler-Maclaurin tail does not converge at M = {M}")
-        out[i0:i0 + block] = (np.exp(1j * rs_theta(tb)) * (vals + tail[0])).real
+        out[i0:i0 + block] = (np.exp(1j * theta(tb)) * (vals + tail[0])).real
     return ts, out
 
 

@@ -171,12 +171,12 @@ class CurvePolicy:
 
     def __post_init__(self):
         if self.kind not in ("exact", "shifted", "optimal"):
-            raise ValueError(f"unknown curve policy {self.kind!r}")
+            raise DomainError(f"unknown curve policy {self.kind!r}")
         if self.kind == "shifted" and self.c is None:
-            raise ValueError("shifted policy needs c")
+            raise DomainError("shifted policy needs c")
         if self.kind == "optimal":
             if self.K is None or not 1 <= self.K <= 7:
-                raise ValueError("optimal policy needs 1 <= K <= 7")
+                raise DomainError("optimal policy needs 1 <= K <= 7")
 
     @classmethod
     def exact(cls):

@@ -152,7 +152,7 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
                   lambdas: LambdaTable | None = None) -> GWBreakdown:
     """Right-hand side of the identity at t (zero_side/tail filled by verify_gw)."""
     if t < 10:
-        raise ValueError("t must be >= 10")
+        raise DomainError("t must be >= 10")
     lambdas = covering_table(p.x, lambdas)
     boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
     ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
@@ -194,9 +194,9 @@ def partial_fraction_residual(beta: float, t: float, z: ZeroTable) -> ResidualRe
     Expected O(1/t) plus the reported zero-sum tail.
     """
     if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
+        raise DomainError("beta must lie in (0, 1]")
     if t < 10:
-        raise ValueError("t must be >= 10")
+        raise DomainError("t must be >= 10")
     if z.max_height < 10 * t:
         raise InsufficientHeight(
             f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
@@ -228,9 +228,9 @@ def lemma3_bracket(t: float, x: float, beta: float,
     if beta < BETA_FLOOR:
         raise DegenerateBeta(f"beta={beta} below {BETA_FLOOR}: x^beta - 1 degenerates")
     if beta > 1:
-        raise ValueError("beta must lie in (0, 1]")
+        raise DomainError("beta must lie in (0, 1]")
     if t < 10 or x < 2:
-        raise ValueError("need t >= 10 and x >= 2")
+        raise DomainError("need t >= 10 and x >= 2")
     S = _sinh_sum(t, x, beta, covering_table(x, lambdas))
     xb = x ** beta
     logt = math.log(t)

@@ -19,7 +19,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import LimitTooLarge
+from .errors import DomainError, LimitTooLarge
 
 SIEVE_CAP = 10 ** 8
 
@@ -53,7 +53,7 @@ class LambdaTable:
 def lambda_sieve(x: int, cap: int = SIEVE_CAP) -> LambdaTable:
     """Exact table by Eratosthenes plus explicit prime-power marking."""
     if x < 2:
-        raise ValueError("x must be >= 2")
+        raise DomainError("x must be >= 2")
     if x > cap:
         raise LimitTooLarge(f"x={x} above cap {cap}")
     is_prime = np.ones(x + 1, dtype=bool)

@@ -38,7 +38,7 @@ from .explicit_formula import (
 from .pari_text import parse_coefficient, series_matches_text
 from .prime_arith import lambda_sieve, weighted_psi
 from .zeros_table import ZeroTable, load_zeros, zero_count_check
-from .zeta_oracle import zeta_em
+from .zeta_oracle import T_RS, riemann_siegel_z, zeta_em
 
 GOLDEN_W1 = "1/2/z + 2*L - 4*z + (-8 + 18*Z3/L)*z^2 + (-64/3 - 72*Z3/L)*z^3 + O(z^4)"
 GOLDEN_Z = "1/2*z + L*z^2 + (2*L^2 - 1)*z^3 + (4*L^3 - 6*L - 1 + 9/4*Z3/L)*z^4 + O(z^5)"
@@ -276,15 +276,21 @@ def criterion_9(ctx: CheckContext):
 
 
 def criterion_10(ctx: CheckContext):
-    """Oracle sanity: zeta(2), the first tabulated ordinate, zero counts."""
+    """Oracle sanity: zeta(2), the first tabulated ordinate, zero counts, and
+    Riemann-Siegel against Euler-Maclaurin where both serve the line."""
     z = ctx.zeros()
     conds = [(abs(zeta_em(complex(2, 0)) - math.pi ** 2 / 6) <= 1e-12, "zeta(2)"),
              (abs(zeta_em(complex(0.5, z.gammas[0]))) <= 1e-6, "zeta at first ordinate")]
+    for t in (T_RS, 5e4, 1e5):
+        # 5e-10 is EM's own phase rounding at t <= 1e5
+        gap = abs(abs(riemann_siegel_z(t)) - abs(zeta_em(complex(0.5, t))))
+        conds.append((gap <= 5e-10, f"RS vs EM at t={t:.0f} gap {gap:.1e}"))
     for T in (100.0, 1000.0, 10000.0):
         c = zero_count_check(z, T)
         conds.append((c.gap <= 2 * math.log(T), f"count at T={T:.0f} gap {c.gap:.2f}"))
     bad = _fails(conds)
-    return not bad, "oracle, ordinate, counts" if not bad else "failed: " + ", ".join(bad)
+    return not bad, "oracle, ordinate, counts, RS vs EM" if not bad \
+        else "failed: " + ", ".join(bad)
 
 
 def _random_coeff(rng, nonzero=False):

@@ -4,9 +4,11 @@ one pass/fail line per criterion (same checks as ``critline selftest``)."""
 import csv
 import math
 
+import mpmath
 import pytest
 
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
+from critline.zeta_oracle import T_RS
 from conftest import REPO, ZEROS_PATH
 
 SCAN_CSV = "scan_t1e3_1e6.csv"
@@ -52,3 +54,22 @@ def test_scan_artifact_matches_tracked_copy(ctx):
         for name, a, b in zip(old_rows[0], new, old):
             assert math.isclose(float(a), float(b), rel_tol=SCAN_REL_TOL,
                                 abs_tol=SCAN_ABS_TOL), (i, name, a, b)
+
+
+def test_scan_artifact_oracle_against_mpmath():
+    # the tracked rows served by Riemann-Siegel, against an independent zeta;
+    # t is taken as the float the row names, not as its decimal string
+    rows = _read_csv(REPO / "artifacts" / SCAN_CSV)
+    col = {name: i for i, name in enumerate(rows[0])}
+    checked = 0
+    with mpmath.workdps(25):
+        for row in rows[1:]:
+            t = float(row[col["t"]])
+            if t < T_RS:
+                continue
+            ref = float(mpmath.log(abs(mpmath.zeta(mpmath.mpc(0.5, t)))))
+            margin = float(row[col["dirichlet_term"]]) + float(row[col["arch_term"]]) - ref
+            assert abs(float(row[col["log_abs_zeta"]]) - ref) <= 1e-12, t
+            assert abs(float(row[col["margin"]]) - margin) <= 1e-12, t
+            checked += 1
+    assert checked == 25

@@ -128,9 +128,9 @@ def test_curve_policies():
     assert coeffs[2] == pytest.approx(2 * L ** 2 + 2 * L ** 3, abs=1e-14)
     # the shifted policy at its optimal c reproduces the second coefficient
     assert g_curve(2 * L) == pytest.approx(L / 2 + L ** 2, abs=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CurvePolicy.optimal(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         CurvePolicy(kind="shifted")
 
 

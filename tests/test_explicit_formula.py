@@ -118,7 +118,7 @@ def test_gw_identity_wide_cutoff(zeros):
 
 
 def test_gw_prime_side_requires_t_ge_10(lam600):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         gw_prime_side("+", KernelParams(0.5, 1.0), 5.0, lam600)
 
 
@@ -137,9 +137,9 @@ def test_partial_fraction_residuals(zeros):
 
 
 def test_partial_fraction_validation(zeros):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         partial_fraction_residual(1.5, 100.0, zeros)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         partial_fraction_residual(0.5, 5.0, zeros)
 
 

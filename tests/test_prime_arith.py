@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from critline.errors import LimitTooLarge
+from critline.errors import DomainError, LimitTooLarge
 from critline.prime_arith import (
     chebyshev_psi,
     dirichlet_cos_sum,
@@ -72,7 +72,7 @@ def test_weighted_psi_ratio():
 def test_sieve_cap():
     with pytest.raises(LimitTooLarge):
         lambda_sieve(10 ** 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         lambda_sieve(1)
 
 

@@ -12,10 +12,14 @@ from critline.errors import (
     WindowExceeded,
 )
 from critline.zeta_oracle import (
+    _PSI_TAYLOR,
+    T_RS,
     _em_tail,
     constant_env,
     digamma,
     log_abs_zeta_crit,
+    riemann_siegel_z,
+    theta,
     zeta_deriv_em,
     zeta_em,
     zeta_logderiv,
@@ -135,6 +139,64 @@ def test_log_abs_crit(zeros):
         log_abs_zeta_crit(14.1347, zeros)
     with pytest.raises(DomainError):
         log_abs_zeta_crit(5.0)
+
+
+# the three margin-scan points where Euler-Maclaurin's float phases put
+# log|zeta| 1.6e-8 to 2.9e-8 away from mpmath
+EM_PHASE_FAILURES = (472953.876651, 677976.038577, 648739.743288)
+
+
+def test_log_abs_crit_at_large_t_against_mpmath():
+    for t in EM_PHASE_FAILURES:
+        ref = float(mpmath.log(abs(mpmath.zeta(mpmath.mpc(0.5, t)))))
+        assert abs(log_abs_zeta_crit(t) - ref) <= 1e-11, t
+
+
+def test_riemann_siegel_against_mpmath():
+    rng = np.random.default_rng(2024)
+    for t in np.exp(rng.uniform(math.log(T_RS), math.log(1e6), 12)):
+        assert abs(riemann_siegel_z(float(t)) - float(mpmath.siegelz(t))) <= 1e-13, t
+
+
+def test_riemann_siegel_against_euler_maclaurin():
+    # |Z| = |zeta| on the line; the tolerance is EM's own phase rounding
+    for t in np.geomspace(T_RS, 1e5, 5):
+        t = float(t)
+        assert abs(abs(riemann_siegel_z(t)) - abs(zeta_em(complex(0.5, t)))) <= 5e-10, t
+
+
+def test_riemann_siegel_domain():
+    with pytest.raises(DomainError):
+        riemann_siegel_z(150.0)
+    with pytest.raises(WindowExceeded):
+        riemann_siegel_z(2e6)
+
+
+def test_psi_taylor_table_against_mpmath():
+    with mpmath.workdps(20):
+        def psi(p):
+            return mpmath.cos(2 * mpmath.pi * (p * p - p - mpmath.mpf(1) / 16)) \
+                / mpmath.cos(2 * mpmath.pi * p)
+        ref = mpmath.taylor(psi, mpmath.mpf(1) / 2, 2 * len(_PSI_TAYLOR) - 2)
+    for j, c in enumerate(_PSI_TAYLOR):
+        assert abs(c - float(ref[2 * j])) <= 1e-15 * abs(c), 2 * j
+    assert all(abs(c) <= 1e-18 for c in ref[1::2])  # Psi is even about 1/2
+
+
+def test_log_abs_crit_below_the_switch_is_euler_maclaurin():
+    for t in (T_RS - 1e-3, math.nextafter(T_RS, 0), 2e4):
+        assert log_abs_zeta_crit(t) == math.log(abs(zeta_em(complex(0.5, t)))), t
+
+
+def test_theta_against_mpmath():
+    ts = (10.0, 100.0, 1e3, 1e4)
+    vals = theta(np.array(ts))
+    for t, v in zip(ts, vals):
+        ref = float(mpmath.siegeltheta(t))
+        # truncation (4.4e-13 at t = 10) plus float rounding of the main term
+        tol = 4.5e-13 + 1e-15 * t * math.log(t)
+        assert abs(theta(t) - ref) <= tol, t
+        assert abs(v - ref) <= tol, t
 
 
 def test_digamma_classics():
