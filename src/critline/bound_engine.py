@@ -20,7 +20,7 @@ from math import fsum
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import DomainError
+from .errors import DomainError, NearZeroOfZeta
 from .optimal_coeffs import run_pipeline
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
@@ -28,7 +28,7 @@ from .special_f import f_closed_form
 from .zeros_table import ZeroTable
 from .zeta_oracle import constant_env, log_abs_zeta_crit, zeta_real
 
-MARGIN_GUARD_RADIUS = 1e-2  # min distance to a tabulated ordinate for margins
+MARGIN_GUARD_RADIUS = 1e-2  # min distance to a tabulated ordinate: the one such refusal
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
     if x < 2:
         raise DomainError("x must be >= 2")
     if zeros is not None and zeros.max_height >= t:
-        from .errors import NearZeroOfZeta
         d = zeros.distance_to_nearest(t)
         if d < MARGIN_GUARD_RADIUS:
             raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")

@@ -13,6 +13,10 @@ surfaced as an explicit bound, and implements the induced two-sided bracket
 for -Re zeta'/zeta(1/2+beta+it) as well as the partial-fraction residual
 
     Re zeta'/zeta(1/2+beta+it) + (1/2) log(t/2pi) - sum_gamma h_beta(t-gamma)  =  O(1/t).
+
+Both zero sums, of m^{+-} and of h_beta, are one private ``_zero_sum``: it
+owns the sum over +-gamma, the rule that the table must reach 10t
+(``InsufficientHeight``) and the density-integral bound on the omitted tail.
 """
 
 from __future__ import annotations
@@ -54,29 +58,39 @@ class GWBreakdown:
     def residual(self) -> float:
         return self.zero_side - self.rhs_total
 
+    @property
+    def verified(self) -> bool:
+        """The verdict on the identity: the residual lies within the zero-sum
+        tail bound plus a fixed 1e-3 for the quadrature and prime-sum budgets."""
+        return abs(self.residual) <= self.tail_bound + 1e-3
 
-def _density_tail(t: float, beta: float, height: float, envelope: float) -> float:
-    """2x-safety bound on sum over |gamma| > height of envelope*h_beta(t-gamma),
-    integrating the kernel envelope against the zero density (1/2pi) log(u/2pi)."""
+
+def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> ZeroSideSum:
+    """sum over tabulated ordinates, both signs, of kernel(t - gamma), for a
+    kernel with |kernel(x)| <= envelope * h_beta(x), h_beta = beta/(beta^2+x^2).
+
+    The omitted |gamma| > height tail is bounded (2x safety) by integrating
+    the envelope against the zero density (1/2pi) log(u/2pi); the table must
+    reach 10t.
+    """
+    if z.max_height < 10 * t:
+        raise InsufficientHeight(
+            f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
+    g = z.gammas
 
     def integrand(u):
         dens = np.log(u / (2 * math.pi)) / (2 * math.pi)
         ker = beta / (beta ** 2 + (t - u) ** 2) + beta / (beta ** 2 + (t + u) ** 2)
         return envelope * ker * dens
 
-    return 2.0 * geometric_tail(integrand, height)
+    return ZeroSideSum(sum=fsum(kernel(t - g) + kernel(t + g)),
+                       tail_bound=2.0 * geometric_tail(integrand, z.max_height))
 
 
 def gw_zero_side(sign: str, p: KernelParams, t: float, z: ZeroTable) -> ZeroSideSum:
     """sum over tabulated ordinates (both signs) of m^{sign}(t - gamma), with
     a density-integral bound on the omitted tail."""
-    if z.max_height < 10 * t:
-        raise InsufficientHeight(
-            f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
-    g = z.gammas
-    vals = eval_m(sign, p, t - g) + eval_m(sign, p, t + g)
-    tail = _density_tail(t, p.beta, z.max_height, envelope_constant(sign, p))
-    return ZeroSideSum(sum=fsum(vals), tail_bound=tail)
+    return _zero_sum(lambda x: eval_m(sign, p, x), envelope_constant(sign, p), p.beta, t, z)
 
 
 def _osc_tail_bound(D: float, beta: float, omega: float, t: float, window: float) -> float:
@@ -87,19 +101,21 @@ def _osc_tail_bound(D: float, beta: float, omega: float, t: float, window: float
         abs(re_digamma_quarter(t + window)) + abs(re_digamma_quarter(t - window)))
 
 
-def _archimedean(sign: str, p: KernelParams, t: float, window: float = ARCH_WINDOW) -> float:
+def _archimedean(sign: str, p: KernelParams, t: float) -> float:
     """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy, error budget 1e-6.
 
     Main range |y - t| <= window by Gauss-Legendre panels sized against the
     cos(2 pi Delta y) oscillation; beyond it the kernel splits into a smooth
     Poisson part (integrated on geometric panels out to 1e16) and an
     oscillatory part whose alternating half-period chunks are bounded by
-    their first term.  The window grows beyond the default when tiny
-    beta*Delta inflates that bound (1/D blows up as the kernels degenerate).
+    their first term.  The window starts at ARCH_WINDOW and doubles while
+    tiny beta*Delta inflates that bound (1/D blows up as the kernels
+    degenerate).
     """
     beta, delta = p.beta, p.delta
     A, D = kernel_constants(sign, p)
     omega = 2 * math.pi * delta
+    window = ARCH_WINDOW
     while _osc_tail_bound(D, beta, omega, t, window) > 2e-7:
         window *= 2
         if window > 2 ** 8 * ARCH_WINDOW:
@@ -112,7 +128,7 @@ def _archimedean(sign: str, p: KernelParams, t: float, window: float = ARCH_WIND
 
     # resolve the oscillation, the beta-scale kernel peak, and the psi factor
     panel = min(0.25 / max(delta, 1.0), beta / 2)
-    main = panel_integrate_chunked(f, t - window, t + window, panel, order=12)
+    main = panel_integrate_chunked(f, t - window, t + window, panel)
 
     def smooth(u):
         # (A/D) h_beta at distance u from t, against both wings of psi
@@ -133,8 +149,9 @@ def _sinh_norm(sign: str, xb: float) -> float:
     return 2 * xb / ((xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2)
 
 
-def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable):
-    """Both algebraic forms of the prime-power sum; they must agree to 1e-9.
+def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable) -> float:
+    """The prime-power sum in its FT form, checked against the sinh form: the
+    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.
 
     FT form:    (1/pi) sum Lambda(n)/sqrt(n) mhat(log n/2pi) cos(t log n)
     sinh form:  (2 x^beta/(x^beta -+ 1)^2) Re sum Lambda(n) n^{-1/2-it} sinh(beta log(x/n))
@@ -145,7 +162,7 @@ def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable):
     form_sinh = _sinh_norm(sign, x ** p.beta) * _sinh_sum(t, x, p.beta, lambdas)
     if not abs(form_ft - form_sinh) <= 1e-9:
         raise CrossCheckFailed(f"prime-term forms disagree: {form_ft} vs {form_sinh}")
-    return form_ft, form_sinh
+    return form_ft
 
 
 def gw_prime_side(sign: str, p: KernelParams, t: float,
@@ -157,7 +174,7 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
     boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
     ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
     arch = _archimedean(sign, p, t)
-    prime, _ = _prime_term(sign, p, t, lambdas)
+    prime = _prime_term(sign, p, t, lambdas)
     return GWBreakdown(
         zero_side=math.nan,
         boundary_term=boundary,
@@ -171,7 +188,7 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
 
 def verify_gw(sign: str, p: KernelParams, t: float, z: ZeroTable,
               lambdas: LambdaTable | None = None) -> GWBreakdown:
-    """Both sides of the identity; residual should be within tail_bound + 1e-3."""
+    """Both sides of the identity; ``GWBreakdown.verified`` is the verdict."""
     side = gw_zero_side(sign, p, t, z)
     breakdown = gw_prime_side(sign, p, t, lambdas)
     return replace(breakdown, zero_side=side.sum, tail_bound=side.tail_bound)
@@ -197,15 +214,10 @@ def partial_fraction_residual(beta: float, t: float, z: ZeroTable) -> ResidualRe
         raise DomainError("beta must lie in (0, 1]")
     if t < 10:
         raise DomainError("t must be >= 10")
-    if z.max_height < 10 * t:
-        raise InsufficientHeight(
-            f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
+    side = _zero_sum(lambda x: beta / (beta ** 2 + x ** 2), 1.0, beta, t, z)
     re_ld = zeta_logderiv(complex(0.5 + beta, t)).real
-    g = z.gammas
-    zsum = fsum(beta / (beta ** 2 + (t - g) ** 2)) + fsum(beta / (beta ** 2 + (t + g) ** 2))
-    tail = _density_tail(t, beta, z.max_height, 1.0)
-    return ResidualReport(residual=re_ld + 0.5 * math.log(t / (2 * math.pi)) - zsum,
-                          tail_bound=tail)
+    return ResidualReport(residual=re_ld + 0.5 * math.log(t / (2 * math.pi)) - side.sum,
+                          tail_bound=side.tail_bound)
 
 
 @dataclass(frozen=True)

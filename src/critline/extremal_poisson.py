@@ -46,15 +46,23 @@ def _sign_factor(sign: str) -> int:
         return 1
     if sign == "-":
         return -1
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    raise DomainError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
     """(A, D) of m^{sign}: the numerator constant e^{2 pi beta Delta} +
-    e^{-2 pi beta Delta} and the squared denominator; rejects a bad sign."""
-    e = math.exp(math.pi * p.beta * p.delta)
-    D = (e - 1 / e) ** 2 if _sign_factor(sign) > 0 else (e + 1 / e) ** 2
-    return e * e + 1 / (e * e), D
+    e^{-2 pi beta Delta} and the squared denominator; rejects a bad sign,
+    and beta*Delta so large that A overflows or so small that D is 0."""
+    try:
+        e = math.exp(math.pi * p.beta * p.delta)
+        D = (e - 1 / e) ** 2 if _sign_factor(sign) > 0 else (e + 1 / e) ** 2
+        A = e * e + 1 / (e * e)
+    except OverflowError:
+        A = D = math.inf
+    if not (math.isfinite(A) and 0 < D < math.inf):
+        raise DomainError(f"kernel constants of m^{sign} are not finite and nonzero "
+                          f"at beta={p.beta}, delta={p.delta}: A={A}, D={D}")
+    return A, D
 
 
 def poisson_h(p: KernelParams, x):
@@ -125,15 +133,19 @@ def envelope_constant(sign: str, p: KernelParams) -> float:
 # quadrature cross-checks of the closed forms
 # ---------------------------------------------------------------------------
 
-def _kernel_cos_quadrature(coefs, p: KernelParams, T: float,
-                           order: int = 12) -> tuple[float, float]:
+def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
     """2 * integral_0^inf [sum_i coefs_i cos(omega_i x)] beta/(beta^2+x^2) dx,
-    split at T into vectorized panels plus analytic tails; returns (value,
-    tail error bound)."""
+    split at T = max(1e3, 1e3 Delta) into vectorized panels plus analytic
+    tails; returns (value, tail error bound).  Each omega must be 0 or at
+    least 0.5."""
     from .quadrature import panel_integrate_chunked, poisson_cos_tail
 
     beta = p.beta
     omegas = [w for _, w in coefs]
+    if any(0.0 < w < 0.5 for w in omegas):
+        raise DomainError(f"tail handling needs omega = 0 or omega >= 0.5, got "
+                          f"{min(w for w in omegas if w > 0):.3g} at delta={p.delta}")
+    T = max(1e3, 1e3 * p.delta)
 
     def f(x):
         env = beta / (beta * beta + x * x)
@@ -145,19 +157,17 @@ def _kernel_cos_quadrature(coefs, p: KernelParams, T: float,
 
     # panels must resolve both the oscillation and the beta-scale envelope peak
     panel = min(1.5 / (max(omegas) + 1.0), beta / 2)
-    main = panel_integrate_chunked(f, 0.0, T, panel, order=order)
+    main = panel_integrate_chunked(f, 0.0, T, panel)
     tail = 0.0
     bound = 0.0
     for c, w in coefs:
-        if 0.0 < w < 0.5:
-            raise ValueError("tail handling needs omega = 0 or omega >= 0.5")
         v, b = poisson_cos_tail(c, beta, w, T)
         tail += v
         bound += b
     return 2.0 * (main + tail), 2.0 * bound
 
 
-def numeric_ft(sign: str, p: KernelParams, xi: float, T: float | None = None) -> float:
+def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     """Fourier transform of m^{sign} at xi by direct quadrature (independent of
     the closed form :func:`ft_m`), accurate to ~1e-8 absolute.
 
@@ -167,23 +177,19 @@ def numeric_ft(sign: str, p: KernelParams, xi: float, T: float | None = None) ->
     integrations by parts with a bounded remainder.
     """
     A, D = kernel_constants(sign, p)
-    if T is None:
-        T = max(1e3, 1e3 * p.delta)
     xi = abs(float(xi))
     tp = 2 * math.pi
     coefs = [(A / D, tp * xi),
              (-1.0 / D, tp * (p.delta + xi)),
              (-1.0 / D, tp * abs(p.delta - xi))]
-    val, _ = _kernel_cos_quadrature(coefs, p, T)
+    val, _ = _kernel_cos_quadrature(coefs, p)
     return val
 
 
-def l1_numeric(sign: str, p: KernelParams, T: float | None = None) -> float:
+def l1_numeric(sign: str, p: KernelParams) -> float:
     """integral over R of |m^{sign} - h| (= +-(m - h) by one-sidedness), by the
     same split quadrature; cross-checks :func:`l1_dist`."""
     A, D = kernel_constants(sign, p)
-    if T is None:
-        T = max(1e3, 1e3 * p.delta)
     coefs = [(A / D - 1.0, 0.0), (-2.0 / D, 2 * math.pi * p.delta)]
-    val, _ = _kernel_cos_quadrature(coefs, p, T)
+    val, _ = _kernel_cos_quadrature(coefs, p)
     return _sign_factor(sign) * val

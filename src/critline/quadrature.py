@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @lru_cache(maxsize=None)
 def _gl_rule(order: int):
@@ -38,34 +40,33 @@ def panel_integrate(f, a: float, b: float, n_panels: int, order: int = 12) -> fl
     return float(h / 2 * np.dot(vals, w).sum())
 
 
-def panel_integrate_chunked(f, a: float, b: float, panel_len: float,
-                            order: int = 12, max_nodes: int = 4_000_000) -> float:
-    """Like :func:`panel_integrate` with a target panel length, chunked to
-    bound peak memory."""
+def panel_integrate_chunked(f, a: float, b: float, panel_len: float) -> float:
+    """Like :func:`panel_integrate` at order 12 with a target panel length,
+    chunked to at most 4e6 nodes per call to bound peak memory."""
     if b <= a:
         return 0.0
     n_panels = max(1, int(math.ceil((b - a) / panel_len)))
-    per_chunk = max(1, max_nodes // order)
+    per_chunk = 4_000_000 // 12
     total = 0.0
     h = (b - a) / n_panels
     for start in range(0, n_panels, per_chunk):
         stop = min(start + per_chunk, n_panels)
-        total += panel_integrate(f, a + start * h, a + stop * h, stop - start, order)
+        total += panel_integrate(f, a + start * h, a + stop * h, stop - start, 12)
     return total
 
 
-def geometric_tail(f, start: float, ratio: float = 1.5, order: int = 16,
-                   stop: float = 1e16, panels_per_step: int = 2) -> float:
-    """Integral of f over [start, stop] with geometrically growing panels.
+def geometric_tail(f, start: float) -> float:
+    """Integral of f over [start, 1e16] on geometric steps a -> 1.5a, each
+    split into two order-16 Gauss-Legendre panels.
 
-    Suited to smooth integrands decaying like log(x)/x^2; with stop = 1e16
-    the omitted remainder of such integrands is below 1e-14 of the total.
+    Suited to smooth integrands decaying like log(x)/x^2; with the end at
+    1e16 the omitted remainder of such integrands is below 1e-14 of the total.
     """
     total = 0.0
     a = start
-    while a < stop:
-        b = min(a * ratio, stop)
-        total += panel_integrate(f, a, b, panels_per_step, order)
+    while a < 1e16:
+        b = min(a * 1.5, 1e16)
+        total += panel_integrate(f, a, b, 2, 16)
         a = b
     return total
 
@@ -81,7 +82,7 @@ def poisson_cos_tail(coef: float, beta: float, omega: float, T: float):
         # integral of beta/(beta^2+x^2) is atan(x/beta): no residual beta factor
         return coef * (math.pi / 2 - math.atan(T / beta)), 0.0
     if T < 10 * beta:
-        raise ValueError("tail start too close to the kernel scale")
+        raise DomainError("tail start too close to the kernel scale")
     g = coef * beta / (beta * beta + T * T)
     gp = -2 * coef * beta * T / (beta * beta + T * T) ** 2
     value = -g * math.sin(omega * T) / omega - gp * math.cos(omega * T) / omega ** 2

@@ -3,6 +3,10 @@
 File format: UTF-8 text, one positive decimal ordinate per line, strictly
 ascending, '#' comment lines allowed.  This matches publicly distributed
 zero lists; the package never computes or downloads zeros itself.
+
+A table feeds the explicit-formula zero sums (``explicit_formula._zero_sum``,
+which needs the table to reach 10t) and the count check against the smooth
+N(T) = theta(T)/pi + 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     ParseError,
     SuspiciousFirstZero,
 )
-from .zeta_oracle import zeta_em
+from .zeta_oracle import theta, zeta_em
 
 FIRST_ZERO = 14.134725141734693
 ENV_VAR = "CRITLINE_ZEROS"
@@ -98,10 +102,9 @@ def default_zeros_path() -> str | None:
 
 
 def zero_count_predicted(T):
-    """Smooth zero-count main term (T/2pi) log(T/2pi) - T/2pi + 7/8, for a
-    float or an ndarray of heights."""
-    a = T / (2 * math.pi)
-    return a * np.log(a) - a + 0.875
+    """The smooth zero count theta(T)/pi + 1 (T >= 10), for a float or an
+    ndarray of heights: N(T) less its S(T) term, on the oracle's ``theta``."""
+    return theta(T) / math.pi + 1
 
 
 def verify_ordinates(table: ZeroTable, sample: int = 50, full: bool = False,

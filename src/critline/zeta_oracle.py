@@ -32,7 +32,6 @@ from .errors import (
 
 IM_WINDOW = 1e6
 ZERO_GUARD = 1e-8  # |zeta| below this counts as "at a zero"
-CRIT_GUARD_RADIUS = 1e-4  # ordinate distance guard on the critical line
 
 
 def _bernoulli_even(n_pairs: int):
@@ -139,21 +138,22 @@ def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
     return _em_sum(s, target, min_m, 0)
 
 
-def zeta_deriv_em(s: complex, target: float = 1e-10) -> complex:
+def zeta_deriv_em(s: complex) -> complex:
     """zeta'(s) by term-by-term differentiation of the Euler-Maclaurin formula.
 
     The cutoff and the number of correction terms meet both the zeta
-    remainder bound and the first-omitted-term test for zeta' (``_em_tail``).
+    remainder bound and the first-omitted-term test for zeta' at the target
+    1e-10 (``_em_tail``).
     """
-    return _em_sum(s, target, 0, 1)
+    return _em_sum(s, 1e-10, 0, 1)
 
 
-def zeta_logderiv(s: complex, target: float = 1e-10) -> complex:
+def zeta_logderiv(s: complex) -> complex:
     """zeta'(s)/zeta(s), guarded away from zeros and the pole."""
-    z = zeta_em(s, target=min(target, 1e-12))
+    z = zeta_em(s)
     if abs(z) <= ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta({s})| = {abs(z):.2e}")
-    return zeta_deriv_em(s, target=target) / z
+    return zeta_deriv_em(s) / z
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +307,17 @@ def riemann_siegel_z(t: float) -> float:
     return float(main + (tail if N % 2 else -tail))
 
 
-def log_abs_zeta_crit(t: float, zeros=None) -> float:
-    """log|zeta(1/2+it)| for t >= 10; refuses points too close to a zero.
+def log_abs_zeta_crit(t: float) -> float:
+    """log|zeta(1/2+it)| for t >= 10; refuses |zeta| <= ZERO_GUARD (1e-8)
+    with ``NearZeroOfZeta``.
 
     |zeta| is |Z(t)| from ``riemann_siegel_z`` at t >= T_RS, where its
-    remainder bound meets 1e-12, and ``zeta_em`` below.  When an ordinate
-    table is supplied, any t within 1e-4 of a listed ordinate is rejected up
-    front; the |zeta| guard applies regardless.
+    remainder bound meets 1e-12, and ``zeta_em`` below.  The distance to a
+    tabulated ordinate is the caller's rule (``bound_engine``), not the
+    oracle's.
     """
     if t < 10:
         raise DomainError("supported for t >= 10")
-    if zeros is not None:
-        d = zeros.distance_to_nearest(t)
-        if d < CRIT_GUARD_RADIUS:
-            raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
     z = riemann_siegel_z(t) if t >= T_RS else zeta_em(complex(0.5, t))
     a = abs(z)
     if a <= ZERO_GUARD:

@@ -7,6 +7,7 @@ import math
 import mpmath
 import pytest
 
+from critline import explicit_formula
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
 from critline.zeta_oracle import T_RS
 from conftest import REPO, ZEROS_PATH
@@ -32,6 +33,16 @@ def test_criterion(ctx, number, name):
     result = run_criterion(number, ctx)
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_criterion_5_sees_prime_form_disagreement(ctx, monkeypatch):
+    # criterion 5 runs no prime-term check of its own: the one inside
+    # verify_gw must still turn a disagreement into a FAIL
+    ft = explicit_formula.ft_m
+    monkeypatch.setattr(explicit_formula, "ft_m", lambda *a: 1.001 * ft(*a))
+    result = run_criterion(5, ctx)
+    assert not result.passed and not result.skipped
+    assert "CrossCheckFailed" in result.detail
 
 
 def _read_csv(path):

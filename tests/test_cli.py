@@ -149,6 +149,9 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["verify-ef", "--t", "100", "--beta", "0.001", "--delta", "0.01",
      "--zeros", str(ZEROS_PATH)],
     ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
+    ["extremal", "--beta", "0.5", "--delta", "0.05"],  # omega below the tail rule's 0.5
+    ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
+    ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # D of m^+ is 0
 ])
 def test_bad_input_exits_without_traceback(args):
     # a fresh interpreter, so an uncaught exception shows as a real traceback

@@ -31,16 +31,11 @@ def ref_dirichlet_term(t, x, table):
 
 
 def ref_prime_term(sign, p, t, table):
-    x = p.x
-    ns = table.prime_powers(x)
+    ns = table.prime_powers(p.x)
     nsf = ns.astype(float)
     ln = np.log(nsf)
     base = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
-    form_ft = fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
-    xb = x ** p.beta
-    den = (xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2
-    form_sinh = 2 * xb / den * fsum(base * np.sinh(p.beta * np.log(x / nsf)))
-    return form_ft, form_sinh
+    return fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
 
 
 def ref_bracket_sides(t, x, beta, table):

@@ -156,5 +156,5 @@ def test_kernel_constants_match_the_closed_form():
 
 @pytest.mark.parametrize("fn", [eval_m, ft_m])
 def test_bad_sign_rejected(fn):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fn("*", KernelParams(0.5, 1.0), 0.3)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,6 +113,15 @@ def test_verify_ordinates_rejects_a_non_zero(tmp_path):
 def test_zero_count_predicted_on_arrays():
     Ts = np.array([20.0, 100.0, 1e4])
     assert np.array_equal(zero_count_predicted(Ts), [zero_count_predicted(T) for T in Ts])
+
+
+@pytest.mark.parametrize("T", [100.0, 1e3, 1e4])
+def test_zero_count_predicted_is_theta_over_pi_plus_one(T):
+    # N(T) - S(T) = theta(T)/pi + 1; the 7/8 form drops theta's 1/(48T) term,
+    # 6.6e-5 at T = 100
+    with mpmath.workdps(30):
+        ref = float(mpmath.siegeltheta(T) / mpmath.pi + 1)
+    assert abs(zero_count_predicted(T) - ref) <= 1e-11
 
 
 def test_gap_sanity(zeros):

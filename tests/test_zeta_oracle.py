@@ -128,7 +128,7 @@ def test_logderiv_guards():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
-def test_log_abs_crit(zeros):
+def test_log_abs_crit():
     v = log_abs_zeta_crit(100.0)
     # frozen golden from a verified high-precision run
     assert abs(v - 0.9905433146180622) <= 1e-11
@@ -136,7 +136,7 @@ def test_log_abs_crit(zeros):
     assert abs(v - ref) <= 1e-10
     assert np.isfinite(log_abs_zeta_crit(10.0))
     with pytest.raises(NearZeroOfZeta):
-        log_abs_zeta_crit(14.1347, zeros)
+        log_abs_zeta_crit(GAMMA1)  # |zeta| = 1.2e-15 there, below ZERO_GUARD
     with pytest.raises(DomainError):
         log_abs_zeta_crit(5.0)
 
