@@ -23,6 +23,9 @@ import numpy as np
 from .errors import DomainError
 
 SING_RADIUS = 1e-6
+#: panel count above which the quadrature cross-checks refuse (about 1.3e7
+#: integrand nodes): beta = 1e-3 at Delta = 1 would need 2e6 panels
+MAX_COS_PANELS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,11 @@ def ft_m(sign: str, p: KernelParams, xi):
 
 def l1_dist(sign: str, p: KernelParams) -> float:
     """L^1 distance of m^{sign} to the kernel:
-    2 pi e^{-2 pi beta Delta} / (1 -+ e^{-2 pi beta Delta})."""
-    s = _sign_factor(sign)
+    2 pi e^{-2 pi beta Delta} / (1 -+ e^{-2 pi beta Delta}).  Rejects what
+    :func:`kernel_constants` rejects, the degenerate 1 - q = 0 among it."""
+    kernel_constants(sign, p)
     q = math.exp(-2 * math.pi * p.beta * p.delta)
-    return 2 * math.pi * q / (1 - q if s > 0 else 1 + q)
+    return 2 * math.pi * q / (1 - q if sign == "+" else 1 + q)
 
 
 def envelope_constant(sign: str, p: KernelParams) -> float:
@@ -137,7 +141,7 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
     """2 * integral_0^inf [sum_i coefs_i cos(omega_i x)] beta/(beta^2+x^2) dx,
     split at T = max(1e3, 1e3 Delta) into vectorized panels plus analytic
     tails; returns (value, tail error bound).  Each omega must be 0 or at
-    least 0.5."""
+    least 0.5, and the panel count at most ``MAX_COS_PANELS``."""
     from .quadrature import panel_integrate_chunked, poisson_cos_tail
 
     beta = p.beta
@@ -157,6 +161,9 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
 
     # panels must resolve both the oscillation and the beta-scale envelope peak
     panel = min(1.5 / (max(omegas) + 1.0), beta / 2)
+    if T / panel > MAX_COS_PANELS:
+        raise DomainError(f"beta={beta}, delta={p.delta} need {T / panel:.3g} quadrature "
+                          f"panels, above the cap of {MAX_COS_PANELS}")
     main = panel_integrate_chunked(f, 0.0, T, panel)
     tail = 0.0
     bound = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CrossCheckFailed, OrderTooLarge
+from .errors import CrossCheckFailed, DomainError, OrderTooLarge
 from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
@@ -58,7 +58,7 @@ def a_coeff(m: int) -> ExactCoefficient:
     """Dirichlet-sum expansion coefficients: a_1 = 8L, a_m = 8(2^{m-1}-1) m! Z_m
     for odd m > 1, zero for even m (and a_0 = 0)."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise DomainError("m must be >= 0")
     if m == 0 or m % 2 == 0:
         return EC_ZERO
     if m == 1:
@@ -70,7 +70,7 @@ def a_coeff(m: int) -> ExactCoefficient:
 def b_coeff(m: int) -> ExactCoefficient:
     """Stationarity-series coefficients b_m = (a_{m+1}/2 - (m+1) a_m) / L."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise DomainError("m must be >= 0")
     num = a_coeff(m + 1) * Fraction(1, 2) - a_coeff(m) * (m + 1)
     return num * ExactCoefficient.log2_power(-1)
 
@@ -84,7 +84,7 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     values have no golden reference).
     """
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise DomainError("K must be >= 1")
     if K > K_MAX_GOLDEN and not extrapolated:
         raise OrderTooLarge(
             f"K={K} beyond the vetted range (<= {K_MAX_GOLDEN}); "

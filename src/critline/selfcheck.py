@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bound_engine, optimal_coeffs, series_algebra, special_f
-from .errors import NearZeroOfZeta
+from .errors import DomainError, NearZeroOfZeta
 from .extremal_poisson import (
     KernelParams,
     eval_m,
@@ -33,7 +33,7 @@ from .extremal_poisson import (
     numeric_ft,
     poisson_h,
 )
-from .explicit_formula import lemma3_bracket, partial_fraction_residual, verify_gw
+from .explicit_formula import _archimedean, lemma3_bracket, partial_fraction_residual, verify_gw
 from .pari_text import parse_coefficient, series_matches_text
 from .prime_arith import lambda_sieve, weighted_psi
 from .zeros_table import ZeroTable, load_zeros, zero_count_check
@@ -179,7 +179,8 @@ def criterion_4(ctx: CheckContext):
 
 
 def criterion_5(ctx: CheckContext):
-    """Guinand-Weil verification at two parameter points, both signs."""
+    """Guinand-Weil verification at two parameter points, both signs, with the
+    archimedean term cross-checked between its two routes."""
     t0 = time.perf_counter()
     z = ctx.zeros()
     conds = [(z.max_height >= 10 ** 4, "table height >= 1e4")]
@@ -190,9 +191,12 @@ def criterion_5(ctx: CheckContext):
             # the prime-term forms are cross-checked inside verify_gw
             b = verify_gw(sign, p, t, z, lam)
             conds.append((b.verified, f"GW {sign} (t={t}) residual {b.residual:.1e}"))
+            # the Fourier-side archimedean term against the independent y-space route
+            gap = abs(b.archimedean_term - _archimedean(sign, p, t))
+            conds.append((gap <= 1e-9, f"archimedean {sign} (t={t}) routes differ by {gap:.1e}"))
     elapsed = time.perf_counter() - t0
     conds.append((elapsed < 300.0, f"runtime {elapsed:.1f}s"))
-    return conds, f"residuals within tails, {elapsed:.1f}s"
+    return conds, f"residuals within tails, archimedean routes agree, {elapsed:.1f}s"
 
 
 def criterion_6(ctx: CheckContext):
@@ -339,7 +343,7 @@ def run_criterion(number: int, ctx: CheckContext) -> CriterionResult:
                 bad = [label for ok, label in conds if not ok]
                 passed, detail = not bad, "failed: " + ", ".join(bad) if bad else summary
             return CriterionResult(num, name, passed, detail, time.perf_counter() - t0)
-    raise ValueError(f"no criterion {number}")
+    raise DomainError(f"no criterion {number}")
 
 
 def run_all(ctx: CheckContext, quick: bool = False):

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from critline import explicit_formula
+from critline.errors import DomainError
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
 from critline.zeta_oracle import T_RS
 from conftest import REPO, ZEROS_PATH
@@ -43,6 +44,11 @@ def test_criterion_5_sees_prime_form_disagreement(ctx, monkeypatch):
     result = run_criterion(5, ctx)
     assert not result.passed and not result.skipped
     assert "CrossCheckFailed" in result.detail
+
+
+def test_unknown_criterion_is_a_domain_error(ctx):
+    with pytest.raises(DomainError, match="no criterion 12"):
+        run_criterion(12, ctx)
 
 
 def _read_csv(path):

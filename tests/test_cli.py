@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_verify_ef_subcommand(capsys):
     assert out.count("within tail_bound + 1e-3: yes") == 2
 
 
+def test_verify_ef_degenerate_kernel_gets_a_verdict(capsys):
+    # beta*Delta = 1e-5: the Fourier-side archimedean term needs no window
+    code, out, _ = run_cli(capsys, "verify-ef", "--t", "100", "--beta", "0.001",
+                           "--delta", "0.01", "--zeros", str(ZEROS_PATH))
+    assert code == 0
+    assert out.count("within tail_bound + 1e-3: yes") == 2
+
+
+def test_extremal_refuses_tiny_beta_at_once(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "extremal", "--beta", "1e-6", "--delta", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "DomainError" in err and "panels" in err
+
+
 def test_verify_ef_requires_zeros(capsys, monkeypatch):
     monkeypatch.delenv("CRITLINE_ZEROS", raising=False)
     code, _, err = run_cli(capsys, "verify-ef", "--t", "100",
@@ -146,12 +163,13 @@ def test_computation_error_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("args", [
     ["extremal", "--beta", "-1", "--delta", "1"],
     ["bound", "--t", "nan"],
-    ["verify-ef", "--t", "100", "--beta", "0.001", "--delta", "0.01",
-     "--zeros", str(ZEROS_PATH)],
+    ["verify-ef", "--t", "100", "--beta", "200", "--delta", "1",
+     "--zeros", str(ZEROS_PATH)],  # A and D overflow
     ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
     ["extremal", "--beta", "0.5", "--delta", "0.05"],  # omega below the tail rule's 0.5
     ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
     ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # D of m^+ is 0
+    ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature panels above the cap
 ])
 def test_bad_input_exits_without_traceback(args):
     # a fresh interpreter, so an uncaught exception shows as a real traceback

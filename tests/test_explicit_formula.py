@@ -7,6 +7,8 @@ import pytest
 from critline import explicit_formula
 from critline.errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from critline.explicit_formula import (
+    _archimedean,
+    _archimedean_ft,
     _prime_term,
     gw_prime_side,
     gw_zero_side,
@@ -122,8 +124,59 @@ def test_gw_prime_side_requires_t_ge_10(lam600):
         gw_prime_side("+", KernelParams(0.5, 1.0), 5.0, lam600)
 
 
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("t,beta,delta", [(50.0, 1.0, 1.0), (100.0, 0.5, 1.0)])
+def test_archimedean_routes_agree_at_criterion_5_points(sign, t, beta, delta):
+    p = KernelParams(beta, delta)
+    gap = _archimedean_ft(sign, p, t) - _archimedean(sign, p, t)
+    assert abs(gap) <= 1e-9
+
+
+@pytest.mark.parametrize("t,beta,delta", [
+    # corners of the benchmark's draw box t in [50, 1000], beta in [0.25, 1],
+    # Delta in [0.5, 2], and a draw near the y-space route's largest error
+    (1000.0, 0.25, 0.5), (50.0, 0.25, 2.0), (500.0, 1.0, 0.5), (1000.0, 1.0, 2.0),
+    (337.9, 0.268, 0.512),
+])
+def test_archimedean_routes_agree_over_the_draw_region(t, beta, delta):
+    p = KernelParams(beta, delta)
+    for sign in "+-":
+        gap = _archimedean_ft(sign, p, t) - _archimedean(sign, p, t)
+        assert abs(gap) <= 1e-7, (sign, gap)
+
+
+def test_archimedean_ft_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    sign, beta, delta, t = "+", 0.5, 1.0, 100.0
+    with mp.workdps(25):
+        b, d, tt = mp.mpf(beta), mp.mpf(delta), mp.mpf(t)
+        e = mp.exp(mp.pi * b * d)
+        D = (e - 1 / e) ** 2
+
+        def mhat(xi):
+            a = 2 * mp.pi * b * (d - xi)
+            return mp.pi * (mp.exp(a) - mp.exp(-a)) / D
+
+        def f(u):
+            with mp.workdps(60):  # the two terms cancel as u -> 0
+                return +(mhat(0) * mp.exp(-u) / u
+                         - mp.cos(tt * u / 2) * mhat(u / (4 * mp.pi)) * mp.exp(-u / 4)
+                         / (1 - mp.exp(-u)))
+
+        end = 4 * mp.pi * d
+        periods = int(t * delta) + 1  # 4 pi Delta over the period 4 pi/t
+        pts = [end * k / periods for k in range(periods + 1)]
+        ref = (mp.quad(f, pts, method="gauss-legendre") + mhat(0) * mp.e1(end)) / (2 * mp.pi)
+    assert abs(_archimedean_ft(sign, KernelParams(beta, delta), t) - float(ref)) <= 1e-12
+
+
+def test_gw_prime_side_takes_the_fourier_route(lam600):
+    p = KernelParams(0.5, 1.0)
+    b = gw_prime_side("-", p, 100.0, lam600)
+    assert b.archimedean_term == _archimedean_ft("-", p, 100.0)
+
+
 def test_archimedean_rejects_degenerate_kernels():
-    from critline.explicit_formula import _archimedean
     # beta*Delta so small that even a 256x window cannot meet the budget
     with pytest.raises(DomainError, match="degenerate"):
         _archimedean("+", KernelParams(1e-3, 0.05), 50.0)

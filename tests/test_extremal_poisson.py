@@ -5,6 +5,7 @@ import pytest
 
 from critline.errors import DomainError
 from critline.extremal_poisson import (
+    MAX_COS_PANELS,
     KernelParams,
     envelope_constant,
     eval_m,
@@ -114,6 +115,24 @@ def test_l1_closed_values():
     # decreasing in Delta
     vals = [l1_dist("+", KernelParams(1.0, d)) for d in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_l1_dist_rejects_a_degenerate_majorant():
+    # 1 - e^{-2 pi beta Delta} rounds to 0: a DomainError, not a ZeroDivisionError
+    with pytest.raises(DomainError):
+        l1_dist("+", KernelParams(1e-9, 1e-9))
+    with pytest.raises(DomainError):
+        l1_dist("*", KernelParams(0.5, 1.0))
+
+
+@pytest.mark.parametrize("fn", [l1_numeric, lambda s, p: numeric_ft(s, p, 0.5)])
+def test_quadrature_refuses_above_the_panel_cap(fn):
+    # beta/2 panels over [0, 1e3]: 2e6 panels at beta = 1e-3, refused before
+    # any node is evaluated
+    p = KernelParams(1e-3, 1.0)
+    assert 1e3 / (p.beta / 2) > MAX_COS_PANELS
+    with pytest.raises(DomainError, match="panels"):
+        fn("+", p)
 
 
 def test_l1_quadrature_matches_closed():

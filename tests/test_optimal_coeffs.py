@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from critline.errors import OrderTooLarge
+from critline.errors import DomainError, OrderTooLarge
 from critline.optimal_coeffs import a_coeff, b_coeff, format_report, run_pipeline
 from critline.pari_text import parse_coefficient, series_matches_text
 from critline.selfcheck import GOLDEN_C, GOLDEN_W1, GOLDEN_Z, STATEMENT_C
@@ -103,6 +103,14 @@ def test_numeric_coefficients_positive():
     assert abs(vals[0] - math.log(2) / 2) < 1e-15
     assert abs(vals[1] - (math.log(2) / 2 + math.log(2) ** 2)) < 1e-14
     assert abs(vals[2] - (2 * math.log(2) ** 2 + 2 * math.log(2) ** 3)) < 1e-14
+
+
+@pytest.mark.parametrize("call", [lambda: a_coeff(-1), lambda: b_coeff(-1),
+                                  lambda: run_pipeline(0)],
+                         ids=["a_coeff", "b_coeff", "run_pipeline"])
+def test_negative_index_and_zero_order_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_order_cap_and_extrapolation():
