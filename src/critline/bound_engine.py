@@ -50,10 +50,11 @@ class BoundReport:
         return self.error_scale > math.log(self.t)
 
 
-def dirichlet_term(t: float, x: float, table: LambdaTable | None = None) -> float:
-    """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x."""
+def dirichlet_term(t, x: float, table: LambdaTable | None = None):
+    """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x; ``t``
+    may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`."""
     if x < 2:
-        return 0.0
+        return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
     logx = math.log(x)
     return dirichlet_cos_sum(covering_table(x, table), x, t,
                              lambda n, ln: f_closed_form((logx - ln) / logx) / logx)
@@ -79,7 +80,10 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
         d = zeros.distance_to_nearest(t)
         if d < MARGIN_GUARD_RADIUS:
             raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
-    dir_term = dirichlet_term(t, x, table)
+    return _bound_report(t, x, dirichlet_term(t, x, table))
+
+
+def _bound_report(t: float, x: float, dir_term: float) -> BoundReport:
     arch = archimedean_term(t, x)
     oracle = log_abs_zeta_crit(t)
     return BoundReport(
@@ -296,7 +300,14 @@ def scan_margins(t_min: float, t_max: float, points: int,
         ts.append(t)
     xs = [max(2.0, x_of(t)) for t in ts]
     table = covering_table(max(xs))
-    return [theorem1_rhs(t, x, table, zeros) for t, x in zip(ts, xs)]
+    # the nudge above keeps every point clear of theorem1_rhs's table refusal; one
+    # kernel call per distinct x shares a fixed-x scan's t-independent work
+    ts_arr, xs_arr = np.array(ts), np.array(xs)
+    dir_terms = np.empty(len(ts))
+    for x in np.unique(xs_arr):
+        at = xs_arr == x
+        dir_terms[at] = dirichlet_term(ts_arr[at], float(x), table)
+    return [_bound_report(t, x, d) for t, x, d in zip(ts, xs, dir_terms.tolist())]
 
 
 CSV_HEADER = "t,x,log_abs_zeta,dirichlet_term,arch_term,rhs_main,margin,error_scale"

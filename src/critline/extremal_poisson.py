@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DomainError
 
 SING_RADIUS = 1e-6
-#: panel count above which the quadrature cross-checks refuse (about 1.3e7
-#: integrand nodes): beta = 1e-3 at Delta = 1 would need 2e6 panels
+#: graded panel count above which the quadrature cross-checks refuse (about
+#: 1.3e7 integrand nodes): numeric_ft at xi = 0.5 needs about 50 Delta panels
 MAX_COS_PANELS = 2 ** 20
 
 
@@ -53,13 +53,15 @@ def _sign_factor(sign: str) -> int:
 
 
 def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
-    """(A, D) of m^{sign}: the numerator constant e^{2 pi beta Delta} +
-    e^{-2 pi beta Delta} and the squared denominator; rejects a bad sign,
-    and beta*Delta so large that A overflows or so small that D is 0."""
+    """(A, D) of m^{sign}: the numerator constant A = 2 cosh(2 pi beta Delta)
+    and the squared denominator D = (2 sinh(pi beta Delta))^2 for m^+,
+    (2 cosh(pi beta Delta))^2 for m^-, each to full relative precision however
+    small beta*Delta is; rejects a bad sign, and beta*Delta so large that A
+    overflows or so small that D is 0."""
+    a = math.pi * p.beta * p.delta
     try:
-        e = math.exp(math.pi * p.beta * p.delta)
-        D = (e - 1 / e) ** 2 if _sign_factor(sign) > 0 else (e + 1 / e) ** 2
-        A = e * e + 1 / (e * e)
+        D = (2 * (math.sinh(a) if _sign_factor(sign) > 0 else math.cosh(a))) ** 2
+        A = 2 * math.cosh(2 * a)
     except OverflowError:
         A = D = math.inf
     if not (math.isfinite(A) and 0 < D < math.inf):
@@ -106,24 +108,24 @@ def eval_m(sign: str, p: KernelParams, z):
 def ft_m(sign: str, p: KernelParams, xi):
     """Fourier transform of m^{sign}: even, continuous, zero outside [-Delta, Delta].
 
-    For |xi| <= Delta:  pi (e^{2 pi beta (Delta-|xi|)} - e^{-2 pi beta (Delta-|xi|)}) / D.
+    For |xi| <= Delta:  2 pi sinh(2 pi beta (Delta-|xi|)) / D.
     """
     _, D = kernel_constants(sign, p)
     xi = np.asarray(xi, dtype=float)
     a = 2 * math.pi * p.beta * (p.delta - np.abs(xi))
-    out = np.where(np.abs(xi) <= p.delta,
-                   math.pi * (np.exp(a) - np.exp(-a)) / D,
-                   0.0)
+    out = np.where(np.abs(xi) <= p.delta, 2 * math.pi * np.sinh(a) / D, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def l1_dist(sign: str, p: KernelParams) -> float:
     """L^1 distance of m^{sign} to the kernel:
-    2 pi e^{-2 pi beta Delta} / (1 -+ e^{-2 pi beta Delta}).  Rejects what
-    :func:`kernel_constants` rejects, the degenerate 1 - q = 0 among it."""
+    2 pi e^{-2 pi beta Delta} / (1 -+ e^{-2 pi beta Delta}), with 1 - q taken
+    by expm1, so that a tiny beta*Delta keeps full relative precision.
+    Rejects what :func:`kernel_constants` rejects."""
     kernel_constants(sign, p)
-    q = math.exp(-2 * math.pi * p.beta * p.delta)
-    return 2 * math.pi * q / (1 - q if sign == "+" else 1 + q)
+    a = 2 * math.pi * p.beta * p.delta
+    q = math.exp(-a)
+    return 2 * math.pi * q / (-math.expm1(-a) if sign == "+" else 1 + q)
 
 
 def envelope_constant(sign: str, p: KernelParams) -> float:
@@ -138,18 +140,53 @@ def envelope_constant(sign: str, p: KernelParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
-    """2 * integral_0^inf [sum_i coefs_i cos(omega_i x)] beta/(beta^2+x^2) dx,
-    split at T = max(1e3, 1e3 Delta) into vectorized panels plus analytic
-    tails; returns (value, tail error bound).  Each omega must be 0 or at
-    least 0.5, and the panel count at most ``MAX_COS_PANELS``."""
-    from .quadrature import panel_integrate_chunked, poisson_cos_tail
+    """2 * integral_0^inf [sum_i c_i cos(omega_i x)] beta/(beta^2+x^2) dx for
+    coefs = [(c_i, omega_i)]; returns (value, tail error bound).
+
+    Each omega must be 0 or at least 0.5, and at least one positive.  The
+    range [0, T] is cut into order-12 Gauss-Legendre panels on a graded mesh:
+    from x = 0, x -> x + min(max(beta, x)/2, P), so beta/2 panels cover the
+    Poisson peak and the panels then grow by 1.5x until they reach the
+    oscillation panel P = 4/omega_max (0.64 of the fastest period), from
+    where P panels run to T.  Past T each term is
+    :func:`~critline.quadrature.poisson_cos_tail`.  T is where the tail's
+    remainder bounds, summed and doubled, reach 1e-12 min(1, s), with s the
+    sum of |c_i| over omega_i > 0 (1e-12 absolute, and relative to the
+    coefficients when they are small, as for the L1 distance at large
+    beta*Delta), rounded up to the end of a P panel; so T is about
+    100 max(1, s)^(1/8)/omega_min, and that bound is the one returned.  The
+    cost grows like log(P/beta) + T/P, whatever beta and Delta are at a fixed
+    omega_max/omega_min.
+
+    Refusals (``DomainError``): an omega in (0, 0.5); coefficients so large
+    that rounding alone, sum |c_i| pi 2^-52, exceeds the 1e-8 that the
+    cross-checks promise (cosine terms of size 1/D cancel down to the
+    result; beta = 1e-6 at Delta = 1 is refused here); and a mesh of more
+    than ``MAX_COS_PANELS`` panels.
+    """
+    from .quadrature import (cos_tail_start, panel_integrate, panel_integrate_chunked,
+                             poisson_cos_tail)
 
     beta = p.beta
-    omegas = [w for _, w in coefs]
-    if any(0.0 < w < 0.5 for w in omegas):
+    omegas = [w for _, w in coefs if w > 0.0]
+    if min(omegas) < 0.5:
         raise DomainError(f"tail handling needs omega = 0 or omega >= 0.5, got "
-                          f"{min(w for w in omegas if w > 0):.3g} at delta={p.delta}")
-    T = max(1e3, 1e3 * p.delta)
+                          f"{min(omegas):.3g} at delta={p.delta}")
+    rounding = sum(abs(c) for c, _ in coefs) * math.pi * 2.0 ** -52
+    if rounding > 1e-8:
+        raise DomainError(f"beta={beta}, delta={p.delta} are ill-conditioned for the "
+                          f"quadrature: its rounding {rounding:.2g} exceeds 1e-8")
+    scale = sum(abs(c) for c, w in coefs if w > 0.0)
+    T = cos_tail_start(scale, min(omegas), 0.5e-12 * min(1.0, scale))
+    P = 4.0 / max(omegas)
+
+    edges = [0.0]
+    while edges[-1] < T and max(beta, edges[-1]) / 2 < P:
+        edges.append(edges[-1] + max(beta, edges[-1]) / 2)
+    n_uniform = max(0, math.ceil((T - edges[-1]) / P))
+    if len(edges) - 1 + n_uniform > MAX_COS_PANELS:
+        raise DomainError(f"beta={beta}, delta={p.delta} need {len(edges) - 1 + n_uniform} "
+                          f"quadrature panels, above the cap of {MAX_COS_PANELS}")
 
     def f(x):
         env = beta / (beta * beta + x * x)
@@ -159,12 +196,9 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
         out *= env
         return out
 
-    # panels must resolve both the oscillation and the beta-scale envelope peak
-    panel = min(1.5 / (max(omegas) + 1.0), beta / 2)
-    if T / panel > MAX_COS_PANELS:
-        raise DomainError(f"beta={beta}, delta={p.delta} need {T / panel:.3g} quadrature "
-                          f"panels, above the cap of {MAX_COS_PANELS}")
-    main = panel_integrate_chunked(f, 0.0, T, panel)
+    main = sum(panel_integrate(f, a, b, 1) for a, b in zip(edges, edges[1:]))
+    T = edges[-1] + n_uniform * P
+    main += panel_integrate_chunked(f, edges[-1], T, P)
     tail = 0.0
     bound = 0.0
     for c, w in coefs:
@@ -178,10 +212,14 @@ def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     """Fourier transform of m^{sign} at xi by direct quadrature (independent of
     the closed form :func:`ft_m`), accurate to ~1e-8 absolute.
 
-    The truncated range [-T, T] is integrated on oscillation-sized panels;
-    the |x| > T remainder splits over the three cosine frequencies
-    {xi, Delta+xi, |Delta-xi|} and is evaluated exactly (arctan) or by two
-    integrations by parts with a bounded remainder.
+    m^{sign}(x) cos(2 pi xi x) splits into three cosine frequencies
+    {xi, Delta+xi, |Delta-xi|} times the Poisson kernel, integrated by
+    :func:`_kernel_cos_quadrature`: a graded mesh to T and an 8-term
+    integration-by-parts tail past it, whose bound is at most 1e-12.  It
+    refuses (``DomainError``) a frequency in (0, 0.5), i.e. |Delta-xi| or xi
+    within 1/(4 pi) of 0 without being 0; a kernel whose 1/D makes rounding
+    exceed 1e-8; and a mesh above ``MAX_COS_PANELS``, which large Delta at
+    small xi reaches (about 50 Delta panels at xi = 0.5).
     """
     A, D = kernel_constants(sign, p)
     xi = abs(float(xi))
@@ -189,14 +227,12 @@ def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     coefs = [(A / D, tp * xi),
              (-1.0 / D, tp * (p.delta + xi)),
              (-1.0 / D, tp * abs(p.delta - xi))]
-    val, _ = _kernel_cos_quadrature(coefs, p)
-    return val
+    return _kernel_cos_quadrature(coefs, p)[0]
 
 
 def l1_numeric(sign: str, p: KernelParams) -> float:
     """integral over R of |m^{sign} - h| (= +-(m - h) by one-sidedness), by the
-    same split quadrature; cross-checks :func:`l1_dist`."""
+    same graded quadrature and tail; cross-checks :func:`l1_dist`."""
     A, D = kernel_constants(sign, p)
     coefs = [(A / D - 1.0, 0.0), (-2.0 / D, 2 * math.pi * p.delta)]
-    val, _ = _kernel_cos_quadrature(coefs, p)
-    return _sign_factor(sign) * val
+    return _sign_factor(sign) * _kernel_cos_quadrature(coefs, p)[0]

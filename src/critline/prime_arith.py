@@ -89,23 +89,34 @@ def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:
     return table
 
 
-def dirichlet_cos_sum(table: LambdaTable, x: float, t: float,
-                      weight: Callable | None = None) -> float:
+def dirichlet_cos_sum(table: LambdaTable, x: float, t,
+                      weight: Callable | None = None):
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} w(n)  =  sum Lambda(n)/sqrt(n) cos(t log n) w(n).
 
     The shared evaluation kernel for every Dirichlet polynomial in the
     package.  ``weight(n, log n)`` maps the float arrays of prime powers
-    n <= x and their logarithms to w(n); None means w = 1.
+    n <= x and their logarithms to w(n); None means w = 1.  ``t`` is a float,
+    or a 1-D array for which the t-independent work (the prime powers, their
+    logarithms, Lambda(n)/sqrt(n) and the weights) is done once and an array
+    is returned; each row is formed and summed as for a float t, so the
+    values are bit-identical.
     """
     ns = table.prime_powers(x)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     if len(ns) == 0:
-        return 0.0
-    nsf = ns.astype(float)
-    ln = np.log(nsf)
-    vals = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
-    if weight is not None:
-        vals = vals * weight(nsf, ln)
-    return fsum(vals)
+        sums = np.zeros(len(ts))
+    else:
+        nsf = ns.astype(float)
+        ln = np.log(nsf)
+        amp = table.log_p(ns) / np.sqrt(nsf)
+        w = None if weight is None else weight(nsf, ln)
+        sums = np.empty(len(ts))
+        for i, ti in enumerate(ts):
+            vals = amp * np.cos(ti * ln)
+            if w is not None:
+                vals = vals * w
+            sums[i] = fsum(vals.tolist())
+    return float(sums[0]) if np.ndim(t) == 0 else sums
 
 
 def weighted_psi(x: int, table: LambdaTable | None = None) -> float:

@@ -5,18 +5,22 @@ envelope times cos(omega x) over thousands of periods), so the heavy
 integrals here use fixed-order Gauss-Legendre panels sized against the
 oscillation frequency, evaluated in single vectorized calls.  Tails of
 Poisson-kernel type integrands are handled analytically: exactly (arctan)
-for the non-oscillatory part, by two integrations by parts with a bounded
-remainder for the oscillatory part.
+for the non-oscillatory part, by ``TAIL_PARTS`` integrations by parts with a
+bounded remainder for the oscillatory part.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
+
+#: integrations by parts in :func:`poisson_cos_tail`
+TAIL_PARTS = 8
 
 
 @lru_cache(maxsize=None)
@@ -74,17 +78,33 @@ def geometric_tail(f, start: float) -> float:
 def poisson_cos_tail(coef: float, beta: float, omega: float, T: float):
     """(value, error_bound) for integral_T^inf coef*beta/(beta^2+x^2) cos(omega x) dx.
 
-    omega == 0 is exact (arctan).  For omega > 0, two integrations by parts
-    give the two boundary terms plus a remainder below 2|coef| beta/(omega^2 T^3)
-    (valid for T >= 10 beta).
+    omega == 0 is exact (arctan).  For omega > 0, g(x) = coef*beta/(beta^2+x^2)
+    has the derivatives g^(j)(x) = coef*Im[(-1)^j j!/(x - i beta)^{j+1}], and
+    n = ``TAIL_PARTS`` integrations by parts of int_T^inf g e^{i omega x} dx give
+
+        value = -Re[ e^{i omega T} sum_{j<n} (-1)^j g^(j)(T)/(i omega)^{j+1} ]
+
+    with a remainder of at most omega^-n int_T^inf |g^(n)| dx, and so, from
+    |g^(n)(x)| <= |coef| n!/x^{n+1}, at most |coef| (n-1)!/(omega T)^n for
+    every T > 0 (see :func:`cos_tail_start` for the T that meets a target).
     """
     if omega == 0.0:
         # integral of beta/(beta^2+x^2) is atan(x/beta): no residual beta factor
         return coef * (math.pi / 2 - math.atan(T / beta)), 0.0
-    if T < 10 * beta:
-        raise DomainError("tail start too close to the kernel scale")
-    g = coef * beta / (beta * beta + T * T)
-    gp = -2 * coef * beta * T / (beta * beta + T * T) ** 2
-    value = -g * math.sin(omega * T) / omega - gp * math.cos(omega * T) / omega ** 2
-    bound = 2.02 * abs(coef) * beta / (omega ** 2 * T ** 3)
-    return value, bound
+    if not T > 0:
+        raise DomainError(f"the tail must start at T > 0, got {T}")
+    r = 1 / complex(T, -beta)
+    rj, fact, s = r, 1.0, 0j
+    for j in range(TAIL_PARTS):
+        # (-1)^j g^(j)(T) = coef*Im[j!/(T - i beta)^{j+1}]
+        s += coef * (fact * rj).imag / (1j * omega) ** (j + 1)
+        rj *= r
+        fact *= j + 1
+    value = -(cmath.exp(1j * omega * T) * s).real
+    return value, abs(coef) * math.factorial(TAIL_PARTS - 1) / (omega * T) ** TAIL_PARTS
+
+
+def cos_tail_start(abs_coef: float, omega: float, target: float) -> float:
+    """The T at which :func:`poisson_cos_tail`'s remainder bound
+    abs_coef (n-1)!/(omega T)^n equals ``target`` (omega > 0)."""
+    return (abs_coef * math.factorial(TAIL_PARTS - 1) / target) ** (1 / TAIL_PARTS) / omega

@@ -174,7 +174,7 @@ def criterion_4(ctx: CheckContext):
                 d = abs(numeric_ft(sign, p, 1.5 * delta))
                 conds.append((d <= 1e-6, f"FT {sign} beyond band ({beta},{delta})"))
     elapsed = time.perf_counter() - t0
-    conds.append((elapsed < 60.0, f"runtime {elapsed:.1f}s"))
+    conds.append((elapsed < 10.0, f"runtime {elapsed:.1f}s"))
     return conds, f"{len(conds)} checks, {elapsed:.1f}s"
 
 

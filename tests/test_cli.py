@@ -135,7 +135,7 @@ def test_extremal_refuses_tiny_beta_at_once(capsys):
     code, _, err = run_cli(capsys, "extremal", "--beta", "1e-6", "--delta", "1")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
-    assert "DomainError" in err and "panels" in err
+    assert "DomainError" in err and "ill-conditioned" in err
 
 
 def test_verify_ef_requires_zeros(capsys, monkeypatch):
@@ -168,8 +168,8 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
     ["extremal", "--beta", "0.5", "--delta", "0.05"],  # omega below the tail rule's 0.5
     ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
-    ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # D of m^+ is 0
-    ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature panels above the cap
+    ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # 1/D of m^+ near 1e35
+    ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature ill-conditioned
 ])
 def test_bad_input_exits_without_traceback(args):
     # a fresh interpreter, so an uncaught exception shows as a real traceback

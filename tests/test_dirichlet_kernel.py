@@ -72,6 +72,18 @@ def test_kernel_callers_bit_identical(lam_small, t, x, beta, delta):
     assert weighted_psi(int(x), lam_small) == ref_weighted_psi(int(x), lam_small)
 
 
+def test_batched_t_is_bit_identical_to_scalar_t(lam_small):
+    ts = [t for t, *_ in _grid()] + [1e5 + 0.3, 987654.321]
+    x = 8765.4
+    batched = dirichlet_term(np.array(ts), x, lam_small)
+    assert batched.tolist() == [ref_dirichlet_term(t, x, lam_small) for t in ts]
+    assert batched.tolist() == [dirichlet_term(t, x, lam_small) for t in ts]
+    assert prime_arith.dirichlet_cos_sum(lam_small, 1.5, np.array(ts)).tolist() == [0.0] * len(ts)
+    # the fixed-x scan takes all its points through one batched call
+    for r in scan_margins(1e3, 2e3, 7, x_policy="fixed", x_fixed=1234.5):
+        assert r.dirichlet_term == ref_dirichlet_term(r.t, r.x, lam_small)
+
+
 def test_kernel_weight_sees_n_and_log_n(lam_small):
     seen = {}
 

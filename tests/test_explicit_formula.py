@@ -145,29 +145,45 @@ def test_archimedean_routes_agree_over_the_draw_region(t, beta, delta):
         assert abs(gap) <= 1e-7, (sign, gap)
 
 
+def _mpmath_archimedean_ft(mp, beta, delta, t):
+    """_archimedean_ft("+") at mpmath's working precision: the u-integral by
+    Gauss-Legendre over the periods of cos(tu/2), at 60 digits inside."""
+    b, d, tt = mp.mpf(beta), mp.mpf(delta), mp.mpf(t)
+    e = mp.exp(mp.pi * b * d)
+    D = (e - 1 / e) ** 2
+
+    def mhat(xi):
+        a = 2 * mp.pi * b * (d - xi)
+        return mp.pi * (mp.exp(a) - mp.exp(-a)) / D
+
+    def f(u):
+        with mp.workdps(60):  # the two terms cancel as u -> 0
+            return +(mhat(0) * mp.exp(-u) / u
+                     - mp.cos(tt * u / 2) * mhat(u / (4 * mp.pi)) * mp.exp(-u / 4)
+                     / (1 - mp.exp(-u)))
+
+    end = 4 * mp.pi * d
+    periods = int(t * delta) + 1  # 4 pi Delta over the period 4 pi/t
+    pts = [end * k / periods for k in range(periods + 1)]
+    return (mp.quad(f, pts, method="gauss-legendre") + mhat(0) * mp.e1(end)) / (2 * mp.pi)
+
+
 def test_archimedean_ft_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    sign, beta, delta, t = "+", 0.5, 1.0, 100.0
+    beta, delta, t = 0.5, 1.0, 100.0
     with mp.workdps(25):
-        b, d, tt = mp.mpf(beta), mp.mpf(delta), mp.mpf(t)
-        e = mp.exp(mp.pi * b * d)
-        D = (e - 1 / e) ** 2
+        ref = _mpmath_archimedean_ft(mp, beta, delta, t)
+    assert abs(_archimedean_ft("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-12
 
-        def mhat(xi):
-            a = 2 * mp.pi * b * (d - xi)
-            return mp.pi * (mp.exp(a) - mp.exp(-a)) / D
 
-        def f(u):
-            with mp.workdps(60):  # the two terms cancel as u -> 0
-                return +(mhat(0) * mp.exp(-u) / u
-                         - mp.cos(tt * u / 2) * mhat(u / (4 * mp.pi)) * mp.exp(-u / 4)
-                         / (1 - mp.exp(-u)))
-
-        end = 4 * mp.pi * d
-        periods = int(t * delta) + 1  # 4 pi Delta over the period 4 pi/t
-        pts = [end * k / periods for k in range(periods + 1)]
-        ref = (mp.quad(f, pts, method="gauss-legendre") + mhat(0) * mp.e1(end)) / (2 * mp.pi)
-    assert abs(_archimedean_ft(sign, KernelParams(beta, delta), t) - float(ref)) <= 1e-12
+def test_archimedean_ft_at_a_tiny_beta_delta_against_mpmath():
+    # beta*Delta = 1e-5: mhat and D of m^+ are differences of nearly equal
+    # exponentials unless taken through sinh
+    mp = pytest.importorskip("mpmath")
+    beta, delta, t = 1e-3, 1e-2, 100.0
+    with mp.workdps(30):
+        ref = _mpmath_archimedean_ft(mp, beta, delta, t)
+    assert abs(_archimedean_ft("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-10
 
 
 def test_gw_prime_side_takes_the_fourier_route(lam600):

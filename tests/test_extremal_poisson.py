@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from critline import extremal_poisson
 from critline.errors import DomainError
 from critline.extremal_poisson import (
-    MAX_COS_PANELS,
     KernelParams,
     envelope_constant,
     eval_m,
@@ -118,21 +119,67 @@ def test_l1_closed_values():
 
 
 def test_l1_dist_rejects_a_degenerate_majorant():
-    # 1 - e^{-2 pi beta Delta} rounds to 0: a DomainError, not a ZeroDivisionError
+    # D of m^+ underflows to 0: a DomainError, not a ZeroDivisionError
     with pytest.raises(DomainError):
-        l1_dist("+", KernelParams(1e-9, 1e-9))
+        l1_dist("+", KernelParams(1e-100, 1e-100))
     with pytest.raises(DomainError):
         l1_dist("*", KernelParams(0.5, 1.0))
+    # 1 - e^{-2 pi beta Delta} by expm1: a tiny beta*Delta is not degenerate
+    assert l1_dist("+", KernelParams(1e-9, 1e-9)) == pytest.approx(1e18, rel=1e-15)
 
 
-@pytest.mark.parametrize("fn", [l1_numeric, lambda s, p: numeric_ft(s, p, 0.5)])
-def test_quadrature_refuses_above_the_panel_cap(fn):
-    # beta/2 panels over [0, 1e3]: 2e6 panels at beta = 1e-3, refused before
-    # any node is evaluated
-    p = KernelParams(1e-3, 1.0)
-    assert 1e3 / (p.beta / 2) > MAX_COS_PANELS
+def test_quadrature_refuses_above_the_panel_cap():
+    # at xi = 0.5 the tail starts near 100/pi whatever Delta is, while the
+    # oscillation panel shrinks like 1/Delta: 5e6 graded panels at Delta = 1e5,
+    # refused before any node is evaluated
     with pytest.raises(DomainError, match="panels"):
-        fn("+", p)
+        numeric_ft("+", KernelParams(1e-3, 1e5), 0.5)
+
+
+@pytest.mark.parametrize("beta,tol", [(1e-3, 1e-10), (1e-4, 1e-8)])
+def test_quadrature_of_a_narrow_kernel(beta, tol):
+    # beta/2 panels cover only the peak, so a narrow kernel costs log(1/beta)
+    # more panels; its accuracy is set by rounding, about sum |c| pi 2^-52
+    p = KernelParams(beta, 1.0)
+    t0 = time.perf_counter()
+    for sign in "+-":
+        assert abs(l1_numeric(sign, p) - l1_dist(sign, p)) <= tol * l1_dist(sign, p)
+        for frac in (0.0, 0.5, 1.0, 1.5):
+            assert abs(numeric_ft(sign, p, frac) - ft_m(sign, p, frac)) <= tol
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_kernel_quadrature_tail_bound_at_criterion_4_grid(monkeypatch):
+    bounds = []
+    quadrature = extremal_poisson._kernel_cos_quadrature
+
+    def recording(coefs, p):
+        val, bound = quadrature(coefs, p)
+        bounds.append(bound)
+        return val, bound
+
+    monkeypatch.setattr(extremal_poisson, "_kernel_cos_quadrature", recording)
+    for p in PARAM_GRID:
+        for sign in "+-":
+            l1_numeric(sign, p)
+            for frac in (0.0, 0.5, 1.0, 1.5):
+                numeric_ft(sign, p, frac * p.delta)
+    assert len(bounds) == len(PARAM_GRID) * 2 * 5
+    assert max(bounds) <= 1e-12
+
+
+@pytest.mark.parametrize("beta,delta", [
+    # corners and interior points of the benchmark's draw box
+    (0.25, 0.5), (0.25, 2.0), (1.0, 0.5), (1.0, 2.0),
+    (0.5, 1.0), (0.268, 0.512), (0.75, 1.5), (0.4, 1.9),
+])
+def test_quadrature_matches_closed_forms_over_the_draw_box(beta, delta):
+    p = KernelParams(beta, delta)
+    for sign in "+-":
+        closed = l1_dist(sign, p)
+        assert abs(l1_numeric(sign, p) - closed) <= 1e-10 * closed
+        for frac in (0.0, 0.5, 1.0, 1.5):
+            assert abs(numeric_ft(sign, p, frac * delta) - ft_m(sign, p, frac * delta)) <= 1e-10
 
 
 def test_l1_quadrature_matches_closed():
@@ -164,13 +211,18 @@ def test_decay_envelope_constant():
 
 
 def test_kernel_constants_match_the_closed_form():
-    for p in PARAM_GRID:
-        q = math.exp(2 * math.pi * p.beta * p.delta)
-        e = math.exp(math.pi * p.beta * p.delta)
-        for sign, D in (("+", (e - 1 / e) ** 2), ("-", (e + 1 / e) ** 2)):
-            A, got_D = kernel_constants(sign, p)
-            assert got_D == D
-            assert A == pytest.approx(q + 1 / q, rel=1e-15)
+    # against 30 digits, down to beta*Delta = 1e-18, where e - 1/e in floating
+    # point would lose all of D
+    mp = pytest.importorskip("mpmath")
+    for p in PARAM_GRID + [KernelParams(1e-3, 1e-2), KernelParams(1e-9, 1e-9)]:
+        with mp.workdps(30):
+            e = mp.exp(mp.pi * mp.mpf(p.beta) * mp.mpf(p.delta))
+            A = float(e ** 2 + e ** -2)
+            Ds = {"+": float((e - 1 / e) ** 2), "-": float((e + 1 / e) ** 2)}
+        for sign, D in Ds.items():
+            got_A, got_D = kernel_constants(sign, p)
+            assert got_D == pytest.approx(D, rel=1e-15)
+            assert got_A == pytest.approx(A, rel=1e-15)
 
 
 @pytest.mark.parametrize("fn", [eval_m, ft_m])

@@ -49,13 +49,26 @@ def test_poisson_cos_tail_zero_frequency_exact():
 def test_poisson_cos_tail_vs_bruteforce():
     beta, omega, T = 0.5, 3.0, 200.0
     val, bound = poisson_cos_tail(1.0, beta, omega, T)
-    # brute force over many decaying oscillations, far beyond where the
-    # integrand matters
+    # brute force over many decaying oscillations, to X = 1e5: its own
+    # truncation is at most 2 g(X)/omega = 3.3e-11 (second mean value theorem)
     ref = panel_integrate_chunked(
-        lambda x: beta * np.cos(omega * x) / (beta ** 2 + x ** 2), T, 20000.0, 0.2)
+        lambda x: beta * np.cos(omega * x) / (beta ** 2 + x ** 2), T, 1e5, 1.0)
     assert abs(val - ref) <= bound + 1e-10
 
 
+@pytest.mark.parametrize("beta,omega,T", [
+    (1.0, 0.5, 20.0), (1e-3, 6.0, 15.0), (2.0, 12.0, 4.0), (0.25, 1.57, 60.0),
+])
+def test_poisson_cos_tail_against_mpmath(beta, omega, T):
+    mp = pytest.importorskip("mpmath")
+    val, bound = poisson_cos_tail(1.0, beta, omega, T)
+    with mp.workdps(30):
+        ref = mp.quadosc(lambda x: beta * mp.cos(omega * x) / (beta ** 2 + x ** 2),
+                         [T, mp.inf], omega=omega)
+    assert abs(val - float(ref)) <= bound
+
+
 def test_poisson_cos_tail_guards():
+    # the remainder bound holds for every T > 0, and only there
     with pytest.raises(DomainError):
-        poisson_cos_tail(1.0, 1.0, 2.0, 5.0)  # T too close to the kernel scale
+        poisson_cos_tail(1.0, 1.0, 2.0, 0.0)
