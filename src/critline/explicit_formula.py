@@ -18,8 +18,8 @@ Both zero sums, of m^{+-} and of h_beta, are one private ``_zero_sum``: it
 owns the sum over +-gamma, the rule that the table must reach 10t
 (``InsufficientHeight``) and the density-integral bound on the omitted tail.
 
-The archimedean term has two routes.  ``gw_prime_side`` takes the Fourier
-side, ``_archimedean_ft``: a finite integral over the support of mhat.  The
+The archimedean term has two routes.  ``gw_prime_side`` takes the closed
+form ``_archimedean_closed``: two digammas and a geometric series.  The
 y-space quadrature ``_archimedean`` is the deliberately independent route,
 kept as the cross-check that criterion 5 and the tests run.
 """
@@ -36,12 +36,13 @@ from scipy.special import exp1
 from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m, kernel_constants
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
-from .quadrature import geometric_tail, panel_integrate_chunked
+from .quadrature import _integrate_on_edges, geometric_tail, panel_integrate_chunked
 from .zeros_table import ZeroTable
-from .zeta_oracle import re_digamma_quarter, zeta_logderiv
+from .zeta_oracle import digamma, re_digamma_quarter, zeta_logderiv
 
 ARCH_WINDOW = 1e4
 BETA_FLOOR = 1e-3
+ARCH_TERMS = 4096  # terms of the archimedean series summed before its tail is closed
 
 
 @dataclass(frozen=True)
@@ -145,38 +146,52 @@ def _archimedean(sign: str, p: KernelParams, t: float) -> float:
     return (main + tail_smooth) / (2 * math.pi)
 
 
-def _archimedean_ft(sign: str, p: KernelParams, t: float) -> float:
-    """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy on the Fourier side.
+def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
+    """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy in closed form, at a cost independent of t.
 
-    Gauss's integral psi(z) = int_0^inf (e^{-u}/u - e^{-zu}/(1-e^{-u})) du
-    (DLMF 5.9.13), integrated against m(t-y), leaves mhat(u/4pi) cos(tu/2),
-    which vanishes for u > 4 pi Delta:
-
-        (1/2pi) [ int_0^{4 pi Delta} ( mhat(0) e^{-u}/u
-                                       - cos(tu/2) mhat(u/4pi) e^{-u/4}/(1-e^{-u}) ) du
-                  + mhat(0) E_1(4 pi Delta) ].
-
-    Order-12 Gauss-Legendre panels, 8 per period 4pi/t of cos(tu/2), so
-    8 t Delta panels in all.  Error:
-    the two terms of the integrand cancel as u -> 0, each of size about
-    mhat(0)/u, which loses about eps * mhat(0) * sum_i w_i/u_i over the
-    first panel, i.e. 6.2 eps mhat(0) whatever the panel length (later
-    panels add a term logarithmic in their count).  The integrand is analytic
-    within 2 pi of [0, 4 pi Delta] (poles of 1/(1-e^{-u}) at 2 pi i k; the
-    kink of mhat at 4 pi Delta is the end of the range), and a panel spans
-    pi/4 of the phase of cos(tu/2), so the quadrature error is below
-    rounding.
+    Gauss's integral for psi (DLMF 5.9.13) against m(t-y), mhat supported on [-Delta,
+    Delta], and 1/(1 - e^{-u}) expanded geometrically give (1/2D) Re[e^c (psi(z+) + L(z+))
+    - e^{-c} (psi(z-) + L(z-))]: c = 2 pi beta Delta, E = 4 pi Delta, z+- = z +- beta/2,
+    z = 1/4 + it/2, L(w) = sum_k e^{-(k+w)E}/(k+w).  By psi(z+) - psi(z-) = sum_k
+    beta/((k+z+)(k+z-)) that is (1/2D) Re[sinh(c) (psi(z+) + psi(z-)) + sum_k G(k)],
+    G(x) = (2 sinh^2(c/2) - expm1(-(x+z)E)) beta/((x+z+)(x+z-)), where nothing cancels.
+    G(k) is summed for k < K, the least K >= 32 with KE >= 37 (at most ``ARCH_TERMS``,
+    |K + z-| >= 32); Euler-Maclaurin's B_2..B_6 terms (G varies on the scale min(1/E,
+    |K + z-|)) and the integral of G over [K, inf) at w+- = K + z+-, 2 sinh(c) E1(E w+)
+    + sinh(c) log(w+/w-) + e^{-c} int_{E w-}^{E w+} -expm1(-s)/s ds (cosh(c) log(w+/w-)
+    within e^{-37} once KE >= 37), give the rest.  7e-16 relative of 40-digit mpmath
+    or better, from (beta, Delta, t) = (1, 1e-9, 10) to (1e5, 1e-4, 100).
     """
-    mhat0 = ft_m(sign, p, 0.0)
-
-    def f(u):
-        return (mhat0 * np.exp(-u) / u
-                - np.cos(t * u / 2) * ft_m(sign, p, u / (4 * math.pi))
-                * np.exp(-u / 4) / -np.expm1(-u))
-
-    end = 4 * math.pi * p.delta
-    main = panel_integrate_chunked(f, 0.0, end, (4 * math.pi / t) / 8)
-    return (main + mhat0 * exp1(end)) / (2 * math.pi)
+    _, D = kernel_constants(sign, p)
+    # a as kernel_constants takes it, so that sinh(c) and sinh(a)^2 match D's rounding
+    beta, a, E = p.beta, math.pi * p.beta * p.delta, 4 * math.pi * p.delta
+    c, z = 2 * a, complex(0.25, t / 2)
+    sh, h = math.sinh(c) / (2 * D), math.sinh(a) ** 2 / D  # h = (cosh c - 1)/2D
+    K = min(ARCH_TERMS, max(32, math.ceil(37 / E)))
+    K += 64 if abs(K + 0.25 - beta / 2) < 32 else 0
+    w = np.arange(K) + z
+    out = (sh * np.sum(digamma(np.array([z + beta / 2, z - beta / 2])))
+           + np.sum((h - np.expm1(-E * w) / (2 * D)) * beta / ((w + beta / 2) * (w - beta / 2))))
+    w = K + z
+    ein = log_ratio = 2 * np.arctanh(beta / (2 * w))  # log(w+/w-)
+    if E * K < 37:
+        out += 2 * sh * exp1(E * (w + beta / 2))
+        # s = E (w- + beta r), r in [0, 1], so that the segment is exactly beta E long
+        ein = beta * E * _integrate_on_edges(
+            lambda r: -np.expm1(-E * (w - beta / 2 + beta * r)) / (E * (w - beta / 2 + beta * r)),
+            np.linspace(0, 1, math.ceil(beta * E) + 1), 16)
+    out += sh * log_ratio + math.exp(-c) / (2 * D) * ein
+    # derivatives at K of G = u v: u = h - expm1(-E(x+z))/2D, and v = rm - rp, whose
+    # d[m] = rm^(m+1) - rp^(m+1) come from a recurrence that does not cancel
+    rp, rm = 1 / (w + beta / 2), 1 / (w - beta / 2)
+    d = [beta * rp * rm]
+    for m in range(1, 6):
+        d.append(rm * d[-1] + d[0] * rp ** m)
+    u = [h - np.expm1(-E * w) / (2 * D)] + [-(-E) ** j * np.exp(-E * w) / (2 * D)
+                                          for j in range(1, 6)]
+    g = [sum(math.comb(n, j) * u[j] * (-1) ** (n - j) * math.factorial(n - j) * d[n - j]
+             for j in range(n + 1)) for n in range(6)]
+    return (out + g[0] / 2 - g[1] / 12 + g[3] / 720 - g[5] / 30240).real
 
 
 def _sinh_sum(t: float, x: float, beta: float, lambdas: LambdaTable) -> float:
@@ -213,7 +228,7 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
     lambdas = covering_table(p.x, lambdas)
     boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
     ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
-    arch = _archimedean_ft(sign, p, t)
+    arch = _archimedean_closed(sign, p, t)
     prime = _prime_term(sign, p, t, lambdas)
     return GWBreakdown(
         zero_side=math.nan,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import _integrate_on_edges, cos_tail_start, panel_integrate_chunked, poisson_cos_tail
 
 SING_RADIUS = 1e-6
 #: graded panel count above which the quadrature cross-checks refuse (about
@@ -80,18 +81,18 @@ def poisson_h(p: KernelParams, x):
 def eval_m(sign: str, p: KernelParams, z):
     """m^{sign}(z) for real arrays/scalars or a complex scalar.
 
-    Real arguments use the closed form directly (the singularities +-i beta
-    are off the real axis).  Complex arguments within 1e-6 of +-i beta switch
-    to the de-singularized limit branch: the numerator vanishes there, so it
-    is replaced by its local expansion through second order, and the zero of
-    beta^2+z^2 is cancelled explicitly.
+    Real arguments use the closed form, its numerator A - 2 cos(2 pi Delta x)
+    written as 4 (sinh^2(pi beta Delta) + sin^2(pi Delta x)) so that no tiny
+    beta*Delta cancels it.  Complex arguments within 1e-6 of +-i beta switch
+    to the limit branch: the numerator is replaced by its local expansion
+    through second order, and the zero of beta^2+z^2 is cancelled explicitly.
     """
     A, D = kernel_constants(sign, p)
     beta, delta = p.beta, p.delta
     if not isinstance(z, complex):
         x = np.asarray(z, dtype=float)
-        out = (beta / (beta * beta + x * x)
-               * (A - 2 * np.cos(2 * math.pi * delta * x)) / D)
+        num = 4 * (math.sinh(math.pi * beta * delta) ** 2 + np.sin(math.pi * delta * x) ** 2)
+        out = beta / (beta * beta + x * x) * num / D
         return float(out) if out.ndim == 0 else out
     for pole in (1j * beta, -1j * beta):
         w = z - pole
@@ -143,35 +144,26 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
     """2 * integral_0^inf [sum_i c_i cos(omega_i x)] beta/(beta^2+x^2) dx for
     coefs = [(c_i, omega_i)]; returns (value, tail error bound).
 
-    Each omega must be 0 or at least 0.5, and at least one positive.  The
-    range [0, T] is cut into order-12 Gauss-Legendre panels on a graded mesh:
-    from x = 0, x -> x + min(max(beta, x)/2, P), so beta/2 panels cover the
-    Poisson peak and the panels then grow by 1.5x until they reach the
-    oscillation panel P = 4/omega_max (0.64 of the fastest period), from
-    where P panels run to T.  Past T each term is
+    Each omega is 0 or positive, and at least one is positive.  [0, T] is cut
+    into order-12 Gauss-Legendre panels on a graded mesh, x -> x + min(max(beta,
+    x)/2, P) from x = 0: beta/2 panels cover the Poisson peak and grow by 1.5x
+    up to the oscillation panel P = 4/omega_max (0.64 of the fastest period),
+    which then runs to T.  Past T each term is
     :func:`~critline.quadrature.poisson_cos_tail`.  T is where the tail's
-    remainder bounds, summed and doubled, reach 1e-12 min(1, s), with s the
-    sum of |c_i| over omega_i > 0 (1e-12 absolute, and relative to the
-    coefficients when they are small, as for the L1 distance at large
-    beta*Delta), rounded up to the end of a P panel; so T is about
-    100 max(1, s)^(1/8)/omega_min, and that bound is the one returned.  The
-    cost grows like log(P/beta) + T/P, whatever beta and Delta are at a fixed
-    omega_max/omega_min.
+    remainder bounds, summed and doubled, reach 1e-12 min(1, s), s the sum of
+    |c_i| over omega_i > 0 (relative when the coefficients are small, as for
+    the L1 distance at large beta*Delta), rounded up to a P panel's end: about
+    100 max(1, s)^(1/8)/omega_min.  That bound is returned.  The cost grows
+    like log(P/beta) + T/P at a fixed omega_max/omega_min.
 
-    Refusals (``DomainError``): an omega in (0, 0.5); coefficients so large
-    that rounding alone, sum |c_i| pi 2^-52, exceeds the 1e-8 that the
-    cross-checks promise (cosine terms of size 1/D cancel down to the
-    result; beta = 1e-6 at Delta = 1 is refused here); and a mesh of more
-    than ``MAX_COS_PANELS`` panels.
+    Refusals (``DomainError``): coefficients so large that rounding alone,
+    sum |c_i| pi 2^-52, exceeds the 1e-8 that the cross-checks promise (terms
+    of size 1/D cancel down to the result; beta = 1e-6 at Delta = 1), and a
+    mesh above ``MAX_COS_PANELS`` panels, which bounds the cost and which a
+    positive omega near 0 reaches (T grows like 1/omega_min).
     """
-    from .quadrature import (cos_tail_start, panel_integrate, panel_integrate_chunked,
-                             poisson_cos_tail)
-
     beta = p.beta
     omegas = [w for _, w in coefs if w > 0.0]
-    if min(omegas) < 0.5:
-        raise DomainError(f"tail handling needs omega = 0 or omega >= 0.5, got "
-                          f"{min(omegas):.3g} at delta={p.delta}")
     rounding = sum(abs(c) for c, _ in coefs) * math.pi * 2.0 ** -52
     if rounding > 1e-8:
         raise DomainError(f"beta={beta}, delta={p.delta} are ill-conditioned for the "
@@ -196,7 +188,7 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
         out *= env
         return out
 
-    main = sum(panel_integrate(f, a, b, 1) for a, b in zip(edges, edges[1:]))
+    main = float(_integrate_on_edges(f, edges, 12))
     T = edges[-1] + n_uniform * P
     main += panel_integrate_chunked(f, edges[-1], T, P)
     tail = 0.0
@@ -212,14 +204,11 @@ def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     """Fourier transform of m^{sign} at xi by direct quadrature (independent of
     the closed form :func:`ft_m`), accurate to ~1e-8 absolute.
 
-    m^{sign}(x) cos(2 pi xi x) splits into three cosine frequencies
-    {xi, Delta+xi, |Delta-xi|} times the Poisson kernel, integrated by
-    :func:`_kernel_cos_quadrature`: a graded mesh to T and an 8-term
-    integration-by-parts tail past it, whose bound is at most 1e-12.  It
-    refuses (``DomainError``) a frequency in (0, 0.5), i.e. |Delta-xi| or xi
-    within 1/(4 pi) of 0 without being 0; a kernel whose 1/D makes rounding
-    exceed 1e-8; and a mesh above ``MAX_COS_PANELS``, which large Delta at
-    small xi reaches (about 50 Delta panels at xi = 0.5).
+    m^{sign}(x) cos(2 pi xi x) splits into the cosine frequencies {xi, Delta+xi,
+    |Delta-xi|} times the Poisson kernel, for :func:`_kernel_cos_quadrature`
+    (tail bound at most 1e-12).  Its refusals (``DomainError``) are a 1/D whose
+    rounding exceeds 1e-8 and a mesh above ``MAX_COS_PANELS``: large Delta at
+    small xi (about 50 Delta panels at xi = 0.5), or xi or |Delta-xi| near 0.
     """
     A, D = kernel_constants(sign, p)
     xi = abs(float(xi))

@@ -27,10 +27,14 @@ SIEVE_CAP = 10 ** 8
 @dataclass(frozen=True)
 class LambdaTable:
     """Exact von Mangoldt table up to ``limit``: prime[n], power[n] with
-    n = prime[n]**power[n] at prime powers and prime[n] == 0 elsewhere."""
+    n = prime[n]**power[n] at prime powers and prime[n] == 0 elsewhere; the sieve
+    lists those n ascending in ``support``, with log n and Lambda(n)/sqrt(n)."""
     limit: int
     prime: np.ndarray
     power: np.ndarray
+    support: np.ndarray
+    log_n: np.ndarray
+    amp: np.ndarray
 
     def lam(self, n: int) -> float:
         """Lambda(n) = log p if n = p^m else 0."""
@@ -40,10 +44,9 @@ class LambdaTable:
         return math.log(p) if p else 0.0
 
     def prime_powers(self, up_to: float | None = None) -> np.ndarray:
-        """Indices n <= up_to with Lambda(n) != 0, ascending."""
-        hi = self.limit if up_to is None else min(self.limit, int(math.floor(up_to)))
-        idx = np.nonzero(self.prime[: hi + 1])[0]
-        return idx
+        """Indices n <= up_to with Lambda(n) != 0, ascending: a read-only view of ``support``."""
+        hi = self.limit if up_to is None else math.floor(up_to)
+        return self.support[: np.searchsorted(self.support, hi, side="right")]
 
     def log_p(self, ns: np.ndarray) -> np.ndarray:
         """Lambda over an array of prime-power indices."""
@@ -66,15 +69,18 @@ def lambda_sieve(x: int, cap: int = SIEVE_CAP) -> LambdaTable:
     primes = np.nonzero(is_prime)[0]
     prime[primes] = primes
     power[primes] = 1
+    higher = []  # the p^m with m >= 2
     for p in primes[primes <= math.isqrt(x)]:
-        v = int(p) * int(p)
-        m = 2
+        v, m = int(p) * int(p), 2
         while v <= x:
-            prime[v] = p
-            power[v] = m
-            v *= int(p)
-            m += 1
-    return LambdaTable(limit=x, prime=prime, power=power)
+            prime[v], power[v] = p, m
+            higher.append(v)
+            v, m = v * int(p), m + 1
+    support = np.sort(np.concatenate([primes, np.array(higher, dtype=primes.dtype)]), kind="stable")
+    nsf = support.astype(float)
+    log_n, amp = np.log(nsf), np.log(prime[support].astype(float)) / np.sqrt(nsf)
+    support.flags.writeable = log_n.flags.writeable = amp.flags.writeable = False
+    return LambdaTable(limit=x, prime=prime, power=power, support=support, log_n=log_n, amp=amp)
 
 
 def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:
@@ -94,22 +100,19 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} w(n)  =  sum Lambda(n)/sqrt(n) cos(t log n) w(n).
 
     The shared evaluation kernel for every Dirichlet polynomial in the
-    package.  ``weight(n, log n)`` maps the float arrays of prime powers
-    n <= x and their logarithms to w(n); None means w = 1.  ``t`` is a float,
-    or a 1-D array for which the t-independent work (the prime powers, their
-    logarithms, Lambda(n)/sqrt(n) and the weights) is done once and an array
-    is returned; each row is formed and summed as for a float t, so the
-    values are bit-identical.
+    package, on slices of the table's n, log n and Lambda(n)/sqrt(n).
+    ``weight(n, log n)`` maps the float arrays of prime powers n <= x and their
+    logarithms to w(n); None means w = 1.  ``t`` is a float, or a 1-D array for
+    which the weights are formed once and an array is returned, each row
+    summed as for a float t, so that the values are bit-identical.
     """
-    ns = table.prime_powers(x)
+    k = len(table.prime_powers(x))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(ns) == 0:
+    if k == 0:
         sums = np.zeros(len(ts))
     else:
-        nsf = ns.astype(float)
-        ln = np.log(nsf)
-        amp = table.log_p(ns) / np.sqrt(nsf)
-        w = None if weight is None else weight(nsf, ln)
+        ln, amp = table.log_n[:k], table.amp[:k]
+        w = None if weight is None else weight(table.support[:k].astype(float), ln)
         sums = np.empty(len(ts))
         for i, ti in enumerate(ts):
             vals = amp * np.cos(ti * ln)

@@ -25,54 +25,47 @@ TAIL_PARTS = 8
 
 @lru_cache(maxsize=None)
 def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _integrate_on_edges(f, edges, order: int):
+    """Sum of order-``order`` Gauss-Legendre over the panels [edges[i], edges[i+1]],
+    in one vectorized evaluation of f; complex edges give the integral along
+    the straight path through them."""
+    x, w = _gl_rule(order)
+    edges = np.asarray(edges)
+    half = (edges[1:] - edges[:-1]) / 2
+    nodes = ((edges[1:] + edges[:-1]) / 2)[:, None] + half[:, None] * x[None, :]
+    return np.dot(np.dot(np.asarray(f(nodes.ravel())).reshape(len(half), order), w), half)
 
 
 def panel_integrate(f, a: float, b: float, n_panels: int, order: int = 12) -> float:
-    """Integral of f over [a, b] with n_panels uniform Gauss-Legendre panels.
-
-    ``f`` must accept an ndarray.  One vectorized evaluation over all nodes.
-    """
+    """Integral over [a, b] on n_panels uniform Gauss-Legendre panels, in one
+    evaluation of f on the ndarray of all nodes."""
     if b <= a:
         return 0.0
-    x, w = _gl_rule(order)
-    h = (b - a) / n_panels
-    mid = a + h * (np.arange(n_panels) + 0.5)
-    nodes = (mid[:, None] + (h / 2) * x[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=float).reshape(n_panels, order)
-    return float(h / 2 * np.dot(vals, w).sum())
+    return float(_integrate_on_edges(f, np.linspace(a, b, n_panels + 1), order))
 
 
 def panel_integrate_chunked(f, a: float, b: float, panel_len: float) -> float:
     """Like :func:`panel_integrate` at order 12 with a target panel length,
     chunked to at most 4e6 nodes per call to bound peak memory."""
-    if b <= a:
-        return 0.0
-    n_panels = max(1, int(math.ceil((b - a) / panel_len)))
-    per_chunk = 4_000_000 // 12
-    total = 0.0
-    h = (b - a) / n_panels
-    for start in range(0, n_panels, per_chunk):
-        stop = min(start + per_chunk, n_panels)
-        total += panel_integrate(f, a + start * h, a + stop * h, stop - start, 12)
-    return total
+    n_panels = max(1, math.ceil((b - a) / panel_len))
+    h, chunk = (b - a) / n_panels, 4_000_000 // 12
+    return sum(panel_integrate(f, a + i * h, a + min(i + chunk, n_panels) * h,
+                               min(chunk, n_panels - i), 12) for i in range(0, n_panels, chunk))
 
 
 def geometric_tail(f, start: float) -> float:
     """Integral of f over [start, 1e16] on geometric steps a -> 1.5a, each
-    split into two order-16 Gauss-Legendre panels.
-
-    Suited to smooth integrands decaying like log(x)/x^2; with the end at
-    1e16 the omitted remainder of such integrands is below 1e-14 of the total.
-    """
-    total = 0.0
-    a = start
-    while a < 1e16:
-        b = min(a * 1.5, 1e16)
-        total += panel_integrate(f, a, b, 2, 16)
-        a = b
-    return total
+    split into two order-16 Gauss-Legendre panels, all in one evaluation of f.
+    Suited to smooth integrands decaying like log(x)/x^2, whose remainder past
+    1e16 is then below 1e-14 of the total."""
+    edges = [start]
+    while edges[-1] < 1e16:
+        b = min(edges[-1] * 1.5, 1e16)
+        edges += [(edges[-1] + b) / 2, b]
+    return float(_integrate_on_edges(f, edges, 16))
 
 
 def poisson_cos_tail(coef: float, beta: float, omega: float, T: float):

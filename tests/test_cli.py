@@ -138,6 +138,19 @@ def test_extremal_refuses_tiny_beta_at_once(capsys):
     assert "DomainError" in err and "ill-conditioned" in err
 
 
+def test_extremal_at_a_slow_oscillation(capsys):
+    # omega = 2 pi 0.05 was refused while the tail rule asked for omega >= 0.5
+    code, out, _ = run_cli(capsys, "extremal", "--beta", "0.5", "--delta", "0.05")
+    assert code == 0
+    assert "majorant on 1e4 grid points: yes" in out
+    rel = [float(line.split("rel diff")[1]) for line in out.splitlines() if line.startswith("L1")]
+    assert len(rel) == 2 and max(rel) <= 1e-12
+    for line in out.splitlines():
+        if line.startswith("FT"):
+            closed, quad = float(line.split()[5]), float(line.split()[7])
+            assert abs(closed - quad) <= 2e-11 * max(1.0, abs(closed)), line  # 12 digits printed
+
+
 def test_verify_ef_requires_zeros(capsys, monkeypatch):
     monkeypatch.delenv("CRITLINE_ZEROS", raising=False)
     code, _, err = run_cli(capsys, "verify-ef", "--t", "100",
@@ -166,7 +179,6 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["verify-ef", "--t", "100", "--beta", "200", "--delta", "1",
      "--zeros", str(ZEROS_PATH)],  # A and D overflow
     ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
-    ["extremal", "--beta", "0.5", "--delta", "0.05"],  # omega below the tail rule's 0.5
     ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
     ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # 1/D of m^+ near 1e35
     ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature ill-conditioned

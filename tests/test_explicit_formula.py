@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from critline import explicit_formula
 from critline.errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from critline.explicit_formula import (
     _archimedean,
-    _archimedean_ft,
+    _archimedean_closed,
     _prime_term,
     gw_prime_side,
     gw_zero_side,
@@ -128,7 +129,7 @@ def test_gw_prime_side_requires_t_ge_10(lam600):
 @pytest.mark.parametrize("t,beta,delta", [(50.0, 1.0, 1.0), (100.0, 0.5, 1.0)])
 def test_archimedean_routes_agree_at_criterion_5_points(sign, t, beta, delta):
     p = KernelParams(beta, delta)
-    gap = _archimedean_ft(sign, p, t) - _archimedean(sign, p, t)
+    gap = _archimedean_closed(sign, p, t) - _archimedean(sign, p, t)
     assert abs(gap) <= 1e-9
 
 
@@ -141,16 +142,18 @@ def test_archimedean_routes_agree_at_criterion_5_points(sign, t, beta, delta):
 def test_archimedean_routes_agree_over_the_draw_region(t, beta, delta):
     p = KernelParams(beta, delta)
     for sign in "+-":
-        gap = _archimedean_ft(sign, p, t) - _archimedean(sign, p, t)
+        gap = _archimedean_closed(sign, p, t) - _archimedean(sign, p, t)
         assert abs(gap) <= 1e-7, (sign, gap)
 
 
-def _mpmath_archimedean_ft(mp, beta, delta, t):
-    """_archimedean_ft("+") at mpmath's working precision: the u-integral by
+def _mpmath_archimedean_ft(mp, beta, delta, t, sign="+"):
+    """The archimedean term from its definition on the Fourier side, at
+    mpmath's working precision: Gauss's integral for psi against m(t-y), a
+    u-integral over [0, 4 pi Delta] plus mhat(0) E1(4 pi Delta), by
     Gauss-Legendre over the periods of cos(tu/2), at 60 digits inside."""
     b, d, tt = mp.mpf(beta), mp.mpf(delta), mp.mpf(t)
     e = mp.exp(mp.pi * b * d)
-    D = (e - 1 / e) ** 2
+    D = (e - 1 / e) ** 2 if sign == "+" else (e + 1 / e) ** 2
 
     def mhat(xi):
         a = 2 * mp.pi * b * (d - xi)
@@ -173,7 +176,65 @@ def test_archimedean_ft_against_mpmath():
     beta, delta, t = 0.5, 1.0, 100.0
     with mp.workdps(25):
         ref = _mpmath_archimedean_ft(mp, beta, delta, t)
-    assert abs(_archimedean_ft("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-12
+    assert abs(_archimedean_closed("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("beta,delta,t", [(0.5, 1.0, 100.0), (100.0, 0.5, 10.0)])
+def test_archimedean_closed_form_against_the_mpmath_u_integral(sign, beta, delta, t):
+    # beta = 100: e^{+-c} of 1e136 and psi(z-) at real part -49.75
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = float(_mpmath_archimedean_ft(mp, beta, delta, t, sign))
+    got = _archimedean_closed(sign, KernelParams(beta, delta), t)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _mpmath_archimedean_closed(mp, sign, beta, delta, t):
+    """(1/2D) Re[e^c (psi(z+) + L(z+)) - e^{-c} (psi(z-) + L(z-))] term by
+    term, with mp.digamma and L(w) = e^{-wE} Phi(e^{-E}, 1, w) (Lerch)."""
+    b, d = mp.mpf(beta), mp.mpf(delta)
+    e = mp.exp(mp.pi * b * d)
+    D = (e - 1 / e) ** 2 if sign == "+" else (e + 1 / e) ** 2
+    c, E = 2 * mp.pi * b * d, 4 * mp.pi * d
+    total = 0
+    for s, w in ((1, mp.mpc(0.25, t / 2) + b / 2), (-1, mp.mpc(0.25, t / 2) - b / 2)):
+        lerch = mp.exp(-w * E) * mp.lerchphi(mp.exp(-E), 1, w)
+        total += s * mp.exp(s * c) * (mp.digamma(w) + lerch)
+    return mp.re(total) / (2 * D)
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("beta,delta,t", [(0.5, 2.0, 1e5), (1e-3, 1.0, 50.0)])
+def test_archimedean_closed_form_against_mpmath_digammas(sign, beta, delta, t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = float(_mpmath_archimedean_closed(mp, sign, beta, delta, t))
+    got = _archimedean_closed(sign, KernelParams(beta, delta), t)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("beta,delta,t", [(1.0, 1e-6, 1e4), (1e-3, 1e-7, 1e3), (8200.0, 1e-4, 10.0)])
+def test_archimedean_closed_form_tail_at_a_tiny_delta(beta, delta, t):
+    # E = 4 pi Delta below 37/ARCH_TERMS: the series is cut at ARCH_TERMS and
+    # its tail is closed by Euler-Maclaurin, E1 and a segment integral
+    mp = pytest.importorskip("mpmath")
+    p = KernelParams(beta, delta)
+    assert 4 * math.pi * delta * explicit_formula.ARCH_TERMS < 37
+    for sign in "+-":
+        with mp.workdps(40):
+            ref = float(_mpmath_archimedean_closed(mp, sign, beta, delta, t))
+        assert abs(_archimedean_closed(sign, p, t) - ref) <= 1e-12 * abs(ref), sign
+
+
+def test_gw_prime_side_cost_does_not_grow_with_t():
+    # the u-integral it replaced ran 8 t Delta panels: about 1.4 s at t = 1e5
+    table = lambda_sieve(290000)
+    p = KernelParams(0.5, 2.0)
+    gw_prime_side("+", p, 1e5, table)
+    t0 = time.perf_counter()
+    gw_prime_side("+", p, 1e5, table)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_archimedean_ft_at_a_tiny_beta_delta_against_mpmath():
@@ -183,13 +244,14 @@ def test_archimedean_ft_at_a_tiny_beta_delta_against_mpmath():
     beta, delta, t = 1e-3, 1e-2, 100.0
     with mp.workdps(30):
         ref = _mpmath_archimedean_ft(mp, beta, delta, t)
-    assert abs(_archimedean_ft("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-10
+    assert abs(_archimedean_closed("+", KernelParams(beta, delta), t) - float(ref)) <= 1e-10
 
 
 def test_gw_prime_side_takes_the_fourier_route(lam600):
+    # the closed form is the Fourier-side integral summed in closed form
     p = KernelParams(0.5, 1.0)
     b = gw_prime_side("-", p, 100.0, lam600)
-    assert b.archimedean_term == _archimedean_ft("-", p, 100.0)
+    assert b.archimedean_term == _archimedean_closed("-", p, 100.0)
 
 
 def test_archimedean_rejects_degenerate_kernels():

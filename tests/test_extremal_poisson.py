@@ -136,6 +136,23 @@ def test_quadrature_refuses_above_the_panel_cap():
         numeric_ft("+", KernelParams(1e-3, 1e5), 0.5)
 
 
+def test_quadrature_refuses_a_near_zero_frequency_by_the_panel_cap():
+    # |Delta - xi| = 1e-9: omega ~ 6e-9 puts the tail start T ~ 100/omega
+    # near 1e10, some 1e10 oscillation panels, refused before any node
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="panels"):
+        numeric_ft("+", KernelParams(0.5, 1.0), 1.0 - 1e-9)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_quadrature_takes_a_slow_frequency():
+    # omega = 2 pi 0.05 is below the 0.5 that the tail rule once required
+    p = KernelParams(0.5, 0.05)
+    for sign in "+-":
+        assert abs(l1_numeric(sign, p) - l1_dist(sign, p)) <= 1e-12 * l1_dist(sign, p)
+        assert abs(numeric_ft(sign, p, 0.025) - ft_m(sign, p, 0.025)) <= 1e-12
+
+
 @pytest.mark.parametrize("beta,tol", [(1e-3, 1e-10), (1e-4, 1e-8)])
 def test_quadrature_of_a_narrow_kernel(beta, tol):
     # beta/2 panels cover only the peak, so a narrow kernel costs log(1/beta)
@@ -223,6 +240,23 @@ def test_kernel_constants_match_the_closed_form():
             got_A, got_D = kernel_constants(sign, p)
             assert got_D == pytest.approx(D, rel=1e-15)
             assert got_A == pytest.approx(A, rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_eval_m_at_a_tiny_beta_delta_against_mpmath(sign):
+    # beta*Delta = 1e-5: A - 2 cos(2 pi Delta x) would cancel near x = 0
+    mp = pytest.importorskip("mpmath")
+    beta, delta = 1e-3, 1e-2
+    p = KernelParams(beta, delta)
+    for x in (0.0, 0.37, 5.0):
+        with mp.workdps(40):
+            b, d, xx = mp.mpf(beta), mp.mpf(delta), mp.mpf(x)
+            e = mp.exp(mp.pi * b * d)
+            den = (e - 1 / e) ** 2 if sign == "+" else (e + 1 / e) ** 2
+            ref = float(b / (b ** 2 + xx ** 2) * (e ** 2 + e ** -2 - 2 * mp.cos(2 * mp.pi * d * xx))
+                        / den)
+        assert abs(eval_m(sign, p, x) - ref) <= 1e-14 * ref, x
+        assert abs(eval_m(sign, p, np.array([x]))[0] - ref) <= 1e-14 * ref, x
 
 
 @pytest.mark.parametrize("fn", [eval_m, ft_m])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from critline.errors import DomainError, LimitTooLarge
@@ -34,6 +35,20 @@ def test_prime_power_count_matches_bruteforce(lam_small):
                         if _is_prime(p) and p ** m <= x)
         m += 1
     assert count == expected
+
+
+@pytest.mark.parametrize("x", [5000, 5000.7, 1.5, 10 ** 4, 10 ** 4 + 0.5, 3e4])
+def test_prime_powers_slice_the_support(lam_small, x):
+    # integer, fractional, below 2, and at or past the table's limit
+    expect = np.nonzero(lam_small.prime[: math.floor(x) + 1])[0]
+    assert np.array_equal(lam_small.prime_powers(x), expect)
+    assert np.array_equal(lam_small.prime_powers(), np.nonzero(lam_small.prime)[0])
+
+
+def test_prime_power_views_are_read_only(lam_small):
+    # every caller shares the sieve's arrays through these slices
+    with pytest.raises(ValueError):
+        lam_small.prime_powers(100)[0] = 4
 
 
 def test_table_stores_exact_pairs(lam_small):

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from critline.errors import DomainError
 from critline.quadrature import (
+    _integrate_on_edges,
     geometric_tail,
     panel_integrate,
     panel_integrate_chunked,
@@ -37,6 +38,24 @@ def test_geometric_tail_log_over_square():
     T = 50.0
     val = geometric_tail(lambda x: np.log(x) / x ** 2, T)
     assert val == pytest.approx((math.log(T) + 1) / T, rel=1e-12)
+
+
+def test_geometric_tail_evaluates_f_once():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 1 / x ** 2
+
+    assert geometric_tail(f, 10.0) == pytest.approx(0.1, rel=1e-13)
+    assert len(calls) == 1 and calls[0] % 32 == 0  # two order-16 panels per 1.5x step
+
+
+def test_integrate_on_edges_along_a_complex_segment():
+    # int e^{-s} ds from a to b along the straight path is e^{-a} - e^{-b}
+    a, b = 1 + 2j, 3 + 5j
+    val = _integrate_on_edges(lambda s: np.exp(-s), np.linspace(0, 1, 5) * (b - a) + a, 16)
+    assert abs(val - (np.exp(-a) - np.exp(-b))) <= 1e-15
 
 
 def test_poisson_cos_tail_zero_frequency_exact():
