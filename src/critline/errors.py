@@ -37,7 +37,9 @@ class OrderTooLarge(CritlineError):
 # --- numerics ----------------------------------------------------------------
 
 class DomainError(CritlineError):
-    """Argument outside the supported domain of a special function."""
+    """Argument outside the supported domain of a function, or of the exact
+    series ring: an exponent or zeta index beyond its packed field, a series
+    head below z^-1, a coefficient past the truncation order."""
 
 
 class CrossCheckFailed(CritlineError):

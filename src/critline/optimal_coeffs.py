@@ -31,6 +31,7 @@ from .series_algebra import (
     ps_recip,
     ps_revert,
     ps_scale,
+    ps_truncate,
 )
 
 #: largest order with a vetted golden reference; beyond this the values are
@@ -45,7 +46,7 @@ class PipelineResult:
     b: tuple  # b_0 .. b_K
     w1: TruncatedSeries  # Laurent series in z equal to 1/w at stationarity
     Z: TruncatedSeries   # z as a series in w (compositional inverse of 1/w1)
-    B: TruncatedSeries   # normalized bound series in w; C_k = coeff of w^k
+    B: TruncatedSeries   # normalized bound series in w through w^K; C_k = coeff of w^k
     C: tuple  # C_1 .. C_K
 
     def coefficient(self, k: int) -> ExactCoefficient:
@@ -103,26 +104,29 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
         ps_log(log_arg))
 
     # z as a function of w: compositional inverse of 1/w1
-    Zser = ps_revert(ps_recip(w1))
-    zorder = Zser.order  # = m_log + 2 >= K + 1
+    Zser = ps_revert(ps_recip(w1))  # order m_log + 2 >= K + 1
 
-    # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m); the
-    # numerator stops at m = K, since a_{K+1} Z^{K+2} starts beyond B's order
-    # K+1.  One chain powers[m] = Z^{m+1} feeds both sums.
-    powers = [Zser]
-    for _ in range(K):
-        powers.append(ps_mul(powers[-1], Zser))
-    numer = TruncatedSeries.zero(zorder + 1)
-    denom = TruncatedSeries.constant(4, zorder)
-    for m in range(1, K + 1):
+    # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m), kept
+    # through w^K: Z and each of its powers are cut there.  The numerator
+    # starts at Z^2, so a_m Z^{m+1} for m >= K and b_m Z^m for m >= K-1 only
+    # reach w^{K+1} and beyond.  One chain powers[m] = Z^{m+1}, up to Z^K,
+    # feeds both sums.
+    Zk = ps_truncate(Zser, K)
+    powers = [Zk]
+    for _ in range(K - 1):
+        powers.append(ps_truncate(ps_mul(powers[-1], Zk), K))
+    numer = TruncatedSeries.zero(K)
+    denom = TruncatedSeries.constant(4, K)
+    for m in range(1, K):
         if not a[m].is_zero():
             numer = ps_add(numer, ps_scale(powers[m], a[m]))
-        if not b[m].is_zero():
+        if m < K - 1 and not b[m].is_zero():
             denom = ps_add(denom, ps_scale(powers[m - 1], b[m]))
-    B = ps_add(ps_scale(Zser, ExactCoefficient.log2_power(1)),
+    B = ps_add(ps_scale(Zk, ExactCoefficient.log2_power(1)),
                ps_mul(numer, ps_recip(denom)))
     if B.order < K:
         raise CrossCheckFailed("internal truncation bookkeeping failed")
+    B = ps_truncate(B, K)
     C = tuple(B.coefficient(k) for k in range(1, K + 1))
     return PipelineResult(order=K, a=tuple(a), b=tuple(b), w1=w1, Z=Zser, B=B, C=C)
 

@@ -12,7 +12,7 @@ import ast
 import re
 from fractions import Fraction
 
-from .errors import NonInvertibleLeadingCoefficient, ParseError
+from .errors import DomainError, NonInvertibleLeadingCoefficient, ParseError
 from .series_algebra import (
     EC_ONE,
     EC_ZERO,
@@ -154,7 +154,7 @@ def _walk(node: ast.expr) -> dict:
         case ast.Name(id=name) if re.fullmatch(r"Z\d+", name):
             try:
                 return {0: ExactCoefficient.zeta_odd(int(name[1:]))}
-            except ValueError as exc:
+            except (DomainError, ValueError) as exc:  # int() refuses over-long digit strings
                 raise ParseError(str(exc)) from None
         case ast.UnaryOp(op=ast.UAdd(), operand=x):
             return _walk(x)

@@ -16,10 +16,12 @@ minimum order that the inputs support; nothing is ever silently extended.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
+    DomainError,
     MissingConstant,
     NonInvertibleLeadingCoefficient,
     NonInvertibleLinearCoefficient,
@@ -29,9 +31,53 @@ from .errors import (
 
 DEFAULT_ORDER = 10
 
-# A monomial key is (eL, zpart) where eL is the (possibly negative) exponent
-# of L and zpart is a sorted tuple of (odd index, positive exponent) pairs.
-_EMPTY = (0, ())
+# A monomial L^eL * Z3^e3 * Z5^e5 * ... packs into one int, its key: eL
+# (signed) sits in the low _BITS-bit field and the exponent of Z_k in field
+# (k-1)/2, so the key is eL + sum_k e_k 2^(_BITS (k-1)/2).  The product of
+# two monomials is the sum of their keys, and ascending keys order the
+# monomials canonically.  A key decodes uniquely while every exponent lies
+# within EXPONENT_MAX.
+_BITS = 32
+_HALF = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+
+#: largest |exponent| of L, and largest exponent of a Z symbol, the ring holds
+EXPONENT_MAX = _HALF - 1
+#: largest zeta index; it keeps a key within 128 fields
+ZETA_INDEX_MAX = 255
+
+# one tuple object per distinct set of monomials, so coefficients over the
+# same monomials share their keys and compare them by identity; for that
+# reason it is never cleared, and it grows with the distinct sets made
+_INTERNED: dict = {}
+
+
+def _pack(eL: int, zpart) -> int:
+    key = eL
+    for k, e in zpart:
+        key += e << (_BITS * ((k - 1) // 2))
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """(eL, zpart), with zpart the ascending (odd index, positive exponent) pairs."""
+    eL = ((key + _HALF) & _MASK) - _HALF
+    rest = (key - eL) >> _BITS
+    zpart = []
+    k = 3
+    while rest:
+        if rest & _MASK:
+            zpart.append((k, rest & _MASK))
+        rest >>= _BITS
+        k += 2
+    return eL, tuple(zpart)
+
+
+def _check_degree(deg: int) -> int:
+    if deg > EXPONENT_MAX:
+        raise DomainError(
+            f"an exponent could reach {deg}, beyond the ring's bound {EXPONENT_MAX}")
+    return deg
 
 
 def _as_fraction(q) -> Fraction:
@@ -42,36 +88,112 @@ def _as_fraction(q) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(q).__name__}")
 
 
-class ExactCoefficient:
-    """Element of Q[L^{+-1}, Z3, Z5, Z7, ...], stored as monomial -> rational."""
+def _compact(nums):
+    """The numerators as an int64 array when they fit, a fifth of the memory
+    of a tuple of ints, else as a tuple; either way a function of the values,
+    so equal coefficients store equal objects."""
+    try:
+        return array("q", nums)
+    except OverflowError:
+        return tuple(nums)
 
-    __slots__ = ("_terms",)
+
+def _make(keys, nums, den: int, deg: int) -> "ExactCoefficient":
+    c = object.__new__(ExactCoefficient)
+    c._keys, c._nums, c._den, c._deg = keys, nums, den, deg
+    return c
+
+
+def _normalised(acc: dict, den: int, deg: int) -> "ExactCoefficient":
+    """The coefficient sum_key acc[key]/den * monomial(key): zero numerators
+    dropped, keys ascending and interned, and numerators and den divided by
+    their gcd, which leaves den positive."""
+    keys = sorted([k for k, n in acc.items() if n])
+    if not keys:
+        return EC_ZERO
+    nums = [acc[k] for k in keys]
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    keys = tuple(keys)
+    return _make(_INTERNED.setdefault(keys, keys), _compact(nums), den, deg)
+
+
+def _dot(pairs) -> "ExactCoefficient":
+    """sum of x * y over the (x, y) pairs, formed over one common denominator
+    and normalised once."""
+    dens = [x._den * y._den for x, y in pairs]
+    den = math.lcm(*dens)
+    acc = {}
+    get = acc.get
+    deg = 0
+    for (x, y), d in zip(pairs, dens):
+        if x._deg + y._deg > deg:
+            deg = x._deg + y._deg
+        if len(x._keys) > len(y._keys):  # the inner loop runs over the longer
+            x, y = y, x
+        if not x._keys:
+            continue
+        scale = den // d
+        if len(y._keys) == 1:
+            k = x._keys[0] + y._keys[0]
+            acc[k] = get(k, 0) + x._nums[0] * y._nums[0] * scale
+            continue
+        ykeys, ynums = y._keys, list(y._nums)
+        for kx, nx in zip(x._keys, x._nums):
+            nx *= scale
+            for ky, ny in zip(ykeys, ynums):
+                k = kx + ky
+                acc[k] = get(k, 0) + nx * ny
+    return _normalised(acc, den, _check_degree(deg))
+
+
+class ExactCoefficient:
+    """Element of Q[L^{+-1}, Z3, Z5, Z7, ...].
+
+    Stored fraction-free: the ascending packed monomial keys (``_keys``,
+    interned), one integer numerator per key (``_nums``, all nonzero) and a
+    positive common denominator ``_den`` sharing no factor with all of them.
+    ``_deg`` bounds every |exponent| in the element; products add the bounds
+    of their factors and are refused once the bound leaves EXPONENT_MAX.
+    Instances are immutable.
+    """
+
+    __slots__ = ("_keys", "_nums", "_den", "_deg")
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for key, q in terms.items():
-                q = _as_fraction(q)
-                if q:
-                    eL, zpart = key
-                    zpart = tuple(sorted((k, e) for k, e in zpart if e))
-                    for k, e in zpart:
-                        if k < 3 or k % 2 == 0:
-                            raise ValueError(f"zeta symbol index must be odd >= 3, got {k}")
-                        if e < 0:
-                            raise ValueError("zeta symbols admit no negative powers")
-                    nk = (eL, zpart)
-                    clean[nk] = clean.get(nk, Fraction(0)) + q
-                    if not clean[nk]:
-                        del clean[nk]
-        self._terms = clean
+        """From a mapping {(eL, ((k, e), ...)): q} with odd k >= 3 and e >= 0."""
+        acc = {}
+        deg = 0
+        for (eL, zpart), q in (terms or {}).items():
+            q = _as_fraction(q)
+            if not q:
+                continue
+            zc = {}
+            for k, e in zpart:
+                if not e:
+                    continue
+                if k < 3 or k % 2 == 0 or k > ZETA_INDEX_MAX:
+                    raise DomainError(
+                        f"zeta symbol index must be odd, 3 <= k <= {ZETA_INDEX_MAX}, got {k}")
+                if e < 0:
+                    raise DomainError("zeta symbols admit no negative powers")
+                zc[k] = zc.get(k, 0) + e
+            deg = _check_degree(max(deg, abs(eL), *zc.values()))
+            key = _pack(eL, zc.items())
+            acc[key] = acc.get(key, 0) + q
+        den = math.lcm(*(q.denominator for q in acc.values()))
+        c = _normalised({k: q.numerator * (den // q.denominator) for k, q in acc.items()},
+                        den, deg)
+        self._keys, self._nums, self._den, self._deg = c._keys, c._nums, c._den, c._deg
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def rational(cls, num, den=1) -> "ExactCoefficient":
         q = Fraction(num, den)
-        return cls({_EMPTY: q}) if q else cls()
+        return _make(_ONE_KEY, _compact((q.numerator,)), q.denominator, 0) if q else EC_ZERO
 
     @classmethod
     def log2_power(cls, exponent=1, q=1) -> "ExactCoefficient":
@@ -85,109 +207,102 @@ class ExactCoefficient:
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        """{(eL, zpart): Fraction}, zpart the ascending (index, exponent) pairs."""
+        return {_unpack(k): Fraction(n, self._den) for k, n in zip(self._keys, self._nums)}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _EMPTY in self._terms)
+        return self._keys in ((), _ONE_KEY)
 
     def rational_value(self) -> Fraction:
-        if not self._terms:
+        if not self._keys:
             return Fraction(0)
-        if not self.is_rational():
-            raise ValueError("coefficient is not a pure rational")
-        return self._terms[_EMPTY]
+        if self._keys is not _ONE_KEY:
+            raise DomainError("coefficient is not a pure rational")
+        return Fraction(self._nums[0], self._den)
 
     def monomial_inverse(self) -> "ExactCoefficient":
         """Inverse of q*L^k; anything else leaves the ring."""
-        if len(self._terms) != 1:
+        if len(self._keys) != 1:
             raise NonInvertibleLeadingCoefficient(
-                f"coefficient has {len(self._terms)} terms: {self}")
-        (eL, zpart), q = next(iter(self._terms.items()))
-        if zpart:
+                f"coefficient has {len(self._keys)} terms: {self}")
+        key, n = self._keys[0], self._nums[0]
+        if not -_HALF <= key < _HALF:
             raise NonInvertibleLeadingCoefficient(
                 f"coefficient involves zeta symbols: {self}")
-        return ExactCoefficient({(-eL, ()): 1 / q})
-
-    def _key(self):
-        return tuple(sorted(self._terms.items()))
+        keys = (-key,)
+        num = self._den if n > 0 else -self._den
+        return _make(_INTERNED.setdefault(keys, keys), _compact((num,)), abs(n), self._deg)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactCoefficient.rational(other)
-        if not isinstance(other, ExactCoefficient):
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is not ExactCoefficient:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
+        # interned keys: equal monomial sets are the same tuple
+        return (self._keys is other._keys and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self._keys, tuple(self._nums), self._den))
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactCoefficient.rational(other)
-        if not isinstance(other, ExactCoefficient):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, q in other._terms.items():
-            s = out.get(key, Fraction(0)) + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = ExactCoefficient.__new__(ExactCoefficient)
-        res._terms = out
-        return res
+        if type(other) is not ExactCoefficient:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
+        if not other._keys:
+            return self
+        if not self._keys:
+            return other
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        acc = {k: n * sa for k, n in zip(self._keys, self._nums)}
+        get = acc.get
+        for k, n in zip(other._keys, other._nums):
+            acc[k] = get(k, 0) + n * sb
+        return _normalised(acc, da * sa, max(self._deg, other._deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = ExactCoefficient.__new__(ExactCoefficient)
-        res._terms = {k: -q for k, q in self._terms.items()}
-        return res
+        return _make(self._keys, _compact([-n for n in self._nums]), self._den, self._deg)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ExactCoefficient)
-                       else ExactCoefficient.rational(-Fraction(other)))
+        if type(other) is not ExactCoefficient:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
-                return ExactCoefficient()
-            res = ExactCoefficient.__new__(ExactCoefficient)
-            res._terms = {k: v * q for k, v in self._terms.items()}
-            return res
-        if not isinstance(other, ExactCoefficient):
+        if type(other) is ExactCoefficient:
+            return _dot(((self, other),))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = {}
-        for (eL1, zp1), q1 in self._terms.items():
-            for (eL2, zp2), q2 in other._terms.items():
-                zc = dict(zp1)
-                for k, e in zp2:
-                    zc[k] = zc.get(k, 0) + e
-                key = (eL1 + eL2, tuple(sorted(zc.items())))
-                s = out.get(key, Fraction(0)) + q1 * q2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        res = ExactCoefficient.__new__(ExactCoefficient)
-        res._terms = out
-        return res
+        q = _as_fraction(other)
+        if not q or not self._keys:
+            return EC_ZERO
+        nums = [n * q.numerator for n in self._nums]
+        den = self._den * q.denominator
+        g = math.gcd(den, *nums)
+        return _make(self._keys, _compact([n // g for n in nums]), den // g, self._deg)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = ExactCoefficient.rational(1)
+            raise DomainError("only non-negative integer powers")
+        _check_degree(self._deg * n)
+        out = EC_ONE
         base = self
         while n:
             if n & 1:
@@ -205,7 +320,17 @@ class ExactCoefficient:
         return format_coefficient(self)
 
 
-EC_ZERO = ExactCoefficient()
+def _as_coeff(q) -> ExactCoefficient | None:
+    """q as a ring element, or None when it is not an int, Fraction or one."""
+    if isinstance(q, ExactCoefficient):
+        return q
+    if isinstance(q, (int, Fraction)):
+        return ExactCoefficient.rational(q)
+    return None
+
+
+_ONE_KEY = _INTERNED.setdefault((0,), (0,))
+EC_ZERO = _make((), _compact(()), 1, 0)
 EC_ONE = ExactCoefficient.rational(1)
 L = ExactCoefficient.log2_power(1)
 
@@ -224,10 +349,11 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
     play this stays far below every downstream tolerance.
     """
     parts = []
-    for (eL, zpart), q in c._terms.items():
+    for key, n in zip(c._keys, c._nums):
+        eL, zpart = _unpack(key)
         if eL and "L" not in constants:
             raise MissingConstant("no binding for L")
-        val = float(q)
+        val = n / c._den
         if eL:
             val *= constants["L"] ** eL
         for k, e in zpart:
@@ -244,11 +370,10 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
 # -----------------------------------------------------------------------------
 
 def _coerce_coeff(c) -> ExactCoefficient:
-    if isinstance(c, ExactCoefficient):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return ExactCoefficient.rational(c)
-    raise TypeError(f"bad coefficient type {type(c).__name__}")
+    out = _as_coeff(c)
+    if out is None:
+        raise TypeError(f"bad coefficient type {type(c).__name__}")
+    return out
 
 
 class TruncatedSeries:
@@ -261,7 +386,7 @@ class TruncatedSeries:
         if order is None:
             order = valuation + len(coeffs) - 1
         if order < valuation or len(coeffs) != order - valuation + 1:
-            raise ValueError("coefficient count does not match valuation/order")
+            raise DomainError("coefficient count does not match valuation/order")
         # normalize: a vanishing head means the series genuinely starts later
         while len(coeffs) > 1 and coeffs[0].is_zero():
             coeffs.pop(0)
@@ -269,7 +394,7 @@ class TruncatedSeries:
         if len(coeffs) == 1 and coeffs[0].is_zero():
             valuation = order
         if valuation < -1:
-            raise ValueError("valuation below -1 is not supported")
+            raise DomainError("valuation below -1 is not supported")
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -290,7 +415,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, exponent: int, c=1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         if exponent > order:
-            raise ValueError("monomial exponent beyond requested order")
+            raise DomainError("monomial exponent beyond requested order")
         return cls(exponent, [_coerce_coeff(c)] + [EC_ZERO] * (order - exponent), order)
 
     @classmethod
@@ -301,7 +426,7 @@ class TruncatedSeries:
 
     def coefficient(self, k: int) -> ExactCoefficient:
         if k > self.order:
-            raise ValueError(f"coefficient of z^{k} beyond truncation order {self.order}")
+            raise DomainError(f"coefficient of z^{k} beyond truncation order {self.order}")
         if k < self.valuation:
             return EC_ZERO
         return self.coeffs[k - self.valuation]
@@ -381,29 +506,22 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     order = min(a.order + b.valuation, b.order + a.valuation)
     v = a.valuation + b.valuation
     if v < -1:
-        raise ValueError(
+        raise DomainError(
             "product of two Laurent heads falls below z^-1, outside the "
             "supported range")
     if a.is_zero() or b.is_zero():
         return TruncatedSeries.zero(order)
-    n = order - v + 1
-    out = [EC_ZERO] * n
-    for i, ca in enumerate(a.coeffs):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if i + j >= n:
-                break
-            if cb.is_zero():
-                continue
-            out[i + j] = out[i + j] + ca * cb
+    ac, bc = a.coeffs, b.coeffs
+    nb = len(bc)
+    out = [_dot([(ac[i], bc[k - i]) for i in range(max(0, k - nb + 1), min(k + 1, len(ac)))])
+           for k in range(order - v + 1)]
     return TruncatedSeries(v, out, order)
 
 
 def ps_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     """Drop knowledge beyond ``order`` (never extends)."""
     if order > a.order:
-        raise ValueError("cannot extend a truncated series")
+        raise DomainError("cannot extend a truncated series")
     if order == a.order:
         return a
     v = min(a.valuation, order)
@@ -422,19 +540,16 @@ def ps_recip(a: TruncatedSeries) -> TruncatedSeries:
     head_inv = head.monomial_inverse()
     v = a.valuation
     if v > 1:
-        raise ValueError(
+        raise DomainError(
             f"reciprocal of a series with valuation {v} falls below z^-1, "
             "outside the supported Laurent range")
     m = a.order - v  # relative order of the unit part
-    # a = head * z^v * (1 + u); invert the unit part by the standard recurrence
-    u = [head_inv * c for c in a.coeffs]  # u[0] == 1
-    r = [EC_ONE] + [EC_ZERO] * m
+    # a = head * z^v * (1 + u); invert the unit part by the recurrence
+    # r_k = -sum_{j=1..k} u_j r_{k-j}, with -u_j formed once
+    neg_u = [c * -head_inv for c in a.coeffs]
+    r = [EC_ONE]
     for k in range(1, m + 1):
-        acc = EC_ZERO
-        for j in range(1, k + 1):
-            if not u[j].is_zero():
-                acc = acc + u[j] * r[k - j]
-        r[k] = -acc
+        r.append(_dot([(neg_u[j], r[k - j]) for j in range(1, k + 1)]))
     return TruncatedSeries(-v, [head_inv * c for c in r], a.order - 2 * v)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from critline.errors import (
+    DomainError,
     MissingConstant,
     NonInvertibleLeadingCoefficient,
     NonInvertibleLinearCoefficient,
@@ -14,6 +15,8 @@ from critline.errors import (
 from critline.series_algebra import (
     EC_ONE,
     EC_ZERO,
+    EXPONENT_MAX,
+    ZETA_INDEX_MAX,
     ExactCoefficient,
     L,
     TruncatedSeries,
@@ -55,11 +58,11 @@ def test_coefficient_basics():
 
 
 def test_coefficient_zeta_symbol_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         EC.zeta_odd(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         EC.zeta_odd(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         EC({(0, ((3, -1),)): Fraction(1)})
 
 
@@ -100,6 +103,193 @@ def test_coeff_eval():
     assert abs(val - 0.8270266041981745) < 1e-14
     with pytest.raises(MissingConstant):
         coeff_eval(Z(5), env)
+
+
+class _RefCoefficient:
+    """Independent reference for the ring: monomial (eL, zpart) -> Fraction
+    in a dict, with the per-term arithmetic the ring used before it went
+    fraction-free."""
+
+    def __init__(self, terms=None):
+        clean = {}
+        for (eL, zpart), q in (terms or {}).items():
+            q = Fraction(q)
+            if q:
+                key = (eL, tuple(sorted((k, e) for k, e in zpart if e)))
+                clean[key] = clean.get(key, Fraction(0)) + q
+                if not clean[key]:
+                    del clean[key]
+        self.terms = clean
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, q in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + q
+        return _RefCoefficient(out)
+
+    def __neg__(self):
+        return _RefCoefficient({k: -q for k, q in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for (eL1, zp1), q1 in self.terms.items():
+            for (eL2, zp2), q2 in other.terms.items():
+                zc = dict(zp1)
+                for k, e in zp2:
+                    zc[k] = zc.get(k, 0) + e
+                key = (eL1 + eL2, tuple(sorted(zc.items())))
+                out[key] = out.get(key, Fraction(0)) + q1 * q2
+        return _RefCoefficient(out)
+
+    def __pow__(self, n):
+        out = _RefCoefficient({(0, ()): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def monomial_inverse(self):
+        (eL, zpart), q = next(iter(self.terms.items()))
+        assert len(self.terms) == 1 and not zpart
+        return _RefCoefficient({(-eL, ()): 1 / q})
+
+
+# exponents drawn up to half the field bound, so that one product stays inside it
+_HALF_FIELD = EXPONENT_MAX // 2
+
+
+def _random_terms(rng, edge=False):
+    """A random {(eL, zpart): q}: negative L powers, up to three of several Z
+    symbols, numerators now and then beyond 64 bits, and with ``edge``
+    exponents next to half the field bound."""
+    def exponent(lo):
+        if edge and rng.random() < 0.5:
+            return rng.choice([_HALF_FIELD, _HALF_FIELD - 1])
+        return rng.randint(lo, 3)
+
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        eL = exponent(-3) * rng.choice([1, -1])
+        zpart = tuple((k, exponent(1)) for k in sorted(rng.sample([3, 5, 7, 11, 255],
+                                                                  rng.randint(0, 3))))
+        big = rng.random() < 0.2
+        num = rng.randint(-2 ** 70, 2 ** 70) if big else rng.randint(-9, 9)
+        terms[(eL, zpart)] = Fraction(num, rng.randint(1, 2 ** 70 if big else 12))
+    return terms
+
+
+def _pair(rng, edge=False):
+    terms = _random_terms(rng, edge)
+    return EC(terms), _RefCoefficient(terms)
+
+
+def test_ring_agrees_with_the_reference():
+    rng = random.Random(1811)
+    for trial in range(300):
+        edge = trial % 3 == 0
+        (a, ra), (b, rb) = _pair(rng, edge), _pair(rng, edge)
+        assert a.terms == ra.terms, trial
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                          (-a, -ra), (a ** 2, ra ** 2), (a + b - b, ra)):
+            assert got.terms == want.terms, trial
+        if not edge:
+            assert (a ** 3).terms == (ra ** 3).terms, trial
+        # equal values built two ways are equal and hash alike
+        assert a * b == b * a and hash(a * b) == hash(b * a), trial
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a), trial
+        assert (a == b) == (ra == rb), trial
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert (a * q).terms == (ra * _RefCoefficient({(0, ()): q})).terms, trial
+
+
+def test_monomial_inverse_agrees_with_the_reference():
+    rng = random.Random(1812)
+    for eL in (0, 1, -2, 7, EXPONENT_MAX, -EXPONENT_MAX):
+        terms = {(eL, ()): Fraction(rng.choice([-1, 1]) * rng.randint(1, 2 ** 70),
+                                    rng.randint(1, 99))}
+        c, ref = EC(terms), _RefCoefficient(terms)
+        assert c.monomial_inverse().terms == ref.monomial_inverse().terms
+        if abs(eL) <= _HALF_FIELD:  # the product's bound is twice |eL|
+            assert c.monomial_inverse() * c == EC_ONE
+
+
+def test_exponents_at_the_field_bound():
+    top = {(-EXPONENT_MAX, ((3, EXPONENT_MAX), (ZETA_INDEX_MAX, EXPONENT_MAX))): Fraction(-3, 7)}
+    assert EC(top).terms == top
+    assert EC.log2_power(_HALF_FIELD) * EC.log2_power(EXPONENT_MAX - _HALF_FIELD) \
+        == EC.log2_power(EXPONENT_MAX)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EC.log2_power(EXPONENT_MAX + 1),
+    lambda: EC.log2_power(-EXPONENT_MAX - 1),
+    lambda: EC.zeta_odd(3, EXPONENT_MAX + 1),
+    lambda: EC({(0, ((5, EXPONENT_MAX), (5, 1))): 1}),
+    lambda: EC.zeta_odd(ZETA_INDEX_MAX + 2),
+    lambda: L ** (EXPONENT_MAX + 1),
+    lambda: EC.zeta_odd(3, _HALF_FIELD + 1) ** 2,
+    lambda: EC.log2_power(-_HALF_FIELD - 1) * EC.log2_power(-_HALF_FIELD - 1),
+    lambda: ps_mul(series(0, [EC.log2_power(_HALF_FIELD + 1)], 0),
+                   series(0, [EC.log2_power(_HALF_FIELD + 1)], 0)),
+], ids=["L-up", "L-down", "Z-power", "Z-repeated", "Z-index", "pow", "Z-square",
+        "L-product", "series-product"])
+def test_exponents_beyond_the_field_are_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def _ref_series(a):
+    return [_RefCoefficient(c.terms) for c in a.coeffs]
+
+
+def _ref_mul(a, b, n):
+    # the per-term convolution: one ring operation per pair of coefficients
+    out = [_RefCoefficient()] * n
+    for i, ca in enumerate(_ref_series(a)):
+        for j, cb in enumerate(_ref_series(b)):
+            if i + j < n:
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _ref_recip(a):
+    u = _ref_series(a)
+    head_inv = u[0].monomial_inverse()
+    u = [head_inv * c for c in u]
+    r = [_RefCoefficient({(0, ()): 1})]
+    for k in range(1, len(u)):
+        acc = _RefCoefficient()
+        for j in range(1, k + 1):
+            acc = acc + u[j] * r[k - j]
+        r.append(-acc)
+    return [head_inv * c for c in r]
+
+
+def _random_series(rng, valuation, order, head_monomial=False):
+    coeffs = [EC(_random_terms(rng)) for _ in range(order - valuation + 1)]
+    if head_monomial:
+        coeffs[0] = EC.log2_power(rng.randint(-3, 3), Fraction(rng.choice([-5, 1, 3]),
+                                                               rng.randint(1, 7)))
+    coeffs[rng.randrange(1, len(coeffs))] = EC_ZERO  # a gap inside the series
+    return series(valuation, coeffs, order)
+
+
+def test_series_products_agree_with_the_per_term_reference():
+    rng = random.Random(1813)
+    for trial in range(40):
+        a = _random_series(rng, rng.choice([-1, 0, 1]), 5, head_monomial=True)
+        b = _random_series(rng, rng.choice([0, 1, 2]), 6)
+        prod = ps_mul(a, b)
+        want = _ref_mul(a, b, prod.order - (a.valuation + b.valuation) + 1)
+        got = [prod.coefficient(k) for k in range(a.valuation + b.valuation, prod.order + 1)]
+        assert [c.terms for c in got] == [c.terms for c in want], trial
+        inv = ps_recip(a)
+        assert [c.terms for c in inv.coeffs] == [c.terms for c in _ref_recip(a)], trial
 
 
 # --- series: add / mul --------------------------------------------------------
@@ -348,13 +538,13 @@ def test_pipeline_reversion_agrees_with_newton():
 def test_truncate_never_extends():
     a = series(0, [1, 2, 3], 2)
     assert ps_truncate(a, 1).order == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         ps_truncate(a, 5)
 
 
 def test_coefficient_beyond_order_rejected():
     a = series(0, [1, 2], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         a.coefficient(2)
     assert a.coefficient(-1) == EC_ZERO  # below valuation: exactly zero
 
