@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from math import fsum
 
 import numpy as np
 from scipy.special import exp1
@@ -37,6 +36,7 @@ from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientH
 from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m, kernel_constants
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .quadrature import _integrate_on_edges, geometric_tail, panel_integrate_chunked
+from .summation import exact_sum
 from .zeros_table import ZeroTable
 from .zeta_oracle import digamma, re_digamma_quarter, zeta_logderiv
 
@@ -90,7 +90,7 @@ def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> Z
         ker = beta / (beta ** 2 + (t - u) ** 2) + beta / (beta ** 2 + (t + u) ** 2)
         return envelope * ker * dens
 
-    return ZeroSideSum(sum=fsum(kernel(t - g) + kernel(t + g)),
+    return ZeroSideSum(sum=exact_sum(kernel(t - g) + kernel(t + g)),
                        tail_bound=2.0 * geometric_tail(integrand, z.max_height))
 
 
@@ -194,9 +194,9 @@ def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
     return (out + g[0] / 2 - g[1] / 12 + g[3] / 720 - g[5] / 30240).real
 
 
-def _sinh_sum(t: float, x: float, beta: float, lambdas: LambdaTable) -> float:
-    """S = Re sum_{n<=x} Lambda(n) n^{-1/2-it} sinh(beta log(x/n))."""
-    return dirichlet_cos_sum(lambdas, x, t, lambda n, ln: np.sinh(beta * np.log(x / n)))
+def _sinh_weight(n: np.ndarray, x: float, beta: float) -> np.ndarray:
+    """sinh(beta log(x/n)), the weight of S."""
+    return np.sinh(beta * np.log(x / n))
 
 
 def _sinh_norm(sign: str, xb: float) -> float:
@@ -206,15 +206,17 @@ def _sinh_norm(sign: str, xb: float) -> float:
 
 def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable) -> float:
     """The prime-power sum in its FT form, checked against the sinh form: the
-    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.
+    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.  Both weight
+    rows are summed against one cos(t log n) row.
 
     FT form:    (1/pi) sum Lambda(n)/sqrt(n) mhat(log n/2pi) cos(t log n)
     sinh form:  (2 x^beta/(x^beta -+ 1)^2) Re sum Lambda(n) n^{-1/2-it} sinh(beta log(x/n))
     """
     x = p.x
-    form_ft = dirichlet_cos_sum(lambdas, x, t,
-                                lambda n, ln: ft_m(sign, p, ln / (2 * math.pi))) / math.pi
-    form_sinh = _sinh_norm(sign, x ** p.beta) * _sinh_sum(t, x, p.beta, lambdas)
+    ft, S = dirichlet_cos_sum(lambdas, x, t, lambda n, ln: np.array(
+        [ft_m(sign, p, ln / (2 * math.pi)), _sinh_weight(n, x, p.beta)])).tolist()
+    form_ft = ft / math.pi
+    form_sinh = _sinh_norm(sign, x ** p.beta) * S
     if not abs(form_ft - form_sinh) <= 1e-9:
         raise CrossCheckFailed(f"prime-term forms disagree: {form_ft} vs {form_sinh}")
     return form_ft
@@ -298,7 +300,8 @@ def lemma3_bracket(t: float, x: float, beta: float,
         raise DomainError("beta must lie in (0, 1]")
     if t < 10 or x < 2:
         raise DomainError("need t >= 10 and x >= 2")
-    S = _sinh_sum(t, x, beta, covering_table(x, lambdas))
+    S = dirichlet_cos_sum(covering_table(x, lambdas), x, t,
+                          lambda n, ln: _sinh_weight(n, x, beta))
     xb = x ** beta
     logt = math.log(t)
     left = -logt / (xb - 1) + _sinh_norm("+", xb) * S

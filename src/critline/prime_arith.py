@@ -6,8 +6,9 @@ rule for whether a table reaches a cutoff x, and :func:`dirichlet_cos_sum` is
 the one place that forms Lambda(n)/sqrt(n) cos(t log n).  The bound's
 Dirichlet term, both prime-side forms of the explicit formula and the
 log-derivative bracket supply only their weights; :func:`weighted_psi` is the
-kernel at t = 0.  Sums use exact compensated summation (math.fsum) because
-these polynomials cancel heavily.
+kernel at t = 0.  These polynomials cancel heavily, so every sum is the
+correctly rounded one, :func:`~critline.summation.exact_sum`, equal to
+``math.fsum`` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
 from .errors import DomainError, LimitTooLarge
+from .summation import exact_sum
 
 SIEVE_CAP = 10 ** 8
 
@@ -102,24 +103,25 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     The shared evaluation kernel for every Dirichlet polynomial in the
     package, on slices of the table's n, log n and Lambda(n)/sqrt(n).
     ``weight(n, log n)`` maps the float arrays of prime powers n <= x and their
-    logarithms to w(n); None means w = 1.  ``t`` is a float, or a 1-D array for
-    which the weights are formed once and an array is returned, each row
-    summed as for a float t, so that the values are bit-identical.
+    logarithms to w(n); None means w = 1.  A weight may also return r rows
+    of weights, which are summed against the one cos(t log n) row and give a
+    trailing axis of r sums.  ``t`` is a float, or a 1-D array for which the
+    weights are formed once and an array is returned, each row summed as for
+    a float t, so that the values are bit-identical.  Every sum is the
+    correctly rounded one, :func:`~critline.summation.exact_sum`.
     """
     k = len(table.prime_powers(x))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if k == 0:
-        sums = np.zeros(len(ts))
-    else:
-        ln, amp = table.log_n[:k], table.amp[:k]
-        w = None if weight is None else weight(table.support[:k].astype(float), ln)
-        sums = np.empty(len(ts))
-        for i, ti in enumerate(ts):
-            vals = amp * np.cos(ti * ln)
-            if w is not None:
-                vals = vals * w
-            sums[i] = fsum(vals.tolist())
-    return float(sums[0]) if np.ndim(t) == 0 else sums
+    ln, amp = table.log_n[:k], table.amp[:k]
+    w = None if weight is None else weight(table.support[:k].astype(float), ln)
+    sums = np.empty((len(ts),) + np.shape(w)[:-1])
+    for i, ti in enumerate(ts):
+        vals = amp * np.cos(ti * ln)
+        if w is not None:
+            vals = vals * w
+        sums[i] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
+    out = sums[0] if np.ndim(t) == 0 else sums
+    return float(out) if out.ndim == 0 else out
 
 
 def weighted_psi(x: int, table: LambdaTable | None = None) -> float:
@@ -130,4 +132,4 @@ def weighted_psi(x: int, table: LambdaTable | None = None) -> float:
 def chebyshev_psi(x: int, table: LambdaTable | None = None) -> float:
     """sum_{n<=x} Lambda(n)."""
     table = covering_table(x, table)
-    return fsum(table.log_p(table.prime_powers(x)))
+    return exact_sum(table.log_p(table.prime_powers(x)))

@@ -17,7 +17,6 @@ import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum
 
 import numpy as np
 from scipy import special
@@ -29,6 +28,7 @@ from .errors import (
     PoleAtOne,
     WindowExceeded,
 )
+from .summation import exact_sum
 
 IM_WINDOW = 1e6
 ZERO_GUARD = 1e-8  # |zeta| below this counts as "at a zero"
@@ -51,15 +51,21 @@ _C2J = [b / math.factorial(2 * j) for j, b in enumerate(_B2J, start=1)]  # B_2j/
 
 
 def _csum(arr: np.ndarray) -> complex:
-    """Compensated sum of a complex array: pairwise chunks, exact fsum across."""
+    """Sum of a complex array, real and imaginary parts apart.
+
+    Up to 4096 terms each part is correctly rounded (``exact_sum``, equal to
+    ``math.fsum``).  Longer arrays are cut into 4096-term chunks summed
+    pairwise by numpy; the chunk sums, and the remainder, are each summed
+    correctly rounded.
+    """
     n = len(arr)
     k = 4096
     if n <= k:
-        return complex(fsum(arr.real), fsum(arr.imag))
+        return complex(exact_sum(arr.real), exact_sum(arr.imag))
     m = (n // k) * k
     chunks = arr[:m].reshape(-1, k).sum(axis=1)
-    re = fsum(chunks.real) + fsum(arr[m:].real)
-    im = fsum(chunks.imag) + fsum(arr[m:].imag)
+    re = exact_sum(chunks.real) + exact_sum(arr[m:].real)
+    im = exact_sum(chunks.imag) + exact_sum(arr[m:].imag)
     return complex(re, im)
 
 
@@ -299,7 +305,7 @@ def riemann_siegel_z(t: float) -> float:
     k = np.round((th_hi - big) / _TWO_PI_HI)
     red, red_err = _two_product(k, _TWO_PI_HI)
     phase = ((-big - red) + th_hi) + (th_lo - big_err - red_err - k * _TWO_PI_LO - t * log_lo)
-    main = 2 * fsum(np.cos(phase) / np.sqrt(np.arange(1, N + 1)))
+    main = 2 * exact_sum(np.cos(phase) / np.sqrt(np.arange(1, N + 1)))
 
     a = float(a_dec)
     c = np.polynomial.polynomial.polyval(p - 0.5, _correction_polys())

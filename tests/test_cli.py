@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critline.cli import main, parse_args
 from critline.errors import UsageError
@@ -191,6 +195,52 @@ def test_bad_input_exits_without_traceback(args):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode in (1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _mostly(good, bad):
+    """Nine draws in ten from ``good``, the rest from the texts ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(bad) if k == 0 else good)
+
+
+def _number(lo, hi):
+    """A flag value: a float log-uniform in [lo, hi], or text that is not one of those."""
+    return _mostly(st.floats(math.log10(lo), math.log10(hi)).map(lambda e: repr(10.0 ** e)),
+                   ["0", "-1", "-1e-05", "nan", "-inf", "1e400", "abc", ""])
+
+
+#: the cheap subcommands, each flag with the values it is drawn from
+CHEAP_FLAGS = {
+    "special-f": {"--u": _number(1e-6, 2.0)},
+    "bound": {"--t": _number(1.0, 2e6), "--x": _number(1.0, 1e5)},
+    "extremal": {"--beta": _number(1e-3, 1e3), "--delta": _number(1e-3, 1e3)},
+    "scan": {"--t-min": _number(1.0, 2e6), "--t-max": _number(1.0, 2e6),
+             "--points": _mostly(st.integers(1, 3).map(str), ["-1", "0", "2.5"]),
+             "--x-policy": _mostly(st.sampled_from(["logsq", "fixed", "optimal"]), ["bogus"]),
+             "--x": _number(1.0, 1e5)},
+}
+
+
+@st.composite
+def cheap_argv(draw):
+    command = draw(st.sampled_from(sorted(CHEAP_FLAGS)))
+    argv = [command]
+    for flag, values in CHEAP_FLAGS[command].items():
+        if draw(st.integers(0, 9)):  # one flag in ten is left out
+            argv.append(f"{flag}={draw(values)}")  # '=' keeps "-1e-05" a value, not a flag
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cheap_argv())
+def test_cli_exit_codes_on_any_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -129,3 +129,18 @@ def test_dirichlet_term_without_table_sieves_to_floor(sieve_calls):
     val = dirichlet_term(500.0, 99.75)
     assert sieve_calls == [99]
     assert val == ref_dirichlet_term(500.0, 99.75, lambda_sieve(99))
+
+
+def test_weight_rows_are_summed_as_separate_weights(lam_small):
+    ts = np.array([10.5, 777.7, 1e5 + 0.3])
+
+    def rows(n, ln):
+        return np.array([np.sqrt(n), 1 / ln])
+
+    for x in (1.5, 30.5, 8765.4):
+        both = prime_arith.dirichlet_cos_sum(lam_small, x, ts, rows)
+        assert both.shape == (3, 2)
+        for j in range(2):
+            one = prime_arith.dirichlet_cos_sum(lam_small, x, ts, lambda n, ln: rows(n, ln)[j])
+            assert both[:, j].tolist() == one.tolist()
+        assert prime_arith.dirichlet_cos_sum(lam_small, x, ts[1], rows).tolist() == both[1].tolist()
