@@ -202,10 +202,11 @@ def optimal_coefficients_numeric(K: int) -> tuple:
     return tuple(coeff_eval(c, env) for c in result.C)
 
 
-def curve_series_value(w: float, policy: CurvePolicy, K: int | None = None) -> float:
+def curve_series_value(w: float, policy: CurvePolicy) -> float:
     """The bound curve per unit log t, as a series in w = 1/log log t.
 
-    exact    : sqrt(x) = log t pinned into the bound, truncated at K terms;
+    exact    : sqrt(x) = log t pinned into the bound, truncated at K terms
+               (the policy's K, 3 when unset);
     shifted  : log x = 2 log log t - 2c, first three displayed terms;
     optimal  : sum_{k<=K} C_k w^k with pipeline constants.
 
@@ -215,7 +216,7 @@ def curve_series_value(w: float, policy: CurvePolicy, K: int | None = None) -> f
     if w <= 0:
         raise DomainError("need w > 0")
     if policy.kind == "exact":
-        kk = K if K is not None else (policy.K or 3)
+        kk = policy.K or 3
         val = math.log(2) / 2 * w + 2 * math.log(2) * w ** 2
         val += 2 * fsum((1 - 0.25 ** k) * math.factorial(2 * k + 1)
                         * zeta_real(2 * k + 1) * w ** (2 * k + 2)
@@ -226,18 +227,17 @@ def curve_series_value(w: float, policy: CurvePolicy, K: int | None = None) -> f
         L = math.log(2)
         return (L / 2) * w + (c * L / 2 + 2 * math.exp(-c) * L) * w ** 2 \
             + (c * c * L / 4 + 4 * c * math.exp(-c) * L) * w ** 3
-    kk = policy.K if K is None else K
-    coeffs = optimal_coefficients_numeric(kk)
+    coeffs = optimal_coefficients_numeric(policy.K)
     return fsum(ck * w ** (k + 1) for k, ck in enumerate(coeffs))
 
 
-def theorem2_curve(t: float, policy: CurvePolicy, K: int | None = None) -> float:
+def theorem2_curve(t: float, policy: CurvePolicy) -> float:
     """Bound-curve value at t for the chosen x(t) policy (log t times the
     w-series at w = 1/log log t)."""
     loglog = math.log(math.log(t)) if t > 1 else -math.inf
     if loglog <= 0:
         raise DomainError("need log log t > 0")
-    return math.log(t) * curve_series_value(1.0 / loglog, policy, K)
+    return math.log(t) * curve_series_value(1.0 / loglog, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +254,14 @@ def _z_coefficients_numeric(K: int) -> tuple:
     return tuple(coeff_eval(Z.coefficient(k), env) for k in range(1, Z.order + 1))
 
 
-def optimal_cutoff(t: float, K: int = 3) -> float:
+def optimal_cutoff(t: float) -> float:
     """The pipeline's optimal Dirichlet cutoff x(t): log x = 1/z(w) with
-    z(w) the stationary-point series at w = 1/log log t."""
+    z(w) the stationary-point series at w = 1/log log t, from run_pipeline(3)."""
     loglog = math.log(math.log(t)) if t > 1 else -math.inf
     if loglog <= 0:
         raise DomainError("need log log t > 0")
     w = 1.0 / loglog
-    z = fsum(zk * w ** k for k, zk in enumerate(_z_coefficients_numeric(K), 1))
+    z = fsum(zk * w ** k for k, zk in enumerate(_z_coefficients_numeric(3), 1))
     return max(2.0, math.exp(1.0 / z))
 
 

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: coeffs, bound, scan, verify-ef, extremal, special-f, selftest.
+Subcommands: coeffs, bound, scan, verify-ef, extremal, special-f, zeros,
+selftest.
 Every run prints a reproducibility header (version, parsed flags, numeric
 constants); no timestamps, so identical invocations give identical bytes.
 Exit codes: 0 success, 1 computation error, 2 usage error.
@@ -14,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import CritlineError, UsageError
-from .zeros_table import default_zeros_path, load_zeros
+from .zeros_table import FIRST_ZERO, default_zeros_path, load_zeros
 from .zeta_oracle import constant_env
 
 
@@ -75,6 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
 
+    p = sub.add_parser("zeros", help="zero-ordinate table to a height, Turing-certified")
+    p.add_argument("--height", type=_finite_float, required=True)
+    p.add_argument("--out", required=True)
+
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--zeros", default=None)
     p.add_argument("--quick", action="store_true", help="skip the slow criteria")
@@ -96,6 +101,8 @@ def parse_args(argv) -> argparse.Namespace:
                              "(no vetted reference beyond 7)")
     if ns.command == "scan" and ns.points < 1:
         raise UsageError("--points must be >= 1")
+    if ns.command == "zeros" and ns.height <= FIRST_ZERO:
+        raise UsageError(f"--height must exceed the first ordinate {FIRST_ZERO:.6f}")
     return ns
 
 
@@ -169,12 +176,14 @@ def _cmd_scan(ns) -> int:
 def _cmd_verify_ef(ns) -> int:
     from .explicit_formula import verify_gw
     from .extremal_poisson import KernelParams
+    from .prime_arith import covering_table
     zeros = _resolve_zeros(ns, required=True)
     p = KernelParams(ns.beta, ns.delta)
+    lambdas = covering_table(p.x)  # one sieve serves both signs
     lines = _header(ns)
     all_ok = True
     for sign in "+-":
-        b = verify_gw(sign, p, ns.t, zeros)
+        b = verify_gw(sign, p, ns.t, zeros, lambdas)
         all_ok &= b.verified
         lines += [
             f"sign {sign}:",
@@ -229,6 +238,17 @@ def _cmd_special_f(ns) -> int:
     return 0
 
 
+def _cmd_zeros(ns) -> int:
+    from .zeros_table import search_zeros, write_zeros_table
+    gammas, gram = search_zeros(ns.height)
+    certified = write_zeros_table(gammas, ns.height, ns.out, gram)
+    _emit(_header(ns) + [
+        f"wrote {len(gammas)} ordinates to {ns.out}",
+        f"count certified by Turing's method below t = {certified:.6f}" if certified else
+        "counts checked at good Gram points, too low for Turing's method: uncertified"], None)
+    return 0
+
+
 def _cmd_selftest(ns) -> int:
     from .selfcheck import CheckContext, run_all
     path = ns.zeros or default_zeros_path()
@@ -252,6 +272,7 @@ _HANDLERS = {
     "verify-ef": _cmd_verify_ef,
     "extremal": _cmd_extremal,
     "special-f": _cmd_special_f,
+    "zeros": _cmd_zeros,
     "selftest": _cmd_selftest,
 }
 
@@ -274,7 +295,7 @@ def main(argv=None) -> int:
     except CritlineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

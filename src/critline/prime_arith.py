@@ -54,12 +54,13 @@ class LambdaTable:
         return np.log(self.prime[ns].astype(float))
 
 
-def lambda_sieve(x: int, cap: int = SIEVE_CAP) -> LambdaTable:
-    """Exact table by Eratosthenes plus explicit prime-power marking."""
+def lambda_sieve(x: int) -> LambdaTable:
+    """Exact table by Eratosthenes plus explicit prime-power marking, for
+    2 <= x <= SIEVE_CAP."""
     if x < 2:
         raise DomainError("x must be >= 2")
-    if x > cap:
-        raise LimitTooLarge(f"x={x} above cap {cap}")
+    if x > SIEVE_CAP:
+        raise LimitTooLarge(f"x={x} above cap {SIEVE_CAP}")
     is_prime = np.ones(x + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(x) + 1):

@@ -36,8 +36,8 @@ from .extremal_poisson import (
 from .explicit_formula import _archimedean, lemma3_bracket, partial_fraction_residual, verify_gw
 from .pari_text import parse_coefficient, series_matches_text
 from .prime_arith import lambda_sieve, weighted_psi
-from .zeros_table import ZeroTable, load_zeros, zero_count_check
-from .zeta_oracle import T_RS, riemann_siegel_z, zeta_em
+from .zeros_table import ZeroTable, load_zeros, sample_gram, turing_certificate, zero_count_check
+from .zeta_oracle import T_RS, riemann_siegel_z, theta, zeta_em
 
 GOLDEN_W1 = "1/2/z + 2*L - 4*z + (-8 + 18*Z3/L)*z^2 + (-64/3 - 72*Z3/L)*z^3 + O(z^4)"
 GOLDEN_Z = "1/2*z + L*z^2 + (2*L^2 - 1)*z^3 + (4*L^3 - 6*L - 1 + 9/4*Z3/L)*z^4 + O(z^5)"
@@ -258,8 +258,10 @@ def criterion_9(ctx: CheckContext):
 
 
 def criterion_10(ctx: CheckContext):
-    """Oracle sanity: zeta(2), the first tabulated ordinate, zero counts, and
-    Riemann-Siegel against Euler-Maclaurin where both serve the line."""
+    """Oracle sanity: zeta(2), the first tabulated ordinate, zero counts
+    (near 2 log T of the smooth count, exactly n + 1 at good Gram points,
+    and proved at the table's top by Turing's method), and Riemann-Siegel
+    against Euler-Maclaurin where both serve the line."""
     z = ctx.zeros()
     conds = [(abs(zeta_em(complex(2, 0)) - math.pi ** 2 / 6) <= 1e-12, "zeta(2)"),
              (abs(zeta_em(complex(0.5, z.gammas[0]))) <= 1e-6, "zeta at first ordinate")]
@@ -270,7 +272,15 @@ def criterion_10(ctx: CheckContext):
     for T in (100.0, 1000.0, 10000.0):
         c = zero_count_check(z, T)
         conds.append((c.gap <= 2 * math.log(T), f"count at T={T:.0f} gap {c.gap:.2f}"))
-    return conds, "oracle, ordinate, counts, RS vs EM"
+        n = int(theta(T) // math.pi)
+        gram = sample_gram(n - 3, n + 3)
+        turing_certificate(z, gram)  # a count other than n + 1 raises: a FAIL
+        conds.append((gram.good.any(), f"exact counts at good Gram points near T={T:.0f}"))
+    n = int(theta(z.max_height) // math.pi)
+    top = turing_certificate(z, sample_gram(n - 12, n))
+    conds.append((top is not None, f"Turing certificate below the table's top {z.max_height:.2f}"))
+    return conds, "oracle, ordinate, counts, RS vs EM" + (
+        f", Turing-certified below {top:.2f}" if top else "")
 
 
 def _random_coeff(rng, nonzero=False):

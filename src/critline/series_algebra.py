@@ -443,11 +443,9 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.valuation, self.order, self.coeffs))
 
-    def agrees_with(self, other: "TruncatedSeries", through: int | None = None) -> bool:
-        """Coefficientwise equality up to min(orders) (or ``through``)."""
+    def agrees_with(self, other: "TruncatedSeries") -> bool:
+        """Coefficientwise equality up to min(orders)."""
         hi = min(self.order, other.order)
-        if through is not None:
-            hi = min(hi, through)
         lo = min(self.valuation, other.valuation)
         return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
 

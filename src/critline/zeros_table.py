@@ -1,12 +1,13 @@
-"""Ingestion and validation of tables of nontrivial-zero ordinates.
+"""Tables of nontrivial-zero ordinates: reading, validation and generation.
 
 File format: UTF-8 text, one positive decimal ordinate per line, strictly
 ascending, '#' comment lines allowed.  This matches publicly distributed
-zero lists; the package never computes or downloads zeros itself.
+zero lists; ``load_zeros`` reads it and ``write_zeros_table`` writes it.
 
 A table feeds the explicit-formula zero sums (``explicit_formula._zero_sum``,
 which needs the table to reach 10t) and the count check against the smooth
-N(T) = theta(T)/pi + 1.
+N(T) = theta(T)/pi + 1.  ``search_zeros`` finds the zeros of the oracle's
+``hardy_z`` by Gram blocks; ``turing_certificate`` proves a table's count.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy.optimize import brentq
+from scipy.special import lambertw
+
 from .errors import (
     CrossCheckFailed,
+    DomainError,
     HeightExceeded,
     NotAscending,
     ParseError,
     SuspiciousFirstZero,
 )
-from .zeta_oracle import theta, zeta_em
+from .zeta_oracle import IM_WINDOW, hardy_z, theta, zeta_em
 
 FIRST_ZERO = 14.134725141734693
 ENV_VAR = "CRITLINE_ZEROS"
@@ -144,3 +149,140 @@ def zero_count_check(table: ZeroTable, T: float) -> CountCheck:
         raise HeightExceeded(f"T={T} above table height {table.max_height}")
     counted = table.count_below(T)
     return CountCheck(counted=counted, predicted=zero_count_predicted(T))
+
+
+# ---------------------------------------------------------------------------
+# Gram points, the block search and Turing's method
+# ---------------------------------------------------------------------------
+
+TURING_MIN_HEIGHT = 168 * math.pi  # Brent's Theorem 3.2 is stated above it
+MAX_DOUBLINGS = 12  # of the sample density in a Gram block
+
+
+def gram_point(n):
+    """The Gram point g_n, theta(g_n) = n pi, for an int n >= 0 or an ndarray
+    of them: Newton on ``theta`` with theta'(t) ~ log(t/2pi)/2, from the
+    Lambert-W solution of the main term, t/2 log(t/2pi e) = (n + 1/8) pi."""
+    m = np.asarray(n, dtype=float) + 0.125
+    g = 2 * np.pi * m / lambertw(m / np.e).real
+    for _ in range(4):  # each step gains a factor below 1e-3 from g_0 on
+        g = g - (theta(g) - np.pi * (m - 0.125)) / (0.5 * np.log(g / (2 * np.pi)))
+    return g
+
+
+@dataclass(frozen=True)
+class GramSamples:
+    """Z at the consecutive Gram points g_first, g_first+1, ...; g_n is good
+    when (-1)^n Z(g_n) > 0."""
+    first: int
+    g: np.ndarray
+    z: np.ndarray
+
+    @property
+    def good(self) -> np.ndarray:
+        odd = (self.first + np.arange(len(self.z))) % 2 == 1
+        return np.where(odd, -self.z, self.z) > 0
+
+
+def sample_gram(first: int, last: int) -> GramSamples:
+    """Z at g_first .. g_last."""
+    g = gram_point(np.arange(first, last + 1))
+    return GramSamples(first, g, np.array([hardy_z(float(t)) for t in g]))
+
+
+def _block_brackets(ts: np.ndarray, zs: np.ndarray, quota: int) -> list:
+    """Brackets (a, b, Z(a), Z(b)) of ``quota`` sign changes of Z on a Gram
+    block sampled at ``ts``: the sample density doubles until they show."""
+    for doublings in range(MAX_DOUBLINGS + 1):
+        flips = np.flatnonzero(np.signbit(zs[:-1]) != np.signbit(zs[1:]))
+        if len(flips) >= quota:
+            return [(ts[i], ts[i + 1], zs[i], zs[i + 1]) for i in flips]
+        if doublings < MAX_DOUBLINGS:
+            mid = (ts[:-1] + ts[1:]) / 2
+            ts = np.insert(ts, np.arange(1, len(ts)), mid)
+            zs = np.insert(zs, np.arange(1, len(zs)), [hardy_z(float(t)) for t in mid])
+    raise CrossCheckFailed(
+        f"Gram block [{ts[0]:.6f}, {ts[-1]:.6f}] shows {len(flips)} of its {quota} "
+        f"sign changes after {MAX_DOUBLINGS} doublings")
+
+
+def _refine(a: float, b: float, za: float, zb: float) -> float:
+    """Brent root of Z in [a, b]; the known values at the ends are reused."""
+    known = {a: za, b: zb}
+    return brentq(lambda t: known[t] if t in known else hardy_z(t), a, b, xtol=1e-11)
+
+
+def search_zeros(height: float) -> tuple[np.ndarray, GramSamples]:
+    """The ordinates in (10, height] of the zeros of ``hardy_z``, and Z at
+    g_0 .. g_N, g_N the first good Gram point above ``height``.
+
+    Each Gram block [g_j, g_k) between consecutive good Gram points must show
+    k - j sign changes (Rosser's rule); t = 10 opens the first in place of
+    g_-1 = 9.667.  Each sign change is refined by ``brentq`` to 1e-11.  A
+    block that does not fill raises CrossCheckFailed.
+    """
+    if not 10 < height <= IM_WINDOW:
+        raise DomainError(f"height must lie in (10, {IM_WINDOW:g}], got {height}")
+    gram = sample_gram(0, int(theta(height) // math.pi) + 1)
+    while not gram.good[-1]:  # g_N is bad: its block runs on
+        more = sample_gram(len(gram.z), len(gram.z))
+        gram = GramSamples(0, np.append(gram.g, more.g), np.append(gram.z, more.z))
+    ts = np.concatenate([[10.0], gram.g])
+    zs = np.concatenate([[hardy_z(10.0)], gram.z])  # Z(10) < 0, as at g_-1
+    ends = np.flatnonzero(np.concatenate([[True], gram.good]))
+    gammas = np.array([_refine(*bracket) for j, k in zip(ends[:-1], ends[1:])
+                       for bracket in _block_brackets(ts[j:k + 1], zs[j:k + 1], k - j)])
+    return gammas[gammas <= height], gram
+
+
+def turing_certificate(table: ZeroTable, gram: GramSamples) -> float | None:
+    """The height below which ``table`` lists every zero, proved on the Gram
+    points in ``gram`` below the table's last ordinate.
+
+    At each good Gram point g_n among them the table must count n + 1
+    ordinates, or CrossCheckFailed is raised: one ordinate missing or one too
+    many below the top good point always fails.  So each Gram block between
+    good points holds its quota (Rosser's rule), and by Brent's Theorem 3.2
+    K >= 0.0061 log^2 g_p + 0.08 log g_p such blocks [g_n, g_p) at the top
+    give N(g_n) <= n + 1: the n + 1 ordinates below g_n are all the zeros
+    there.  Returns g_n, or None with fewer than K blocks or g_n below
+    TURING_MIN_HEIGHT, where only the counts hold.
+    """
+    idx = np.flatnonzero(gram.good & (gram.g <= table.max_height))
+    n = gram.first + idx
+    counted = np.searchsorted(table.gammas, gram.g[idx], side="right")
+    wrong = np.flatnonzero(counted != n + 1)
+    if len(wrong):
+        i = wrong[0]
+        raise CrossCheckFailed(f"{counted[i]} ordinates below the good Gram point "
+                               f"g_{n[i]} = {gram.g[idx[i]]:.6f}, not {n[i] + 1}")
+    if not len(idx):
+        return None
+    log_top = math.log(gram.g[idx[-1]])
+    blocks = math.ceil(0.0061 * log_top ** 2 + 0.08 * log_top)
+    g_n = float(gram.g[idx[-1 - blocks]]) if len(idx) > blocks else 0.0
+    return g_n if g_n > TURING_MIN_HEIGHT else None
+
+
+def write_zeros_table(gammas: np.ndarray, height: float, out: str | os.PathLike,
+                      gram: GramSamples) -> float | None:
+    """Write ``gammas`` to a temporary file next to ``out``, read it back with
+    ``load_zeros``, run ``turing_certificate`` on ``gram`` and a 50-ordinate
+    ``verify_ordinates`` sample at 1e-8, and only then move it onto ``out``.
+    Returns the certified height; on any failure ``out`` is left as it was.
+    """
+    tmp = f"{out}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"# positive ordinates of nontrivial zeta zeros, height <= {height}, "
+                     f"{len(gammas)} ordinates\n# generated by critline zeros: Gram-block "
+                     "search on Hardy's Z, Brent refinement, Turing's method\n")
+            fh.writelines(f"{g:.12f}\n" for g in gammas)
+        table = load_zeros(tmp)
+        certified = turing_certificate(table, gram)
+        verify_ordinates(table, sample=50, tol=1e-8)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):  # not moved onto ``out``: it failed
+            os.remove(tmp)
+    return certified

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from critline import prime_arith
 from critline.prime_arith import lambda_sieve
 from critline.zeros_table import load_zeros
 
@@ -22,3 +23,16 @@ def lam_small():
 @pytest.fixture(scope="session")
 def repo_root():
     return REPO
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """The limits of every lambda_sieve call made through the cover rule."""
+    calls = []
+
+    def counting_sieve(x):
+        calls.append(x)
+        return lambda_sieve(x)
+
+    monkeypatch.setattr(prime_arith, "lambda_sieve", counting_sieve)
+    return calls

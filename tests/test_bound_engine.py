@@ -137,7 +137,7 @@ def test_curve_policies():
 def test_curve_ordering_small_w():
     for w in np.linspace(0.002, 0.05, 25):
         opt = curve_series_value(float(w), CurvePolicy.optimal(3))
-        exact = curve_series_value(float(w), CurvePolicy.exact(), 3)
+        exact = curve_series_value(float(w), CurvePolicy.exact())
         assert opt <= exact
 
 

@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critline import zeros_table
 from critline.cli import main, parse_args
 from critline.errors import UsageError
+from critline.zeros_table import load_zeros
 from conftest import REPO, ZEROS_PATH
 
 
@@ -134,6 +138,54 @@ def test_verify_ef_degenerate_kernel_gets_a_verdict(capsys):
     assert out.count("within tail_bound + 1e-3: yes") == 2
 
 
+def test_verify_ef_sieves_once_for_both_signs(capsys, sieve_calls):
+    code, _, _ = run_cli(capsys, "verify-ef", "--t", "100", "--beta", "0.5",
+                         "--delta", "1", "--zeros", str(ZEROS_PATH))
+    assert code == 0
+    assert sieve_calls == [535]  # floor(e^{2 pi Delta})
+
+
+def test_zeros_subcommand_reproduces_the_tracked_ordinates(capsys, tmp_path, zeros):
+    data = REPO / "data"
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    out = tmp_path / "zeros.txt"
+    code, stdout, err = run_cli(capsys, "zeros", "--height", "200", "--out", str(out))
+    assert code == 0, err
+    assert "wrote 79 ordinates" in stdout and "uncertified" in stdout  # below 168 pi
+    fresh = load_zeros(out).gammas
+    tracked = zeros.gammas[zeros.gammas <= 200]
+    assert len(fresh) == len(tracked)
+    assert np.max(np.abs(fresh - tracked)) <= 1e-10
+    # the table is validated in a temporary file that is then moved onto --out
+    assert [p.name for p in tmp_path.iterdir()] == ["zeros.txt"]
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+
+
+def test_zeros_subcommand_reports_the_certified_height(capsys, tmp_path):
+    code, stdout, err = run_cli(capsys, "zeros", "--height", "700",
+                                "--out", str(tmp_path / "zeros.txt"))
+    assert code == 0, err
+    assert "certified by Turing's method below t = 696.589" in stdout
+
+
+@pytest.mark.parametrize("edit", ["delete", "spurious"])
+def test_zeros_subcommand_exits_one_on_a_wrong_count(capsys, tmp_path, monkeypatch, edit):
+    search = zeros_table.search_zeros
+
+    def edited_search(height):
+        gammas, gram = search(height)
+        if edit == "delete":
+            return np.delete(gammas, 40), gram
+        return np.sort(np.append(gammas, 150.123)), gram
+
+    monkeypatch.setattr(zeros_table, "search_zeros", edited_search)
+    code, _, err = run_cli(capsys, "zeros", "--height", "200",
+                           "--out", str(tmp_path / "zeros.txt"))
+    assert code == 1
+    assert "CrossCheckFailed" in err and "good Gram point" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_extremal_refuses_tiny_beta_at_once(capsys):
     t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "extremal", "--beta", "1e-6", "--delta", "1")
@@ -217,6 +269,8 @@ CHEAP_FLAGS = {
              "--points": _mostly(st.integers(1, 3).map(str), ["-1", "0", "2.5"]),
              "--x-policy": _mostly(st.sampled_from(["logsq", "fixed", "optimal"]), ["bogus"]),
              "--x": _number(1.0, 1e5)},
+    # low heights only, so that a draw stays fast; {tmp} is a fresh directory
+    "zeros": {"--height": _number(14.2, 60.0), "--out": st.just("{tmp}/zeros.txt")},
 }
 
 
@@ -234,13 +288,32 @@ def cheap_argv(draw):
 @given(cheap_argv())
 def test_cli_exit_codes_on_any_arguments(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         try:
-            code = main(argv)
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("height, code", [
+    ("-1", 2), ("nan", 2), ("abc", 2), ("1e400", 2), ("14", 2), ("2e6", 1), ("59.5", 0)])
+def test_zeros_exit_codes(tmp_path, height, code):
+    out = tmp_path / "zeros.txt"
+    try:
+        got = main(["zeros", f"--height={height}", "--out", str(out)])
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    assert out.exists() == (code == 0)
+
+
+def test_zeros_out_that_cannot_be_written_exits_one(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "zeros", "--height", "30", "--out", str(tmp_path))
+    assert code == 1 and "Is a directory" in err
+    assert not (tmp_path.parent / f"{tmp_path.name}.tmp").exists()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -106,19 +106,6 @@ def test_cover_rule_compares_floor_of_x():
     assert covering_table(77.9).limit == 77
 
 
-@pytest.fixture
-def sieve_calls(monkeypatch):
-    """The limits of every lambda_sieve call made through the cover rule."""
-    calls = []
-
-    def counting_sieve(x, *args):
-        calls.append(x)
-        return lambda_sieve(x, *args)
-
-    monkeypatch.setattr(prime_arith, "lambda_sieve", counting_sieve)
-    return calls
-
-
 def test_fractional_fixed_x_scan_sieves_once(sieve_calls):
     reports = scan_margins(1e3, 2e3, 5, x_policy="fixed", x_fixed=1234.5)
     assert sieve_calls == [1234]

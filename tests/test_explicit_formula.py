@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -295,3 +296,16 @@ def test_bracket_small_x_single_term(lam600):
     xb = x ** beta
     expect_right = math.log(t) / (xb + 1) + 2 * xb / (xb + 1) ** 2 * S2
     assert br.right_main == pytest.approx(expect_right, abs=1e-12)
+
+
+@pytest.mark.parametrize("t, beta, delta", [
+    (50.0, 1.0, 1.0), (100.0, 0.5, 1.0), (100.0, 1e-3, 1e-2), (200.0, 1.0, 0.25),
+    (500.0, 0.3, 2.0)])
+def test_gw_sign_enters_only_through_d(zeros, t, beta, delta):
+    # m^+ and m^- share one numerator, and D^- / D^+ = tanh^2(pi beta Delta)
+    p = KernelParams(beta, delta)
+    plus, minus = verify_gw("+", p, t, zeros), verify_gw("-", p, t, zeros)
+    ratio = math.tanh(math.pi * beta * delta) ** 2
+    for field in dataclasses.fields(plus):
+        want = ratio * getattr(plus, field.name)
+        assert abs(getattr(minus, field.name) - want) <= 1e-13 * abs(want), field.name

@@ -17,6 +17,7 @@ from critline.zeta_oracle import (
     _em_tail,
     constant_env,
     digamma,
+    hardy_z,
     log_abs_zeta_crit,
     riemann_siegel_z,
     theta,
@@ -101,24 +102,19 @@ def test_logderiv_derivative_against_mpmath():
         assert abs(zeta_deriv_em(s) - ref) <= 1e-9, s
 
 
-def test_em_tail_array_matches_scalar():
-    # one cutoff per block, as the zero-table scan uses it: the array call's
-    # J is the worst entry's, and both tests pass at every entry
-    for ts, sigma, M in ((np.linspace(100, 101, 51), 0.5, 202),
-                         (np.linspace(1000, 1010, 17), 1.5, 2020)):
-        s = sigma + 1j * ts
-        val, der = _em_tail(s, M, 1e-12)
-        for k, sk in enumerate(s):
-            ref_val, ref_der = _em_tail(complex(sk), M, 1e-12)
-            assert abs(val[k] - ref_val) <= 1e-15 * abs(ref_val), sk
-            assert abs(der[k] - ref_der) <= 1e-15 * abs(ref_der), sk
-
-
 def test_em_tail_refuses_a_short_cutoff():
     # at M = 10 the correction terms grow long before t = 1e3 is reached
     assert _em_tail(complex(0.5, 1e3), 10, 1e-12) is None
-    assert _em_tail(0.5 + 1j * np.array([10.0, 1e3]), 10, 1e-12) is None
     assert _em_tail(complex(0.5, 1e3), 2000, 1e-12) is not None
+
+
+def test_hardy_z_against_mpmath():
+    # Euler-Maclaurin rotated by theta on [100, 101], Riemann-Siegel above T_RS
+    for t in [*np.linspace(100.0, 101.0, 21), T_RS, T_RS + 0.37, 5e4 + 0.1]:
+        t = float(t)
+        assert abs(hardy_z(t) - float(mpmath.siegelz(t))) <= 1e-9, t
+    with pytest.raises(DomainError):
+        hardy_z(9.5)
 
 
 def test_logderiv_guards():
