@@ -239,11 +239,10 @@ def _cmd_special_f(ns) -> int:
 
 
 def _cmd_zeros(ns) -> int:
-    from .zeros_table import search_zeros, write_zeros_table
-    gammas, gram = search_zeros(ns.height)
-    certified = write_zeros_table(gammas, ns.height, ns.out, gram)
+    from .zeros_table import write_zeros_table
+    count, certified = write_zeros_table(ns.height, ns.out)
     _emit(_header(ns) + [
-        f"wrote {len(gammas)} ordinates to {ns.out}",
+        f"wrote {count} ordinates to {ns.out}",
         f"count certified by Turing's method below t = {certified:.6f}" if certified else
         "counts checked at good Gram points, too low for Turing's method: uncertified"], None)
     return 0

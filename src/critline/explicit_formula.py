@@ -170,8 +170,9 @@ def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
     K = min(ARCH_TERMS, max(32, math.ceil(37 / E)))
     K += 64 if abs(K + 0.25 - beta / 2) < 32 else 0
     w = np.arange(K) + z
+    # beta/((w+ beta/2)(w- beta/2)) from the reciprocals: the product overflows above t ~ 2.7e154
     out = (sh * np.sum(digamma(np.array([z + beta / 2, z - beta / 2])))
-           + np.sum((h - np.expm1(-E * w) / (2 * D)) * beta / ((w + beta / 2) * (w - beta / 2))))
+           + np.sum((h - np.expm1(-E * w) / (2 * D)) * beta * (1 / (w + beta / 2)) * (1 / (w - beta / 2))))
     w = K + z
     ein = log_ratio = 2 * np.arctanh(beta / (2 * w))  # log(w+/w-)
     if E * K < 37:

@@ -12,6 +12,7 @@ N(T) = theta(T)/pi + 1.  ``search_zeros`` finds the zeros of the oracle's
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import warnings
@@ -264,16 +265,21 @@ def turing_certificate(table: ZeroTable, gram: GramSamples) -> float | None:
     return g_n if g_n > TURING_MIN_HEIGHT else None
 
 
-def write_zeros_table(gammas: np.ndarray, height: float, out: str | os.PathLike,
-                      gram: GramSamples) -> float | None:
-    """Write ``gammas`` to a temporary file next to ``out``, read it back with
-    ``load_zeros``, run ``turing_certificate`` on ``gram`` and a 50-ordinate
-    ``verify_ordinates`` sample at 1e-8, and only then move it onto ``out``.
-    Returns the certified height; on any failure ``out`` is left as it was.
+def write_zeros_table(height: float, out: str | os.PathLike) -> tuple[int, float | None]:
+    """Open a temporary file next to ``out``, so that an ``out`` that cannot
+    be written (or is a directory) fails before the search, then
+    ``search_zeros(height)`` into it,
+    read it back with ``load_zeros``, run ``turing_certificate`` and a
+    50-ordinate ``verify_ordinates`` sample at 1e-8, and only then move it
+    onto ``out``.  Returns the number of ordinates and the certified height;
+    on any failure ``out`` is left as it was.
     """
+    if os.path.isdir(out):  # os.replace would refuse it only after the search
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     tmp = f"{out}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
+            gammas, gram = search_zeros(height)
             fh.write(f"# positive ordinates of nontrivial zeta zeros, height <= {height}, "
                      f"{len(gammas)} ordinates\n# generated by critline zeros: Gram-block "
                      "search on Hardy's Z, Brent refinement, Turing's method\n")
@@ -285,4 +291,4 @@ def write_zeros_table(gammas: np.ndarray, height: float, out: str | os.PathLike,
     finally:
         if os.path.exists(tmp):  # not moved onto ``out``: it failed
             os.remove(tmp)
-    return certified
+    return len(gammas), certified

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,27 @@ def test_archimedean_closed_form_against_mpmath_digammas(sign, beta, delta, t):
         ref = float(_mpmath_archimedean_closed(mp, sign, beta, delta, t))
     got = _archimedean_closed(sign, KernelParams(beta, delta), t)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+# values of the closed form with (w+ beta/2)(w- beta/2) formed as a product, which
+# overflows above t ~ 2.7e154, computed under np.errstate(over="ignore")
+ARCH_AT_HUGE_T = {
+    (1e155, "+", 0.5, 1.0): 194.19213601759972, (1e155, "-", 0.5, 1.0): 163.34828967088478,
+    (1e155, "+", 1.0, 1e-3): 56692.37762278958, (1e155, "-", 1.0, 1e-3): 0.5595276581460455,
+    (1e200, "+", 0.5, 1.0): 250.68020520478987, (1e200, "-", 0.5, 1.0): 210.8642688334079,
+    (1e200, "+", 1.0, 1e-3): 73183.4828509241, (1e200, "-", 1.0, 1e-3): 0.722287271968079,
+    (1e300, "+", 0.5, 1.0): 376.20924784299024, (1e300, "-", 0.5, 1.0): 316.4553336390148,
+    (1e300, "+", 1.0, 1e-3): 109830.3833578897, (1e300, "-", 1.0, 1e-3): 1.0839753026837087,
+}
+
+
+def test_archimedean_closed_form_is_quiet_at_huge_t():
+    # Delta = 1e-3 takes the E1 and segment-integral tail, Delta = 1 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (t, sign, beta, delta), want in ARCH_AT_HUGE_T.items():
+            got = _archimedean_closed(sign, KernelParams(beta, delta), t)
+            assert abs(got - want) <= 1e-15 * abs(want), (t, sign, beta, delta)
 
 
 @pytest.mark.parametrize("beta,delta,t", [(1.0, 1e-6, 1e4), (1e-3, 1e-7, 1e3), (8200.0, 1e-4, 10.0)])

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,9 +13,12 @@ from critline.errors import (
     PoleAtOne,
     WindowExceeded,
 )
+from critline import zeta_oracle
 from critline.zeta_oracle import (
+    _C2J,
     _PSI_TAYLOR,
     T_RS,
+    _correction_polys,
     _em_tail,
     constant_env,
     digamma,
@@ -106,6 +111,73 @@ def test_em_tail_refuses_a_short_cutoff():
     # at M = 10 the correction terms grow long before t = 1e3 is reached
     assert _em_tail(complex(0.5, 1e3), 10, 1e-12) is None
     assert _em_tail(complex(0.5, 1e3), 2000, 1e-12) is not None
+
+
+def test_c2j_table_is_the_exact_recurrence_rounded():
+    b = [Fraction(1)]
+    for m in range(1, 2 * len(_C2J) + 1):
+        b.append(Fraction(-sum(math.comb(m + 1, k) * b[k] for k in range(m)), m + 1))
+    assert len(_C2J) == 60
+    for j, c in enumerate(_C2J, start=1):
+        assert c == float(b[2 * j] / math.factorial(2 * j)), j
+
+
+def _em_cutoffs(monkeypatch):
+    """The cutoffs M at which ``_em_tail`` met its target, in call order."""
+    cutoffs, tail = [], zeta_oracle._em_tail
+
+    def recording(s, M, target):
+        out = tail(s, M, target)
+        if out is not None:
+            cutoffs.append(M)
+        return out
+    monkeypatch.setattr(zeta_oracle, "_em_tail", recording)
+    return cutoffs
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5, 3.0])
+def test_em_within_its_stated_bound(monkeypatch, sigma):
+    # zeta_em's docstring: target plus 2 eps sum_{n<=M} n^-sigma (|s| log n + 2),
+    # each term times log n for zeta'
+    cutoffs = _em_cutoffs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (50.0, 1e3, 1e4, 1e5, 1e6 - 0.3):
+            s = complex(sigma, t)
+            for k, f, target in ((0, zeta_em, 1e-12), (1, zeta_deriv_em, 1e-10)):
+                got = f(s)
+                ln = np.log(np.arange(1, cutoffs[-1] + 1))
+                bound = target + 2 * 2.0 ** -52 * np.sum(
+                    np.exp(-sigma * ln) * (abs(s) * ln + 2) * ln ** k)
+                ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), derivative=k))
+                assert abs(got - ref) <= bound, (t, k)
+
+
+def test_em_tail_at_a_quarter_of_a_large_height_is_finite():
+    t = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in (1e-12, 1e-10):
+            val, der = _em_tail(complex(0.5, t), math.ceil(t / 4), target)
+            assert all(math.isfinite(x) for x in (val.real, val.imag, der.real, der.imag))
+
+
+def test_em_cutoff_stays_near_a_quarter_of_the_height(monkeypatch):
+    # the head costs M terms: at most one doubling from ceil(|t|/4)
+    cutoffs = _em_cutoffs(monkeypatch)
+    for t in (1e3, -2e3, 1e4, 1e5, 1e6 - 0.3):
+        for f in (zeta_em, zeta_deriv_em):
+            f(complex(0.5, t))
+            assert cutoffs[-1] <= math.ceil(abs(t) / 2), (t, f)
+
+
+def test_correction_product_matches_horner():
+    polys = _correction_polys()
+    for p in np.linspace(0, 1, 200, endpoint=False):
+        horner = np.polynomial.polynomial.polyval(p - 0.5, polys)
+        product = ((p - 0.5) ** np.arange(len(polys))) @ polys
+        # two units in the last place of |C_k| < 1
+        assert np.all(np.abs(product - horner) <= 2 * 2.0 ** -53), p
 
 
 def test_hardy_z_against_mpmath():
