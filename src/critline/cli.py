@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--zeros", default=None)
     p.add_argument("--quick", action="store_true", help="skip the slow criteria")
-    p.add_argument("--artifacts", default="artifacts")
+    p.add_argument("--artifacts", default=None,
+                   help="directory for criterion 8's scan CSV (default: none written)")
     p.add_argument("--out", default=None)
     return ap
 

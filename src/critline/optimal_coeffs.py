@@ -24,6 +24,7 @@ from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
     TruncatedSeries,
+    _cauchy,
     coeff_eval,
     ps_add,
     ps_log,
@@ -114,7 +115,7 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     Zk = ps_truncate(Zser, K)
     powers = [Zk]
     for _ in range(K - 1):
-        powers.append(ps_truncate(ps_mul(powers[-1], Zk), K))
+        powers.append(_cauchy(powers[-1], Zk, K))
     numer = TruncatedSeries.zero(K)
     denom = TruncatedSeries.constant(4, K)
     for m in range(1, K):

@@ -72,7 +72,7 @@ class SkipCriterion(Exception):
 @dataclass
 class CheckContext:
     zeros_path: str | None = None
-    artifacts_dir: str = "artifacts"
+    artifacts_dir: str | None = None  # where criterion 8 archives its scan; None: nowhere
     _zeros: ZeroTable | None = field(default=None, repr=False)
 
     def zeros(self) -> ZeroTable:
@@ -231,20 +231,24 @@ def criterion_7(ctx: CheckContext):
 
 
 def criterion_8(ctx: CheckContext):
-    """Empirical margins over 50 log-spaced t, with CSV artifact."""
+    """Empirical margins over 50 log-spaced t, archived as CSV when the
+    context names an artifacts directory."""
     z = ctx.zeros() if ctx.zeros_path is not None else None
     reports = bound_engine.scan_margins(1e3, 1e6, 50, zeros=z)
     margins = [r.margin for r in reports]
-    path = Path(ctx.artifacts_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    out = path / "scan_t1e3_1e6.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(bound_engine.CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(bound_engine.report_csv_row(r) + "\n")
+    archived = "not archived (no artifacts directory)"
+    if ctx.artifacts_dir is not None:
+        path = Path(ctx.artifacts_dir)
+        path.mkdir(parents=True, exist_ok=True)
+        out = path / "scan_t1e3_1e6.csv"
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(bound_engine.CSV_HEADER + "\n")
+            for r in reports:
+                fh.write(bound_engine.report_csv_row(r) + "\n")
+        archived = f"archived {out}"
     lo, mid = min(margins), statistics.median(margins)
     return ([(lo >= -2, f"min margin {lo:.2f}"), (mid > 0, f"median margin {mid:.2f}")],
-            f"min {lo:.2f}, median {mid:.2f}, archived {out}")
+            f"min {lo:.2f}, median {mid:.2f}, {archived}")
 
 
 def criterion_9(ctx: CheckContext):

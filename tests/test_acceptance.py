@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from critline import explicit_formula
+from critline.cli import parse_args
 from critline.errors import DomainError
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
 from critline.zeta_oracle import T_RS
@@ -49,6 +50,16 @@ def test_criterion_5_sees_prime_form_disagreement(ctx, monkeypatch):
 def test_unknown_criterion_is_a_domain_error(ctx):
     with pytest.raises(DomainError, match="no criterion 12"):
         run_criterion(12, ctx)
+
+
+def test_criterion_8_archives_only_where_asked(tmp_path, monkeypatch):
+    # neither the default context nor the CLI's default names a directory, so
+    # a selftest run from a checkout leaves the tracked artifact as it is
+    monkeypatch.chdir(tmp_path)
+    result = run_criterion(8, CheckContext())
+    assert result.passed and "not archived" in result.detail
+    assert list(tmp_path.iterdir()) == []
+    assert parse_args(["selftest"]).artifacts is None
 
 
 def _read_csv(path):

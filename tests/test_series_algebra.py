@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critline.errors import (
     DomainError,
@@ -570,3 +572,187 @@ def test_scale_and_sub():
     a = series(0, [1, 2], 1)
     assert ps_scale(a, L).coefficient(1) == L * 2
     assert ps_sub(a, a).is_zero()
+
+
+# --- Horner, baby-step/giant-step and a'/a against the algorithms they replace --
+#
+# The references below are the textbook forms: outer(inner) over one chain of
+# powers inner^i, Lagrange inversion over the chain h, h^2, ..., h^n, and log
+# as the series sum (-1)^(m+1) u^m / m.  The ring is exact and its normal form
+# canonical, so the fast ops must return the very same series.
+
+
+def _chain_compose(outer, inner):
+    cap = (outer.order + 1) * inner.valuation - 1
+    acc = TS.constant(outer.coefficient(0), cap)
+    power = TS.constant(1, cap)
+    for i in range(1, outer.order + 1):
+        power = ps_mul(power, inner)
+        ci = outer.coefficient(i)
+        if not ci.is_zero():
+            acc = ps_add(acc, ps_scale(power, ci))
+        if power.valuation > acc.order:
+            break
+    return acc
+
+
+def _chain_revert(a):
+    n = a.order
+    h = ps_recip(TS(0, a.coeffs, n - 1))
+    hk, coeffs = h, []
+    for k in range(1, n + 1):
+        coeffs.append(hk.coefficient(k - 1) * Fraction(1, k))
+        if k < n:
+            hk = ps_mul(hk, h)
+    return TS(1, coeffs, n)
+
+
+def _series_log(a):
+    q = a.coefficient(0).rational_value()  # 2^j
+    j, n = q.numerator.bit_length() - 1, a.order
+    u = TS(0, [EC_ZERO] + [c * Fraction(1, q.numerator) for c in a.coeffs[1:]], n)
+    out = TS.constant(EC.log2_power(1, j) if j else EC_ZERO, n)
+    power = TS.constant(1, n)
+    for m in range(1, n + 1):
+        power = ps_mul(power, u)
+        out = ps_add(out, ps_scale(power, Fraction((-1) ** (m + 1), m)))
+    return out
+
+
+def _compose_order(outer, inner):
+    # the stated rule: min(cap, inner.order + (i1 - 1) v), i1 the first i >= 1
+    # with c_i != 0, and cap alone when there is none
+    v = inner.valuation
+    cap = (outer.order + 1) * v - 1
+    i1 = next((i for i in range(1, outer.order + 1) if not outer.coefficient(i).is_zero()),
+              None)
+    return cap if i1 is None else min(cap, inner.order + (i1 - 1) * v)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(EC.rational)
+_symbolic = st.sampled_from([L, EC.log2_power(-1, Fraction(-1, 2)), Z(3),
+                             Z(3) * L + rational(1, 3), EC.log2_power(-2, 3) - Z(3)])
+_units = st.sampled_from([rational(1), rational(-3, 7), rational(5, 2), L,
+                          EC.log2_power(-1, Fraction(2, 3))])
+_coeffs = st.one_of(st.just(EC_ZERO), _rationals, _symbolic)
+
+
+@st.composite
+def _series(draw, valuation, max_order=12, head=_coeffs):
+    order = draw(st.integers(valuation, max_order))
+    coeffs = [draw(head)] + draw(st.lists(_coeffs, min_size=order - valuation,
+                                          max_size=order - valuation))
+    return TS(valuation, coeffs, order)
+
+
+@PROPERTY
+@given(st.integers(0, 2).flatmap(_series),
+       st.integers(1, 3).flatmap(lambda v: _series(v, head=_units)))
+def test_compose_equals_the_power_chain(outer, inner):
+    got = ps_compose(outer, inner)
+    assert got == _chain_compose(outer, inner)
+    assert got.order == _compose_order(outer, inner)
+
+
+@PROPERTY
+@given(_series(1, head=_units))
+def test_revert_equals_the_lagrange_chain(a):
+    assert ps_revert(a) == _chain_revert(a)
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 4, 8]).flatmap(
+    lambda q: _series(0, head=st.just(rational(q)))))
+def test_log_equals_the_power_series(a):
+    assert ps_log(a) == _series_log(a)
+
+
+def test_compose_order_rule_cases():
+    inner = series(2, [1, 1], 3)                    # z^2 + z^3, v = 2
+    # c_1 != 0: inner.order + 0 = 3, below cap (2 + 1) * 2 - 1 = 5
+    assert ps_compose(series(0, [1, 1, 1], 2), inner).order == 3
+    # c_1 = 0, c_2 != 0: 3 + 2 = 5 = cap
+    assert ps_compose(series(0, [1, 0, 1], 2), inner).order == 5
+    # a constant outer: cap alone
+    assert ps_compose(TS.constant(3, 2), inner) == TS.constant(3, 5)
+
+
+# --- product counts -------------------------------------------------------------
+
+# pairs of coefficients handed to _dot by the power-chain algorithms on the
+# dense inputs below: order-12 revert and compose, order-10 log
+CHAIN_PAIRS = {"revert": 948, "compose": 1080, "log": 650}
+
+
+def _dense(valuation, order, head):
+    rng = random.Random(order)
+    return series(valuation, [head] + [rational(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 9))
+                                       for _ in range(order - valuation)], order)
+
+
+@pytest.fixture
+def dot_pairs(monkeypatch):
+    from critline import series_algebra
+    count = [0]
+    dot = series_algebra._dot
+
+    def counting(pairs):
+        count[0] += len(pairs)
+        return dot(pairs)
+
+    monkeypatch.setattr(series_algebra, "_dot", counting)
+
+    def pairs(call, *args):
+        count[0] = 0
+        call(*args)
+        return count[0]
+    return pairs
+
+
+def test_product_counts_stay_below_the_power_chains(dot_pairs):
+    b, a = _dense(1, 12, rational(3, 2)), _dense(0, 10, rational(4))
+    g = ps_revert(b)
+    assert dot_pairs(_chain_revert, b) == CHAIN_PAIRS["revert"]
+    assert dot_pairs(_chain_compose, b, g) == CHAIN_PAIRS["compose"]
+    assert dot_pairs(_series_log, a) == CHAIN_PAIRS["log"]
+    assert dot_pairs(ps_revert, b) <= 0.6 * CHAIN_PAIRS["revert"]
+    assert dot_pairs(ps_compose, b, g) <= 0.5 * CHAIN_PAIRS["compose"]
+    assert dot_pairs(ps_log, a) <= 0.3 * CHAIN_PAIRS["log"]
+
+
+# --- an independent cross-check: sympy's ring series ----------------------------
+
+
+def test_ops_agree_with_sympy_ring_series():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_log, rs_mul, rs_series_reversion
+    R, x, y = sympy.polys.rings.ring("x, y", sympy.QQ)
+
+    def poly(s, var):
+        return sum((s.coefficient(k).rational_value() * var ** k
+                    for k in range(s.valuation, s.order + 1)), R(0))
+
+    def coeffs(p, var, order):
+        return [p.coeff(var ** k) if k else p.coeff(1) for k in range(order + 1)]
+
+    def ours(s, start=0):
+        return [s.coefficient(k).rational_value() for k in range(start, s.order + 1)]
+
+    rng = random.Random(1973)
+    for trial in range(6):
+        b = _dense(1, 12, rational(rng.choice([-2, 1, 5]), rng.randint(1, 4)))
+        rev = rs_series_reversion(poly(b, x), x, 13, y)
+        assert ours(ps_revert(b)) == coeffs(rev, y, 12), trial
+        c = _dense(0, 12, rational(rng.choice([1, 4])))
+        j = c.coefficient(0).rational_value().numerator.bit_length() - 1
+        log = rs_log(poly(c, x) / 2 ** j, x, 13)
+        got = ps_log(c)
+        assert got.coefficient(0) == (EC.log2_power(1, j) if j else EC_ZERO), trial
+        assert ours(got, 1) == coeffs(log, x, 12)[1:], trial
+        inner = _dense(1, 12, rational(rng.randint(1, 5)))
+        outer = _dense(0, 12, rational(rng.randint(-3, 3)))
+        acc = R(0)  # the substitution outer(inner), expanded through x^12
+        for k in range(12, -1, -1):
+            acc = rs_mul(acc, poly(inner, x), x, 13) + outer.coefficient(k).rational_value()
+        assert ours(ps_compose(outer, inner)) == coeffs(acc, x, 12), trial
