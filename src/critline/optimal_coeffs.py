@@ -7,9 +7,11 @@ critical-line bound
 
 by finding the stationary point of the two-variable bound surface in the
 variables w = 1/log log t and z = 1/log x: the stationarity condition is
-rewritten as a Laurent relation w1(z) = 1/w, inverted compositionally to get
-z(w), and substituted back.  All series manipulation is exact, so the C_k
-come out as closed-form ring elements.
+rewritten as a Laurent relation w1(z) = 1/w, so z(w) solves z = w h(z) with
+h = z w1.  The Lagrange-Buermann formula [w^k] H(z(w)) = [z^(k-1)] H' h^k / k
+reads both z(w) (H = id) and the bound series (H = R, the bound as a function
+of z) off one set of powers of h.  All series manipulation is exact, so the
+C_k come out as closed-form ring elements.
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
     TruncatedSeries,
-    _cauchy,
+    _lagrange,
     coeff_eval,
     ps_add,
     ps_log,
     ps_mul,
     ps_recip,
-    ps_revert,
-    ps_scale,
-    ps_truncate,
 )
 
 #: largest order with a vetted golden reference; beyond this the values are
@@ -84,6 +83,14 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     K <= 7 matches the vetted golden output; larger K requires
     ``extrapolated=True`` (the ring handles the extra Z symbols, but the
     values have no golden reference).
+
+    w1 has order m = max(1, K - 1), so h = z w1 is known through z^(m+1)
+    and Z = z(w), the compositional inverse of 1/w1, through w^(m+2), which
+    is K + 1 for K >= 2 and 3 for K = 1.  B = R(Z) is kept through w^K,
+    which needs R through y^K: with R(y) = L y + P(y)/Q(y), P = sum_{m>=1}
+    a_m y^(m+1) and Q = sum_{m>=0} b_m y^m, that is a_m for m < K and b_m
+    for m < K - 1.  Both Z and B come from one Lagrange-Buermann pass over
+    the powers of h, with R' multiplied into its giant steps.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
@@ -98,38 +105,27 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     m_log = max(1, K - 1)
     log_arg = TruncatedSeries(
         0, [ExactCoefficient.rational(1)]
-        + [b_coeff(m) * Fraction(1, 4) for m in range(1, m_log + 1)], m_log)
+        + [b[m] * Fraction(1, 4) for m in range(1, m_log + 1)], m_log)
     w1 = ps_add(
         ps_add(TruncatedSeries.monomial(-1, Fraction(1, 2), m_log),
                TruncatedSeries.constant(ExactCoefficient.log2_power(1, 2), m_log)),
         ps_log(log_arg))
 
-    # z as a function of w: compositional inverse of 1/w1
-    Zser = ps_revert(ps_recip(w1))  # order m_log + 2 >= K + 1
+    # B/e^{1/w} = R(Z), R(y) = L y + P(y)/Q(y) through y^K: P starts at y^2,
+    # so P/Q needs Q only through y^(K-2)
+    P = TruncatedSeries(0, [EC_ZERO, EC_ZERO] + a[1:K], K)
+    Q = TruncatedSeries(0, b[:max(1, K - 1)], max(0, K - 2))
+    R = ps_add(TruncatedSeries.monomial(1, ExactCoefficient.log2_power(1), K),
+               ps_mul(P, ps_recip(Q)))
+    dR = TruncatedSeries(0, [R.coefficient(k) * k for k in range(1, K + 1)], K - 1)
 
-    # B/e^{1/w} = L*Z + (sum_{m>=1} a_m Z^{m+1}) / (sum_{m>=0} b_m Z^m), kept
-    # through w^K: Z and each of its powers are cut there.  The numerator
-    # starts at Z^2, so a_m Z^{m+1} for m >= K and b_m Z^m for m >= K-1 only
-    # reach w^{K+1} and beyond.  One chain powers[m] = Z^{m+1}, up to Z^K,
-    # feeds both sums.
-    Zk = ps_truncate(Zser, K)
-    powers = [Zk]
-    for _ in range(K - 1):
-        powers.append(_cauchy(powers[-1], Zk, K))
-    numer = TruncatedSeries.zero(K)
-    denom = TruncatedSeries.constant(4, K)
-    for m in range(1, K):
-        if not a[m].is_zero():
-            numer = ps_add(numer, ps_scale(powers[m], a[m]))
-        if m < K - 1 and not b[m].is_zero():
-            denom = ps_add(denom, ps_scale(powers[m - 1], b[m]))
-    B = ps_add(ps_scale(Zk, ExactCoefficient.log2_power(1)),
-               ps_mul(numer, ps_recip(denom)))
-    if B.order < K:
+    h = TruncatedSeries(0, w1.coeffs, m_log + 1)  # z w1: 1/w1 = z/h
+    zc, C = _lagrange(h, m_log + 2, dR)
+    if len(C) < K:
         raise CrossCheckFailed("internal truncation bookkeeping failed")
-    B = ps_truncate(B, K)
-    C = tuple(B.coefficient(k) for k in range(1, K + 1))
-    return PipelineResult(order=K, a=tuple(a), b=tuple(b), w1=w1, Z=Zser, B=B, C=C)
+    Zser = TruncatedSeries(1, zc, m_log + 2)
+    B = TruncatedSeries(1, C, K)
+    return PipelineResult(order=K, a=tuple(a), b=tuple(b), w1=w1, Z=Zser, B=B, C=tuple(C))
 
 
 def format_report(result: PipelineResult, constants=None) -> str:

@@ -9,8 +9,8 @@ canonical simplification instead of byte-by-byte.
 from __future__ import annotations
 
 import ast
+import math
 import re
-from fractions import Fraction
 
 from .errors import DomainError, NonInvertibleLeadingCoefficient, ParseError
 from .series_algebra import (
@@ -18,6 +18,7 @@ from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
     TruncatedSeries,
+    _unpack,
 )
 
 # ---------------------------------------------------------------------------
@@ -25,8 +26,9 @@ from .series_algebra import (
 # ---------------------------------------------------------------------------
 
 
-def _monomial_str(q: Fraction, eL: int, zpart: tuple, ze: int = 0) -> str:
-    """Render |q| * L^eL * prod Z_k^e * z^ze (sign handled by the caller)."""
+def _monomial_str(n: int, d: int, eL: int, zpart: tuple, ze: int = 0) -> str:
+    """Render n/d * L^eL * prod Z_k^e * z^ze, n/d >= 0 in lowest terms (sign
+    handled by the caller)."""
     num = []
     den = []
     if eL > 0:
@@ -39,24 +41,35 @@ def _monomial_str(q: Fraction, eL: int, zpart: tuple, ze: int = 0) -> str:
         num.append("z" if ze == 1 else f"z^{ze}")
     elif ze < 0:
         den.append("z" if ze == -1 else f"z^{-ze}")
-    q = abs(q)
     tail_den = None
-    if q.numerator == 1 and q.denominator > 1 and num and ze == 0:
+    if n == 1 and d > 1 and num and ze == 0:
         # golden style: unit numerators trail the symbols, as in L/2
-        tail_den = q.denominator
-    elif q != 1 or not num:
-        head = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        num.insert(0, head)
+        tail_den = d
+    elif n != d or not num:
+        num.insert(0, str(n) if d == 1 else f"{n}/{d}")
     out = "*".join(num)
-    for d in den:
-        out += f"/{d}"
+    for x in den:
+        out += f"/{x}"
     if tail_den is not None:
         out += f"/{tail_den}"
     return out
 
 
-def _sorted_terms(c: ExactCoefficient):
-    return sorted(c.terms.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
+def _sorted_terms(c: ExactCoefficient) -> list:
+    """(eL, zpart, n, d) per term, n/d its rational in lowest terms: Z-free
+    terms first, each group by descending power of L."""
+    terms = []
+    for key, n in zip(c._keys, c._nums):
+        g = math.gcd(n, c._den)
+        terms.append((*_unpack(key), n // g, c._den // g))
+    return sorted(terms, key=lambda t: (t[1], -t[0]))
+
+
+def _signed(parts: list, body: str, neg: bool) -> None:
+    if not parts:
+        parts.append(f"-{body}" if neg else body)
+    else:
+        parts.append(f"- {body}" if neg else f"+ {body}")
 
 
 def format_coefficient(c: ExactCoefficient) -> str:
@@ -64,12 +77,8 @@ def format_coefficient(c: ExactCoefficient) -> str:
     if c.is_zero():
         return "0"
     parts = []
-    for (eL, zpart), q in _sorted_terms(c):
-        body = _monomial_str(q, eL, zpart)
-        if not parts:
-            parts.append(f"-{body}" if q < 0 else body)
-        else:
-            parts.append(f"- {body}" if q < 0 else f"+ {body}")
+    for eL, zpart, n, d in _sorted_terms(c):
+        _signed(parts, _monomial_str(abs(n), d, eL, zpart), n < 0)
     return " ".join(parts)
 
 
@@ -81,17 +90,12 @@ def format_series(ts: TruncatedSeries) -> str:
             continue
         terms = _sorted_terms(c)
         if len(terms) == 1:
-            (eL, zpart), q = terms[0]
-            body = _monomial_str(q, eL, zpart, ze=k)
-            neg = q < 0
+            (eL, zpart, n, d), = terms
+            _signed(parts, _monomial_str(abs(n), d, eL, zpart, ze=k), n < 0)
         else:
             body = f"({format_coefficient(c)})"
             body += "" if k == 0 else ("*z" if k == 1 else f"*z^{k}" if k > 0 else f"/z^{-k}")
-            neg = False
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
+            _signed(parts, body, False)
     if not parts:
         parts.append("0")
     parts.append(f"+ O(z^{ts.order + 1})")

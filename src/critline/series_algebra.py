@@ -505,7 +505,7 @@ def _cauchy(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeri
     if order > min(a.order + b.valuation, b.order + a.valuation):
         raise DomainError("cannot extend a truncated series")
     v = a.valuation + b.valuation
-    if a.is_zero() or b.is_zero():
+    if v > order or a.is_zero() or b.is_zero():
         return TruncatedSeries.zero(order)
     ac, bc = a.coeffs, b.coeffs
     nb = len(bc)
@@ -549,13 +549,15 @@ def ps_recip(a: TruncatedSeries) -> TruncatedSeries:
             f"reciprocal of a series with valuation {v} falls below z^-1, "
             "outside the supported Laurent range")
     m = a.order - v  # relative order of the unit part
-    # a = head * z^v * (1 + u); invert the unit part by the recurrence
-    # r_k = -sum_{j=1..k} u_j r_{k-j}, with -u_j formed once
-    neg_u = [c * -head_inv for c in a.coeffs]
-    r = [EC_ONE]
+    # a = head * z^v * (1 + u) with u_j = a_j / head, and the inverse's
+    # coefficients obey r_0 = 1/head, r_k = -sum_{j=1..k} u_j r_{k-j}: the
+    # head's inverse enters once, through neg_u[j-1] = -u_j, formed once per j
+    neg_inv = -head_inv
+    neg_u = [c * neg_inv for c in a.coeffs[1:]]
+    r = [head_inv]
     for k in range(1, m + 1):
-        r.append(_dot([(neg_u[j], r[k - j]) for j in range(1, k + 1)]))
-    return TruncatedSeries(-v, [head_inv * c for c in r], a.order - 2 * v)
+        r.append(_dot([(neg_u[j - 1], r[k - j]) for j in range(1, k + 1)]))
+    return TruncatedSeries(-v, r, a.order - 2 * v)
 
 
 def ps_log(a: TruncatedSeries) -> TruncatedSeries:
@@ -563,7 +565,7 @@ def ps_log(a: TruncatedSeries) -> TruncatedSeries:
 
     The restriction keeps the result inside the ring: log 2^j = j*L.  For a
     of order n, a'/a is one ps_recip and one product, so about n^2
-    coefficient products in all (132 at n = 10), and the integral n
+    coefficient products in all (120 at n = 10), and the integral n
     scalings by 1/k.
     """
     if a.valuation < 0:
@@ -619,14 +621,56 @@ def ps_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     return acc
 
 
+def _lagrange(h: TruncatedSeries, n: int, dH: TruncatedSeries | None = None):
+    """Lagrange-Buermann over one set of powers of h.
+
+    For h with h(0) != 0 the relation w = z/h(z) has an inverse z(w), and
+    for any H with H(0) = 0
+
+        [w^k] H(z(w)) = [z^(k-1)] H'(z) h(z)^k / k,
+
+    which for H = id reads [w^k] z(w) = [z^(k-1)] h^k / k.  Returns the list
+    of [w^k] z(w) for k = 1..n, which needs h through z^(n-1), and the list
+    of [w^k] H(z(w)) for k = 1..min(n, dH.order + 1), empty without dH.
+    Baby steps h^1..h^m, m = isqrt(n), come from ps_mul, and giant steps
+    h^(jm) split each h^k as h^(jm) h^(k-jm); dH is multiplied into each
+    giant, so each coefficient of either list is one dot product.
+    """
+    nH = 0 if dH is None else min(n, dH.order + 1)
+    m = math.isqrt(n)
+    babies = [h]  # babies[r] = h^(r+1); a nonzero h(0) starts every power at z^0
+    for _ in range(m - 1):
+        babies.append(ps_mul(babies[-1], h))
+    zc, hc = [], []
+    for k in range(1, n + 1):
+        j, r = divmod(k - 1, m)  # h^k = h^(jm) h^(r+1)
+        baby = babies[r].coeffs
+        if not r:
+            if j:
+                giant = babies[-1] if j == 1 else ps_mul(giant, babies[-1])
+            if k <= nH:  # dH h^(jm), through the last z^(k-1) its block reads
+                top = min(k + m, nH + 1) - 2
+                weighted = dH if not j else _cauchy(dH, giant, top)
+                weighted = [weighted.coefficient(i) for i in range(top + 1)]
+        if not j:
+            zc.append(baby[k - 1] * Fraction(1, k))
+        else:
+            zc.append(_dot([(giant.coeffs[i], baby[k - 1 - i]) for i in range(k)])
+                      * Fraction(1, k))
+        if k <= nH:
+            hc.append(_dot([(weighted[i], baby[k - 1 - i]) for i in range(k)])
+                      * Fraction(1, k))
+    return zc, hc
+
+
 def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse by Lagrange inversion: compose(a, result) == z.
 
     With h = z/a(z), known through z^(n-1) for a of order n, the inverse has
-    [z^k] a^{-1} = [z^(k-1)] h^k / k.  Baby steps h^1..h^m, m = isqrt(n), and
-    giant steps h^(jm) split each h^k as h^(jm) h^r, so each coefficient is
-    one dot product; with h itself that is about (m + n/m) n^2/2 coefficient
-    products (474 at n = 12).  The result has valuation 1 and order a.order.
+    [z^k] a^{-1} = [z^(k-1)] h^k / k, read off the powers of h by _lagrange;
+    with h itself that is about (m + n/m) n^2/2 coefficient products,
+    m = isqrt(n) (461 at n = 12).  The result has valuation 1 and order
+    a.order.
     """
     if a.valuation != 1:
         raise PositiveValuationRequired(
@@ -636,20 +680,4 @@ def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
         h = ps_recip(TruncatedSeries(0, a.coeffs, n - 1))
     except NonInvertibleLeadingCoefficient as exc:
         raise NonInvertibleLinearCoefficient(str(exc)) from None
-    # h has a nonzero constant term, so the coeffs of its powers start at z^0
-    m = math.isqrt(n)
-    babies = [h]  # babies[r] = h^(r+1)
-    for _ in range(m - 1):
-        babies.append(ps_mul(babies[-1], h))
-    coeffs = []
-    for k in range(1, n + 1):
-        j, r = divmod(k - 1, m)  # h^k = h^(jm) h^(r+1)
-        baby = babies[r].coeffs
-        if not j:
-            c = baby[k - 1]
-        else:
-            if not r:
-                giant = babies[-1] if j == 1 else ps_mul(giant, babies[-1])
-            c = _dot([(giant.coeffs[i], baby[k - 1 - i]) for i in range(k)])
-        coeffs.append(c * Fraction(1, k))
-    return TruncatedSeries(1, coeffs, n)
+    return TruncatedSeries(1, _lagrange(h, n)[0], n)

@@ -36,3 +36,23 @@ def sieve_calls(monkeypatch):
 
     monkeypatch.setattr(prime_arith, "lambda_sieve", counting_sieve)
     return calls
+
+
+@pytest.fixture
+def dot_pairs(monkeypatch):
+    """pairs(call, *args): the coefficient pairs call(*args) hands to _dot."""
+    from critline import series_algebra
+    count = [0]
+    dot = series_algebra._dot
+
+    def counting(pairs):
+        count[0] += len(pairs)
+        return dot(pairs)
+
+    monkeypatch.setattr(series_algebra, "_dot", counting)
+
+    def pairs(call, *args):
+        count[0] = 0
+        call(*args)
+        return count[0]
+    return pairs

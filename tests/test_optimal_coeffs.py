@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,13 +11,16 @@ from critline.series_algebra import (
     EC_ZERO,
     ExactCoefficient,
     TruncatedSeries,
+    _cauchy,
     coeff_eval,
     ps_add,
     ps_compose,
     ps_log,
     ps_mul,
     ps_recip,
+    ps_revert,
     ps_scale,
+    ps_truncate,
 )
 from critline.zeta_oracle import constant_env
 
@@ -93,6 +97,57 @@ def test_stationarity_identity():
     lhs = ps_add(ps_recip(ps_scale(Z, 2)), ps_log(sb))
     one_over_w = ps_recip(TruncatedSeries.identity(order=r.order + 1))
     assert lhs.agrees_with(one_over_w)
+
+
+# --- the Lagrange-Buermann pass against the route it replaced ----------------
+#
+# The reference inverts w1 twice (ps_revert(ps_recip(w1))) and substitutes Z
+# into the bound through a chain of powers Z^2..Z^K; the ring's normal form is
+# canonical, so the one-pass pipeline must return the very same fields.
+
+
+def _reference_pipeline(K):
+    a = tuple(a_coeff(m) for m in range(K + 2))
+    b = tuple(b_coeff(m) for m in range(K + 1))
+    m_log = max(1, K - 1)
+    log_arg = TruncatedSeries(
+        0, [EC.rational(1)] + [b_coeff(m) * Fraction(1, 4) for m in range(1, m_log + 1)], m_log)
+    w1 = ps_add(ps_add(TruncatedSeries.monomial(-1, Fraction(1, 2), m_log),
+                       TruncatedSeries.constant(EC.log2_power(1, 2), m_log)),
+                ps_log(log_arg))
+    Z = ps_revert(ps_recip(w1))
+    Zk = ps_truncate(Z, K)
+    powers = [Zk]
+    for _ in range(K - 1):
+        powers.append(_cauchy(powers[-1], Zk, K))
+    numer = TruncatedSeries.zero(K)
+    denom = TruncatedSeries.constant(4, K)
+    for m in range(1, K):
+        if not a[m].is_zero():
+            numer = ps_add(numer, ps_scale(powers[m], a[m]))
+        if m < K - 1 and not b[m].is_zero():
+            denom = ps_add(denom, ps_scale(powers[m - 1], b[m]))
+    B = ps_truncate(ps_add(ps_scale(Zk, EC.log2_power(1)),
+                           ps_mul(numer, ps_recip(denom))), K)
+    return dict(order=K, a=a, b=b, w1=w1, Z=Z, B=B,
+                C=tuple(B.coefficient(k) for k in range(1, K + 1)))
+
+
+@pytest.mark.parametrize("K", range(1, 16))
+def test_pipeline_equals_the_power_chain_route(K):
+    r = run_pipeline(K, extrapolated=True)
+    for field, value in _reference_pipeline(K).items():
+        assert getattr(r, field) == value, field
+    assert r.Z.order == max(K + 1, 3)
+
+
+# coefficient pairs the reference route hands to _dot at K = 11
+REFERENCE_PAIRS_K11 = 1136
+
+
+def test_pipeline_product_count(dot_pairs):
+    assert dot_pairs(_reference_pipeline, 11) == REFERENCE_PAIRS_K11
+    assert dot_pairs(run_pipeline.__wrapped__, 11, True) <= 0.75 * REFERENCE_PAIRS_K11
 
 
 def test_numeric_coefficients_positive():
