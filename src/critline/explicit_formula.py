@@ -14,26 +14,47 @@ for -Re zeta'/zeta(1/2+beta+it) as well as the partial-fraction residual
 
     Re zeta'/zeta(1/2+beta+it) + (1/2) log(t/2pi) - sum_gamma h_beta(t-gamma)  =  O(1/t).
 
-Both zero sums, of m^{+-} and of h_beta, are one private ``_zero_sum``: it
-owns the sum over +-gamma, the rule that the table must reach 10t
-(``InsufficientHeight``) and the density-integral bound on the omitted tail.
+m^+ and m^- share one numerator and differ only in the squared denominator
+D^{+-} (``kernel_constants``), so each side of the identity has one sign-free
+core, D times its terms: ``_zero_side_numerator`` sums the numerator over
++-gamma and bounds the tail with its envelope A + 2; ``_prime_side_numerators``
+holds the boundary, mhat(0), archimedean and prime terms, the last summed
+against one cos(t log n) row with the sinh sum S of its cross-check.
+``gw_zero_side(sign)`` and ``gw_prime_side(sign)`` divide them by D^{sign}, and
+the prime term's cross-check is made per sign on the divided values.  Each core
+keeps its last result only (``lru_cache(maxsize=1)``), keyed on (KernelParams,
+t, table) with tables hashed by identity, so a "+" call and the "-" call after
+it at the same arguments share the work.
+
+Both zero sums, of the numerator of m^{+-} and of h_beta, are one private
+``_zero_sum``: it owns the sum over +-gamma, the rule that the table must
+reach 10t (``InsufficientHeight``) and the density-integral bound on the
+omitted tail.
 
 The archimedean term has two routes.  ``gw_prime_side`` takes the closed
-form ``_archimedean_closed``: two digammas and a geometric series.  The
-y-space quadrature ``_archimedean`` is the deliberately independent route,
-kept as the cross-check that criterion 5 and the tests run.
+form, ``_archimedean_numerator`` / D: two digammas and a geometric series.
+The y-space quadrature ``_archimedean`` is the deliberately independent
+route, kept as the cross-check that criterion 5 and the tests run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1
 
 from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
-from .extremal_poisson import KernelParams, envelope_constant, eval_m, ft_m, kernel_constants
+from .extremal_poisson import (
+    KernelParams,
+    eval_m,
+    ft_numerator,
+    kernel_constants,
+    m_numerator,
+    numerator_constant,
+)
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .quadrature import _integrate_on_edges, geometric_tail, panel_integrate_chunked
 from .summation import exact_sum
@@ -94,10 +115,19 @@ def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> Z
                        tail_bound=2.0 * geometric_tail(integrand, z.max_height))
 
 
+@lru_cache(maxsize=1)
+def _zero_side_numerator(p: KernelParams, t: float, z: ZeroTable) -> ZeroSideSum:
+    """D times :func:`gw_zero_side`, the same for both signs: the numerator D m
+    summed over the zeros, and the tail bound of its envelope A + 2."""
+    return _zero_sum(lambda x: m_numerator(p, x), numerator_constant(p) + 2, p.beta, t, z)
+
+
 def gw_zero_side(sign: str, p: KernelParams, t: float, z: ZeroTable) -> ZeroSideSum:
     """sum over tabulated ordinates (both signs) of m^{sign}(t - gamma), with
     a density-integral bound on the omitted tail."""
-    return _zero_sum(lambda x: eval_m(sign, p, x), envelope_constant(sign, p), p.beta, t, z)
+    _, D = kernel_constants(sign, p)
+    side = _zero_side_numerator(p, t, z)
+    return ZeroSideSum(sum=side.sum / D, tail_bound=side.tail_bound / D)
 
 
 def _osc_tail_bound(D: float, beta: float, omega: float, t: float, window: float) -> float:
@@ -147,13 +177,20 @@ def _archimedean(sign: str, p: KernelParams, t: float) -> float:
 
 
 def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
-    """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy in closed form, at a cost independent of t.
+    """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy in closed form, at a cost
+    independent of t: :func:`_archimedean_numerator` / D."""
+    _, D = kernel_constants(sign, p)
+    return _archimedean_numerator(p, t) / D
+
+
+def _archimedean_numerator(p: KernelParams, t: float) -> float:
+    """D (1/2pi) int m(t-y) Re psi(1/4+iy/2) dy, the same for both signs.
 
     Gauss's integral for psi (DLMF 5.9.13) against m(t-y), mhat supported on [-Delta,
-    Delta], and 1/(1 - e^{-u}) expanded geometrically give (1/2D) Re[e^c (psi(z+) + L(z+))
+    Delta], and 1/(1 - e^{-u}) expanded geometrically give (1/2) Re[e^c (psi(z+) + L(z+))
     - e^{-c} (psi(z-) + L(z-))]: c = 2 pi beta Delta, E = 4 pi Delta, z+- = z +- beta/2,
     z = 1/4 + it/2, L(w) = sum_k e^{-(k+w)E}/(k+w).  By psi(z+) - psi(z-) = sum_k
-    beta/((k+z+)(k+z-)) that is (1/2D) Re[sinh(c) (psi(z+) + psi(z-)) + sum_k G(k)],
+    beta/((k+z+)(k+z-)) that is (1/2) Re[sinh(c) (psi(z+) + psi(z-)) + sum_k G(k)],
     G(x) = (2 sinh^2(c/2) - expm1(-(x+z)E)) beta/((x+z+)(x+z-)), where nothing cancels.
     G(k) is summed for k < K, the least K >= 32 with KE >= 37 (at most ``ARCH_TERMS``,
     |K + z-| >= 32); Euler-Maclaurin's B_2..B_6 terms (G varies on the scale min(1/E,
@@ -162,17 +199,16 @@ def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
     within e^{-37} once KE >= 37), give the rest.  7e-16 relative of 40-digit mpmath
     or better, from (beta, Delta, t) = (1, 1e-9, 10) to (1e5, 1e-4, 100).
     """
-    _, D = kernel_constants(sign, p)
     # a as kernel_constants takes it, so that sinh(c) and sinh(a)^2 match D's rounding
     beta, a, E = p.beta, math.pi * p.beta * p.delta, 4 * math.pi * p.delta
     c, z = 2 * a, complex(0.25, t / 2)
-    sh, h = math.sinh(c) / (2 * D), math.sinh(a) ** 2 / D  # h = (cosh c - 1)/2D
+    sh, h = math.sinh(c) / 2, math.sinh(a) ** 2  # h = (cosh c - 1)/2
     K = min(ARCH_TERMS, max(32, math.ceil(37 / E)))
     K += 64 if abs(K + 0.25 - beta / 2) < 32 else 0
     w = np.arange(K) + z
     # beta/((w+ beta/2)(w- beta/2)) from the reciprocals: the product overflows above t ~ 2.7e154
     out = (sh * np.sum(digamma(np.array([z + beta / 2, z - beta / 2])))
-           + np.sum((h - np.expm1(-E * w) / (2 * D)) * beta * (1 / (w + beta / 2)) * (1 / (w - beta / 2))))
+           + np.sum((h - np.expm1(-E * w) / 2) * beta * (1 / (w + beta / 2)) * (1 / (w - beta / 2))))
     w = K + z
     ein = log_ratio = 2 * np.arctanh(beta / (2 * w))  # log(w+/w-)
     if E * K < 37:
@@ -181,15 +217,14 @@ def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
         ein = beta * E * _integrate_on_edges(
             lambda r: -np.expm1(-E * (w - beta / 2 + beta * r)) / (E * (w - beta / 2 + beta * r)),
             np.linspace(0, 1, math.ceil(beta * E) + 1), 16)
-    out += sh * log_ratio + math.exp(-c) / (2 * D) * ein
-    # derivatives at K of G = u v: u = h - expm1(-E(x+z))/2D, and v = rm - rp, whose
+    out += sh * log_ratio + math.exp(-c) / 2 * ein
+    # derivatives at K of G = u v: u = h - expm1(-E(x+z))/2, and v = rm - rp, whose
     # d[m] = rm^(m+1) - rp^(m+1) come from a recurrence that does not cancel
     rp, rm = 1 / (w + beta / 2), 1 / (w - beta / 2)
     d = [beta * rp * rm]
     for m in range(1, 6):
         d.append(rm * d[-1] + d[0] * rp ** m)
-    u = [h - np.expm1(-E * w) / (2 * D)] + [-(-E) ** j * np.exp(-E * w) / (2 * D)
-                                          for j in range(1, 6)]
+    u = [h - np.expm1(-E * w) / 2] + [-(-E) ** j * np.exp(-E * w) / 2 for j in range(1, 6)]
     g = [sum(math.comb(n, j) * u[j] * (-1) ** (n - j) * math.factorial(n - j) * d[n - j]
              for j in range(n + 1)) for n in range(6)]
     return (out + g[0] / 2 - g[1] / 12 + g[3] / 720 - g[5] / 30240).real
@@ -205,19 +240,34 @@ def _sinh_norm(sign: str, xb: float) -> float:
     return 2 * xb / ((xb - 1) ** 2 if sign == "+" else (xb + 1) ** 2)
 
 
-def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable) -> float:
+@lru_cache(maxsize=1)
+def _prime_side_numerators(p: KernelParams, t: float,
+                           lambdas: LambdaTable | None) -> tuple[float, ...]:
+    """D times :func:`gw_prime_side`'s boundary, mhat(0), archimedean and prime
+    terms, the same for both signs, then the sinh sum S of the prime term's
+    cross-check.  The prime term's FT weights and S's sinh weights are summed
+    against one cos(t log n) row."""
+    x = p.x
+    ft, S = dirichlet_cos_sum(covering_table(x, lambdas), x, t, lambda n, ln: np.array(
+        [ft_numerator(p, ln / (2 * math.pi)), _sinh_weight(n, x, p.beta)])).tolist()
+    return (2 * m_numerator(p, complex(t, 0.5)).real,
+            ft_numerator(p, 0.0) * math.log(math.pi) / (2 * math.pi),
+            _archimedean_numerator(p, t),
+            ft / math.pi,
+            S)
+
+
+def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable | None) -> float:
     """The prime-power sum in its FT form, checked against the sinh form: the
-    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.  Both weight
-    rows are summed against one cos(t log n) row.
+    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.
 
     FT form:    (1/pi) sum Lambda(n)/sqrt(n) mhat(log n/2pi) cos(t log n)
     sinh form:  (2 x^beta/(x^beta -+ 1)^2) Re sum Lambda(n) n^{-1/2-it} sinh(beta log(x/n))
     """
-    x = p.x
-    ft, S = dirichlet_cos_sum(lambdas, x, t, lambda n, ln: np.array(
-        [ft_m(sign, p, ln / (2 * math.pi)), _sinh_weight(n, x, p.beta)])).tolist()
-    form_ft = ft / math.pi
-    form_sinh = _sinh_norm(sign, x ** p.beta) * S
+    _, D = kernel_constants(sign, p)
+    *_, ft, S = _prime_side_numerators(p, t, lambdas)
+    form_ft = ft / D
+    form_sinh = _sinh_norm(sign, p.x ** p.beta) * S
     if not abs(form_ft - form_sinh) <= 1e-9:
         raise CrossCheckFailed(f"prime-term forms disagree: {form_ft} vs {form_sinh}")
     return form_ft
@@ -228,10 +278,8 @@ def gw_prime_side(sign: str, p: KernelParams, t: float,
     """Right-hand side of the identity at t (zero_side/tail filled by verify_gw)."""
     if t < 10:
         raise DomainError("t must be >= 10")
-    lambdas = covering_table(p.x, lambdas)
-    boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
-    ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
-    arch = _archimedean_closed(sign, p, t)
+    _, D = kernel_constants(sign, p)
+    boundary, ft_zero, arch = (v / D for v in _prime_side_numerators(p, t, lambdas)[:3])
     prime = _prime_term(sign, p, t, lambdas)
     return GWBreakdown(
         zero_side=math.nan,

@@ -10,6 +10,12 @@ unique optimal majorant/minorant pair of exponential type 2 pi Delta:
 with Fourier transforms supported on [-Delta, Delta] and closed-form L^1
 errors.  Only these closed forms are implemented; the removable singularity
 at z = +-i beta is handled by a local series expansion of the numerator.
+
+The two kernels share their numerator and differ only in the squared
+denominator D^{+-} = (2 sinh(pi beta Delta))^2, (2 cosh(pi beta Delta))^2, so
+m^- = tanh^2(pi beta Delta) m^+.  :func:`m_numerator` and :func:`ft_numerator`
+are D m and D mhat, written once; :func:`eval_m` and :func:`ft_m` divide them
+by the D of their sign.
 """
 
 from __future__ import annotations
@@ -53,6 +59,12 @@ def _sign_factor(sign: str) -> int:
     raise DomainError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def numerator_constant(p: KernelParams) -> float:
+    """A = 2 cosh(2 pi beta Delta), the constant of the numerator
+    A - 2 cos(2 pi Delta z) that m^+ and m^- share (overflows for a huge beta*Delta)."""
+    return 2 * math.cosh(2 * math.pi * p.beta * p.delta)
+
+
 def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
     """(A, D) of m^{sign}: the numerator constant A = 2 cosh(2 pi beta Delta)
     and the squared denominator D = (2 sinh(pi beta Delta))^2 for m^+,
@@ -62,7 +74,7 @@ def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
     a = math.pi * p.beta * p.delta
     try:
         D = (2 * (math.sinh(a) if _sign_factor(sign) > 0 else math.cosh(a))) ** 2
-        A = 2 * math.cosh(2 * a)
+        A = numerator_constant(p)
     except OverflowError:
         A = D = math.inf
     if not (math.isfinite(A) and 0 < D < math.inf):
@@ -78,8 +90,8 @@ def poisson_h(p: KernelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_m(sign: str, p: KernelParams, z):
-    """m^{sign}(z) for real arrays/scalars or a complex scalar.
+def m_numerator(p: KernelParams, z):
+    """D m^{+-}(z), the same for both signs, for real arrays/scalars or a complex scalar.
 
     Real arguments use the closed form, its numerator A - 2 cos(2 pi Delta x)
     written as 4 (sinh^2(pi beta Delta) + sin^2(pi Delta x)) so that no tiny
@@ -87,12 +99,11 @@ def eval_m(sign: str, p: KernelParams, z):
     to the limit branch: the numerator is replaced by its local expansion
     through second order, and the zero of beta^2+z^2 is cancelled explicitly.
     """
-    A, D = kernel_constants(sign, p)
     beta, delta = p.beta, p.delta
     if not isinstance(z, complex):
         x = np.asarray(z, dtype=float)
         num = 4 * (math.sinh(math.pi * beta * delta) ** 2 + np.sin(math.pi * delta * x) ** 2)
-        out = beta / (beta * beta + x * x) * num / D
+        out = beta / (beta * beta + x * x) * num
         return float(out) if out.ndim == 0 else out
     for pole in (1j * beta, -1j * beta):
         w = z - pole
@@ -102,20 +113,30 @@ def eval_m(sign: str, p: KernelParams, z):
             g2 = 2 * tpd ** 2 * cmath.cos(tpd * pole)
             g3 = -2 * tpd ** 3 * cmath.sin(tpd * pole)
             # beta^2 + z^2 = (z - pole)(z + pole) for pole = +-i beta
-            return beta * (g1 + g2 * w / 2 + g3 * w * w / 6) / (D * (z + pole))
-    return beta / (beta * beta + z * z) * (A - 2 * cmath.cos(2 * math.pi * delta * z)) / D
+            return beta * (g1 + g2 * w / 2 + g3 * w * w / 6) / (z + pole)
+    A = numerator_constant(p)
+    return beta / (beta * beta + z * z) * (A - 2 * cmath.cos(2 * math.pi * delta * z))
+
+
+def eval_m(sign: str, p: KernelParams, z):
+    """m^{sign}(z) = :func:`m_numerator` / D, for real arrays/scalars or a complex scalar."""
+    _, D = kernel_constants(sign, p)
+    return m_numerator(p, z) / D
+
+
+def ft_numerator(p: KernelParams, xi):
+    """D mhat^{+-}(xi), the same for both signs: even, continuous, zero outside
+    [-Delta, Delta], and 2 pi sinh(2 pi beta (Delta-|xi|)) inside."""
+    xi = np.asarray(xi, dtype=float)
+    a = 2 * math.pi * p.beta * (p.delta - np.abs(xi))
+    out = np.where(np.abs(xi) <= p.delta, 2 * math.pi * np.sinh(a), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def ft_m(sign: str, p: KernelParams, xi):
-    """Fourier transform of m^{sign}: even, continuous, zero outside [-Delta, Delta].
-
-    For |xi| <= Delta:  2 pi sinh(2 pi beta (Delta-|xi|)) / D.
-    """
+    """Fourier transform of m^{sign}, :func:`ft_numerator` / D."""
     _, D = kernel_constants(sign, p)
-    xi = np.asarray(xi, dtype=float)
-    a = 2 * math.pi * p.beta * (p.delta - np.abs(xi))
-    out = np.where(np.abs(xi) <= p.delta, 2 * math.pi * np.sinh(a) / D, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return ft_numerator(p, xi) / D
 
 
 def l1_dist(sign: str, p: KernelParams) -> float:
@@ -127,13 +148,6 @@ def l1_dist(sign: str, p: KernelParams) -> float:
     a = 2 * math.pi * p.beta * p.delta
     q = math.exp(-a)
     return 2 * math.pi * q / (-math.expm1(-a) if sign == "+" else 1 + q)
-
-
-def envelope_constant(sign: str, p: KernelParams) -> float:
-    """K with |m^{sign}(x)| <= K * beta/(beta^2+x^2) on the real line
-    (numerator bound A + 2 over the denominator)."""
-    A, D = kernel_constants(sign, p)
-    return (A + 2) / D
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,16 @@ def a_coeff(m: int) -> ExactCoefficient:
     return ExactCoefficient.zeta_odd(m, 1, factor)
 
 
+def _b_from_a(a_m: ExactCoefficient, a_next: ExactCoefficient, m: int) -> ExactCoefficient:
+    """b_m = (a_{m+1}/2 - (m+1) a_m) / L from a_m and a_{m+1}."""
+    return (a_next * Fraction(1, 2) - a_m * (m + 1)) * ExactCoefficient.log2_power(-1)
+
+
 def b_coeff(m: int) -> ExactCoefficient:
     """Stationarity-series coefficients b_m = (a_{m+1}/2 - (m+1) a_m) / L."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    num = a_coeff(m + 1) * Fraction(1, 2) - a_coeff(m) * (m + 1)
-    return num * ExactCoefficient.log2_power(-1)
+    return _b_from_a(a_coeff(m), a_coeff(m + 1), m)
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +103,7 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
             f"K={K} beyond the vetted range (<= {K_MAX_GOLDEN}); "
             "pass extrapolated=True to compute anyway")
     a = [a_coeff(m) for m in range(K + 2)]
-    b = [b_coeff(m) for m in range(K + 1)]
+    b = [_b_from_a(a[m], a[m + 1], m) for m in range(K + 1)]
 
     # w1 = 1/(2z) + 2L + log(1 + sum_{m>=1} (b_m / b_0) z^m); b_0 = 4
     m_log = max(1, K - 1)

@@ -25,11 +25,12 @@ from .summation import exact_sum
 SIEVE_CAP = 10 ** 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaTable:
     """Exact von Mangoldt table up to ``limit``: prime[n], power[n] with
     n = prime[n]**power[n] at prime powers and prime[n] == 0 elsewhere; the sieve
-    lists those n ascending in ``support``, with log n and Lambda(n)/sqrt(n)."""
+    lists those n ascending in ``support``, with log n and Lambda(n)/sqrt(n).
+    Compared and hashed by identity, so that a table can key a memo."""
     limit: int
     prime: np.ndarray
     power: np.ndarray

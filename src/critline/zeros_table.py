@@ -37,8 +37,10 @@ FIRST_ZERO = 14.134725141734693
 ENV_VAR = "CRITLINE_ZEROS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroTable:
+    """Ascending ordinates; compared and hashed by identity, so that a table
+    can key a memo (``load_zeros`` makes ``gammas`` read-only)."""
     gammas: np.ndarray
     source: str
 
@@ -99,7 +101,9 @@ def load_zeros(path: str | os.PathLike) -> ZeroTable:
         warnings.warn(
             f"{low_precision} ordinate(s) carry fewer than 9 significant digits; "
             "explicit-formula residuals will degrade", stacklevel=2)
-    return ZeroTable(gammas=np.asarray(gammas, dtype=float), source=str(path))
+    gammas = np.asarray(gammas, dtype=float)
+    gammas.flags.writeable = False
+    return ZeroTable(gammas=gammas, source=str(path))
 
 
 def default_zeros_path() -> str | None:

@@ -1,13 +1,23 @@
+import importlib.util
 import pathlib
 
 import pytest
 
-from critline import prime_arith
+from critline import explicit_formula, prime_arith
 from critline.prime_arith import lambda_sieve
 from critline.zeros_table import load_zeros
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 ZEROS_PATH = REPO / "data" / "zeros_height1e4.txt"
+
+
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +33,14 @@ def lam_small():
 @pytest.fixture(scope="session")
 def repo_root():
     return REPO
+
+
+@pytest.fixture(autouse=True)
+def _cold_gw_memos():
+    """Every test starts with empty Guinand-Weil memos, so that a test that
+    monkeypatches what a memoised core calls is not served an earlier result."""
+    explicit_formula._zero_side_numerator.cache_clear()
+    explicit_formula._prime_side_numerators.cache_clear()
 
 
 @pytest.fixture

@@ -40,8 +40,8 @@ def test_criterion(ctx, number, name):
 def test_criterion_5_sees_prime_form_disagreement(ctx, monkeypatch):
     # criterion 5 runs no prime-term check of its own: the one inside
     # verify_gw must still turn a disagreement into a FAIL
-    ft = explicit_formula.ft_m
-    monkeypatch.setattr(explicit_formula, "ft_m", lambda *a: 1.001 * ft(*a))
+    ft = explicit_formula.ft_numerator
+    monkeypatch.setattr(explicit_formula, "ft_numerator", lambda *a: 1.001 * ft(*a))
     result = run_criterion(5, ctx)
     assert not result.passed and not result.skipped
     assert "CrossCheckFailed" in result.detail

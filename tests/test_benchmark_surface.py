@@ -6,23 +6,14 @@ or a deletion in ``src/critline`` fails here rather than in a benchmark run.
 """
 
 import importlib
-import importlib.util
+import inspect
 
 import pytest
 
-from conftest import REPO
+from conftest import load_perfbench
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-tracing = _load("tracing")
-workloads = _load("workloads")
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("module", workloads.MODULES)
@@ -34,3 +25,18 @@ def test_workload_module_imports(module):
 def test_traced_span_resolves_to_callable(span):
     layer, fname = span.split(".")
     assert callable(getattr(importlib.import_module(f"critline.{layer}"), fname, None)), span
+
+
+@pytest.mark.parametrize("span", sorted(tracing.COUNTERS))
+def test_trace_counter_takes_its_functions_arguments(span):
+    # a counter is called with the traced call's arguments; a signature that
+    # drifts apart would break only a traced run
+    layer, fname = span.split(".")
+    traced = getattr(importlib.import_module(f"critline.{layer}"), fname)
+    params = inspect.signature(traced).parameters
+    positional = [p for p in params.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    required = [p for p in positional if p.default is p.empty]
+    counter = inspect.signature(tracing.COUNTERS[span])
+    for args in (required, positional):
+        counter.bind(*[p.name for p in args])

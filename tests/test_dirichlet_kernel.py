@@ -16,7 +16,7 @@ import pytest
 from critline import prime_arith
 from critline.bound_engine import dirichlet_term, scan_margins
 from critline.explicit_formula import _prime_term, lemma3_bracket
-from critline.extremal_poisson import KernelParams, ft_m
+from critline.extremal_poisson import KernelParams, ft_numerator, kernel_constants
 from critline.prime_arith import covering_table, lambda_sieve, weighted_psi
 from critline.special_f import f_closed_form
 
@@ -31,11 +31,12 @@ def ref_dirichlet_term(t, x, table):
 
 
 def ref_prime_term(sign, p, t, table):
+    # the sum is shared by both signs: the numerator D mhat, over the D of the sign
     ns = table.prime_powers(p.x)
     nsf = ns.astype(float)
     ln = np.log(nsf)
     base = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
-    return fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
+    return fsum(base * ft_numerator(p, ln / (2 * math.pi))) / math.pi / kernel_constants(sign, p)[1]
 
 
 def ref_bracket_sides(t, x, beta, table):

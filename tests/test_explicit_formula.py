@@ -7,19 +7,21 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import load_perfbench
 from critline import explicit_formula
 from critline.errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from critline.explicit_formula import (
     _archimedean,
     _archimedean_closed,
     _prime_term,
+    _zero_sum,
     gw_prime_side,
     gw_zero_side,
     lemma3_bracket,
     partial_fraction_residual,
     verify_gw,
 )
-from critline.extremal_poisson import KernelParams, ft_m
+from critline.extremal_poisson import KernelParams, eval_m, ft_m, kernel_constants
 from critline.prime_arith import lambda_sieve
 from critline.zeros_table import ZeroTable
 
@@ -27,6 +29,12 @@ from critline.zeros_table import ZeroTable
 @pytest.fixture(scope="module")
 def lam600():
     return lambda_sieve(600)
+
+
+@pytest.fixture(scope="module")
+def lam_bench():
+    # covers x = e^{2 pi Delta} for Delta <= 2, as the benchmark's sieve does
+    return lambda_sieve(290000)
 
 
 def test_zero_side_finite_and_small_tail(zeros):
@@ -73,8 +81,8 @@ def test_prime_forms_agree_randomized(lam600):
 
 def test_prime_forms_disagreement_raises(lam600, monkeypatch):
     # perturb the FT form only: the check must raise, also under python -O
-    ft = explicit_formula.ft_m
-    monkeypatch.setattr(explicit_formula, "ft_m", lambda *a: 1.001 * ft(*a))
+    ft = explicit_formula.ft_numerator
+    monkeypatch.setattr(explicit_formula, "ft_numerator", lambda *a: 1.001 * ft(*a))
     with pytest.raises(CrossCheckFailed, match="prime-term forms disagree"):
         _prime_term("+", KernelParams(0.5, 1.0), 100.0, lam600)
 
@@ -250,13 +258,13 @@ def test_archimedean_closed_form_tail_at_a_tiny_delta(beta, delta, t):
         assert abs(_archimedean_closed(sign, p, t) - ref) <= 1e-12 * abs(ref), sign
 
 
-def test_gw_prime_side_cost_does_not_grow_with_t():
-    # the u-integral it replaced ran 8 t Delta panels: about 1.4 s at t = 1e5
-    table = lambda_sieve(290000)
+def test_gw_prime_side_cost_does_not_grow_with_t(lam_bench):
+    # the u-integral it replaced ran 8 t Delta panels: about 1.4 s at t = 1e5;
+    # the timed call is at a second t, so it is computed, not served from the memo
     p = KernelParams(0.5, 2.0)
-    gw_prime_side("+", p, 1e5, table)
+    gw_prime_side("+", p, 1e5, lam_bench)
     t0 = time.perf_counter()
-    gw_prime_side("+", p, 1e5, table)
+    gw_prime_side("+", p, 1e5 + 1, lam_bench)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -320,9 +328,12 @@ def test_bracket_small_x_single_term(lam600):
     assert br.right_main == pytest.approx(expect_right, abs=1e-12)
 
 
-@pytest.mark.parametrize("t, beta, delta", [
-    (50.0, 1.0, 1.0), (100.0, 0.5, 1.0), (100.0, 1e-3, 1e-2), (200.0, 1.0, 0.25),
-    (500.0, 0.3, 2.0)])
+GW_SIGN_POINTS = [(50.0, 1.0, 1.0), (100.0, 0.5, 1.0), (100.0, 1e-3, 1e-2), (200.0, 1.0, 0.25),
+                  (500.0, 0.3, 2.0)]
+EF_DRAWS = [d for seed in (101, 19) for d in load_perfbench("workloads").ef_draws(seed)]
+
+
+@pytest.mark.parametrize("t, beta, delta", GW_SIGN_POINTS)
 def test_gw_sign_enters_only_through_d(zeros, t, beta, delta):
     # m^+ and m^- share one numerator, and D^- / D^+ = tanh^2(pi beta Delta)
     p = KernelParams(beta, delta)
@@ -331,3 +342,71 @@ def test_gw_sign_enters_only_through_d(zeros, t, beta, delta):
     for field in dataclasses.fields(plus):
         want = ratio * getattr(plus, field.name)
         assert abs(getattr(minus, field.name) - want) <= 1e-13 * abs(want), field.name
+
+
+def _per_sign_breakdown(sign, p, t, z, table):
+    """verify_gw written per sign, as before both signs shared one core: m^{sign}
+    summed over +-gamma against its own envelope, and the prime sum against
+    the weights mhat^{sign}.  The archimedean term is the closed form."""
+    A, D = kernel_constants(sign, p)
+    side = _zero_sum(lambda x: eval_m(sign, p, x), (A + 2) / D, p.beta, t, z)
+    ns = table.prime_powers(p.x)
+    ln = np.log(ns.astype(float))
+    base = table.log_p(ns) / np.sqrt(ns.astype(float)) * np.cos(t * ln)
+    prime = math.fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
+    boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
+    ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)
+    arch = _archimedean_closed(sign, p, t)
+    return explicit_formula.GWBreakdown(
+        zero_side=side.sum, boundary_term=boundary, ft_zero_term=ft_zero, archimedean_term=arch,
+        prime_term=prime, rhs_total=boundary - ft_zero + arch - prime, tail_bound=side.tail_bound)
+
+
+@pytest.mark.parametrize("t, beta, delta", GW_SIGN_POINTS + EF_DRAWS)
+def test_shared_core_matches_the_per_sign_route(zeros, lam_bench, t, beta, delta):
+    p = KernelParams(beta, delta)
+    for sign in "+-":
+        got = verify_gw(sign, p, t, zeros, lam_bench)
+        ref = _per_sign_breakdown(sign, p, t, zeros, lam_bench)
+        for field in dataclasses.fields(ref):
+            want = getattr(ref, field.name)
+            gap = abs(getattr(got, field.name) - want)
+            assert gap <= 1e-14 * max(1.0, abs(want)), (sign, field.name, gap)
+
+
+def test_memo_serves_only_its_own_arguments(zeros, lam600):
+    sub = ZeroTable(gammas=zeros.gammas[:9000], source="sub")
+    p, q = KernelParams(0.5, 1.0), KernelParams(1.0, 0.8)
+    calls = [("+", p, 100.0, zeros), ("+", q, 100.0, zeros), ("-", q, 100.0, zeros),
+             ("-", p, 100.0, zeros), ("+", p, 100.0, zeros), ("+", p, 200.0, zeros),
+             ("-", p, 100.0, sub), ("+", p, 100.0, sub), ("+", p, 100.0, zeros),
+             ("-", q, 200.0, sub), ("+", q, 200.0, zeros)]
+    cold = []
+    for call in calls:
+        explicit_formula._zero_side_numerator.cache_clear()
+        explicit_formula._prime_side_numerators.cache_clear()
+        cold.append(verify_gw(*call, lam600))
+    assert cold[6] != cold[3]  # the sub-table's zero sum differs
+    for call, want in zip(calls, cold):
+        assert verify_gw(*call, lam600) == want, call
+
+
+def test_a_sign_pair_forms_one_cos_row_and_one_zero_sum(zeros, lam600, monkeypatch):
+    calls = {"cos": 0, "zero": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(explicit_formula, "dirichlet_cos_sum",
+                        counting("cos", explicit_formula.dirichlet_cos_sum))
+    monkeypatch.setattr(explicit_formula, "_zero_sum", counting("zero", explicit_formula._zero_sum))
+    p = KernelParams(0.5, 1.0)
+    for sign in "+-":
+        verify_gw(sign, p, 100.0, zeros, lam600)
+    assert calls == {"cos": 1, "zero": 1}
+    for sign in "+-":
+        verify_gw(sign, p, 101.0, zeros, lam600)
+    assert calls == {"cos": 2, "zero": 2}

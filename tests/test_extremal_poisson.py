@@ -8,7 +8,6 @@ from critline import extremal_poisson
 from critline.errors import DomainError
 from critline.extremal_poisson import (
     KernelParams,
-    envelope_constant,
     eval_m,
     ft_m,
     kernel_constants,
@@ -223,8 +222,10 @@ def test_decay_envelope_constant():
         vals = eval_m("+", p, grid)
         fitted = float(np.max(vals * p.beta * (1 + grid ** 2)))
         assert fitted <= 100.0, (p, fitted)
-        # the explicit closed-form envelope dominates the fit (beta <= 1 here)
-        assert fitted <= envelope_constant("+", p) + 1e-9
+        # the envelope of the zero-sum tail bound, numerator bound A + 2 over D,
+        # dominates the fit (beta <= 1 here)
+        A, D = kernel_constants("+", p)
+        assert fitted <= (A + 2) / D + 1e-9
 
 
 def test_kernel_constants_match_the_closed_form():

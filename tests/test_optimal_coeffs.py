@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from critline import optimal_coeffs
 from critline.errors import DomainError, OrderTooLarge
 from critline.optimal_coeffs import a_coeff, b_coeff, format_report, run_pipeline
 from critline.pari_text import parse_coefficient, series_matches_text
@@ -148,6 +149,15 @@ REFERENCE_PAIRS_K11 = 1136
 def test_pipeline_product_count(dot_pairs):
     assert dot_pairs(_reference_pipeline, 11) == REFERENCE_PAIRS_K11
     assert dot_pairs(run_pipeline.__wrapped__, 11, True) <= 0.75 * REFERENCE_PAIRS_K11
+
+
+@pytest.mark.parametrize("K", [1, 7, 11])
+def test_pipeline_builds_each_a_once(K, monkeypatch):
+    # b_m is formed from the pipeline's a list, not from fresh a_coeff calls
+    calls = []
+    monkeypatch.setattr(optimal_coeffs, "a_coeff", lambda m: calls.append(m) or a_coeff(m))
+    run_pipeline.__wrapped__(K, True)
+    assert sorted(calls) == list(range(K + 2))
 
 
 def test_numeric_coefficients_positive():

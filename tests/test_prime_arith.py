@@ -51,6 +51,11 @@ def test_prime_power_views_are_read_only(lam_small):
         lam_small.prime_powers(100)[0] = 4
 
 
+def test_tables_compare_by_identity():
+    a, b = lambda_sieve(100), lambda_sieve(100)
+    assert (a == b) is False and a == a
+
+
 def test_table_stores_exact_pairs(lam_small):
     assert lam_small.prime[243] == 3 and lam_small.power[243] == 5
     assert lam_small.prime[64] == 2 and lam_small.power[64] == 6

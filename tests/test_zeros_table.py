@@ -38,6 +38,18 @@ def test_load_small_table(tmp_path):
     assert t.count_below(22.0) == 2
 
 
+def test_tables_compare_by_identity_and_are_read_only(tmp_path):
+    # a table keys the Guinand-Weil memos: == must not compare the arrays
+    # elementwise (which raised), and the ordinates must not change under it
+    f = tmp_path / "z.txt"
+    f.write_text(THREE)
+    a, b = load_zeros(f), load_zeros(f)
+    assert (a == b) is False and a == a
+    assert hash(a) != hash(b)
+    with pytest.raises(ValueError):
+        a.gammas[0] = 1.0
+
+
 def test_parse_error_reports_line(tmp_path):
     f = tmp_path / "z.txt"
     f.write_text("14.134725142\nabc\n25.010857580\n")
