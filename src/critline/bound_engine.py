@@ -20,8 +20,8 @@ from math import fsum
 import numpy as np
 from scipy import integrate, optimize
 
+from . import optimal_coeffs
 from .errors import DomainError, NearZeroOfZeta
-from .optimal_coeffs import run_pipeline
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
 from .special_f import f_closed_form
@@ -50,14 +50,20 @@ class BoundReport:
         return self.error_scale > math.log(self.t)
 
 
+def dirichlet_weight(log_n, x: float):
+    """F(log(x/n)/log x) / log x, the weight of n in :func:`dirichlet_term`;
+    ``log_n`` may be an array."""
+    logx = math.log(x)
+    return f_closed_form((logx - log_n) / logx) / logx
+
+
 def dirichlet_term(t, x: float, table: LambdaTable | None = None):
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x; ``t``
     may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`."""
     if x < 2:
         return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
-    logx = math.log(x)
     return dirichlet_cos_sum(covering_table(x, table), x, t,
-                             lambda n, ln: f_closed_form((logx - ln) / logx) / logx)
+                             lambda n, ln: dirichlet_weight(ln, x))
 
 
 def archimedean_term(t: float, x: float) -> float:
@@ -76,11 +82,18 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
         raise DomainError("t must be >= 10")
     if x < 2:
         raise DomainError("x must be >= 2")
-    if zeros is not None and zeros.max_height >= t:
-        d = zeros.distance_to_nearest(t)
-        if d < MARGIN_GUARD_RADIUS:
-            raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
+    d = _ordinate_distance(t, zeros)
+    if d < MARGIN_GUARD_RADIUS:
+        raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
     return _bound_report(t, x, dirichlet_term(t, x, table))
+
+
+def _ordinate_distance(t: float, zeros: ZeroTable | None) -> float:
+    """Distance from t to the nearest tabulated ordinate; inf without a table
+    or above its top, where the table does not know the nearest one."""
+    if zeros is None or t > zeros.max_height:
+        return math.inf
+    return zeros.distance_to_nearest(t)
 
 
 def _bound_report(t: float, x: float, dir_term: float) -> BoundReport:
@@ -165,79 +178,72 @@ def gamma_moment_check(k: int, x: float) -> MomentCheck:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pipeline_numeric(K: int) -> tuple[tuple, tuple]:
+    """The z-coefficients z_1, z_2, ... of the stationary-point series z(w) and
+    C_1..C_K of :func:`~critline.optimal_coeffs.run_pipeline`, at the oracle's
+    constant bindings."""
+    result = optimal_coeffs.run_pipeline(K)
+    env = constant_env(max_odd=2 * K + 1)
+    Z = result.Z
+    return (tuple(coeff_eval(Z.coefficient(k), env) for k in range(1, Z.order + 1)),
+            tuple(coeff_eval(c, env) for c in result.C))
+
+
+def _w_of(t: float) -> float:
+    """w = 1/log log t, the variable of the curves and of the cutoff series."""
+    loglog = math.log(math.log(t)) if t > 1 else -math.inf
+    if loglog <= 0:
+        raise DomainError("need log log t > 0")
+    return 1.0 / loglog
+
+
 @dataclass(frozen=True)
 class CurvePolicy:
-    """Which x(t) choice drives the asymptotic bound curve."""
-    kind: str  # "exact" | "shifted" | "optimal"
-    c: float | None = None
-    K: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "shifted", "optimal"):
-            raise DomainError(f"unknown curve policy {self.kind!r}")
-        if self.kind == "shifted" and self.c is None:
-            raise DomainError("shifted policy needs c")
-        if self.kind == "optimal":
-            if self.K is None or not 1 <= self.K <= 7:
-                raise DomainError("optimal policy needs 1 <= K <= 7")
+    """An x(t) choice, held as the coefficients of the bound curve it gives:
+    the curve per unit log t is sum_k coeffs[k-1] w^k at w = 1/log log t."""
+    coeffs: tuple
 
     @classmethod
     def exact(cls):
-        return cls(kind="exact")
+        """sqrt(x) = log t pinned into the bound: L/2, 2L, then
+        2(1 - 4^-k)(2k+1)! zeta(2k+1) at w^(2k+2) for k = 1..3."""
+        L = math.log(2)
+        coeffs = [L / 2, 2 * L]
+        for k in range(1, 4):
+            coeffs += [0.0, 2 * (1 - 0.25 ** k) * math.factorial(2 * k + 1) * zeta_real(2 * k + 1)]
+        return cls(tuple(coeffs))
 
     @classmethod
     def shifted(cls, c: float):
-        return cls(kind="shifted", c=c)
+        """log x = 2 log log t - 2c, first three displayed terms."""
+        L = math.log(2)
+        return cls((L / 2, g_curve(c), c * c * L / 4 + 4 * c * math.exp(-c) * L))
 
     @classmethod
     def optimal(cls, K: int):
-        return cls(kind="optimal", K=K)
-
-
-@lru_cache(maxsize=None)
-def optimal_coefficients_numeric(K: int) -> tuple:
-    """C_1..C_K evaluated at the oracle's constant bindings."""
-    result = run_pipeline(K)
-    env = constant_env(max_odd=max(3, 2 * K + 1) | 1)
-    return tuple(coeff_eval(c, env) for c in result.C)
+        """C_1..C_K with pipeline constants, for K within the vetted range."""
+        if not 1 <= K <= optimal_coeffs.K_MAX_GOLDEN:
+            raise DomainError(f"optimal policy needs 1 <= K <= {optimal_coeffs.K_MAX_GOLDEN}")
+        return cls(_pipeline_numeric(K)[1])
 
 
 def curve_series_value(w: float, policy: CurvePolicy) -> float:
-    """The bound curve per unit log t, as a series in w = 1/log log t.
-
-    exact    : sqrt(x) = log t pinned into the bound, truncated at K terms
-               (the policy's K, 3 when unset);
-    shifted  : log x = 2 log log t - 2c, first three displayed terms;
-    optimal  : sum_{k<=K} C_k w^k with pipeline constants.
+    """The bound curve per unit log t, sum_k coeffs[k-1] w^k, as a series in
+    w = 1/log log t.
 
     Separated from :func:`theorem2_curve` so asymptotic comparisons can run
     at small w directly (the corresponding t overflows floats).
     """
     if w <= 0:
         raise DomainError("need w > 0")
-    if policy.kind == "exact":
-        kk = policy.K or 3
-        val = math.log(2) / 2 * w + 2 * math.log(2) * w ** 2
-        val += 2 * fsum((1 - 0.25 ** k) * math.factorial(2 * k + 1)
-                        * zeta_real(2 * k + 1) * w ** (2 * k + 2)
-                        for k in range(1, kk + 1))
-        return val
-    if policy.kind == "shifted":
-        c = policy.c
-        L = math.log(2)
-        return (L / 2) * w + (c * L / 2 + 2 * math.exp(-c) * L) * w ** 2 \
-            + (c * c * L / 4 + 4 * c * math.exp(-c) * L) * w ** 3
-    coeffs = optimal_coefficients_numeric(policy.K)
-    return fsum(ck * w ** (k + 1) for k, ck in enumerate(coeffs))
+    return fsum(ck * w ** k for k, ck in enumerate(policy.coeffs, 1))
 
 
 def theorem2_curve(t: float, policy: CurvePolicy) -> float:
     """Bound-curve value at t for the chosen x(t) policy (log t times the
     w-series at w = 1/log log t)."""
-    loglog = math.log(math.log(t)) if t > 1 else -math.inf
-    if loglog <= 0:
-        raise DomainError("need log log t > 0")
-    return math.log(t) * curve_series_value(1.0 / loglog, policy)
+    return math.log(t) * curve_series_value(_w_of(t), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +251,11 @@ def theorem2_curve(t: float, policy: CurvePolicy) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _z_coefficients_numeric(K: int) -> tuple:
-    """z_1, z_2, ... of the stationary-point series z(w) at the oracle's
-    constant bindings."""
-    Z = run_pipeline(K).Z
-    env = constant_env()
-    return tuple(coeff_eval(Z.coefficient(k), env) for k in range(1, Z.order + 1))
-
-
 def optimal_cutoff(t: float) -> float:
     """The pipeline's optimal Dirichlet cutoff x(t): log x = 1/z(w) with
     z(w) the stationary-point series at w = 1/log log t, from run_pipeline(3)."""
-    loglog = math.log(math.log(t)) if t > 1 else -math.inf
-    if loglog <= 0:
-        raise DomainError("need log log t > 0")
-    w = 1.0 / loglog
-    z = fsum(zk * w ** k for k, zk in enumerate(_z_coefficients_numeric(3), 1))
+    w = _w_of(t)
+    z = fsum(zk * w ** k for k, zk in enumerate(_pipeline_numeric(3)[0], 1))
     return max(2.0, math.exp(1.0 / z))
 
 
@@ -294,9 +288,8 @@ def scan_margins(t_min: float, t_max: float, points: int,
     ts = []
     for t in np.geomspace(t_min, t_max, points):
         t = float(t)
-        if zeros is not None:
-            while t <= zeros.max_height and zeros.distance_to_nearest(t) < MARGIN_GUARD_RADIUS:
-                t += 2 * MARGIN_GUARD_RADIUS
+        while _ordinate_distance(t, zeros) < MARGIN_GUARD_RADIUS:
+            t += 2 * MARGIN_GUARD_RADIUS
         ts.append(t)
     xs = [max(2.0, x_of(t)) for t in ts]
     table = covering_table(max(xs))

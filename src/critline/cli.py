@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from . import __version__
+from . import __version__, optimal_coeffs
 from .errors import CritlineError, UsageError
 from .zeros_table import FIRST_ZERO, default_zeros_path, load_zeros
 from .zeta_oracle import constant_env
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=7, metavar="K")
     p.add_argument("--numeric", action="store_true", help="append numeric values")
     p.add_argument("--extrapolated", action="store_true",
-                   help="allow K beyond the vetted range 7")
+                   help=f"allow K beyond the vetted range {optimal_coeffs.K_MAX_GOLDEN}")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bound", help="bound report at a single (t, x)")
@@ -97,9 +97,10 @@ def parse_args(argv) -> argparse.Namespace:
     if ns.command == "coeffs":
         if ns.order < 1:
             raise UsageError("--order must be >= 1")
-        if ns.order > 7 and not ns.extrapolated:
-            raise UsageError("--order above 7 requires --extrapolated "
-                             "(no vetted reference beyond 7)")
+        k_max = optimal_coeffs.K_MAX_GOLDEN
+        if ns.order > k_max and not ns.extrapolated:
+            raise UsageError(f"--order above {k_max} requires --extrapolated "
+                             f"(no vetted reference beyond {k_max})")
     if ns.command == "scan" and ns.points < 1:
         raise UsageError("--points must be >= 1")
     if ns.command == "zeros" and ns.height <= FIRST_ZERO:
@@ -136,10 +137,9 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def _cmd_coeffs(ns) -> int:
-    from .optimal_coeffs import format_report, run_pipeline
-    result = run_pipeline(ns.order, extrapolated=ns.extrapolated)
-    env = constant_env(max_odd=max(3, (2 * ns.order + 1)) | 1) if ns.numeric else None
-    lines = _header(ns) + format_report(result, constants=env).splitlines()
+    result = optimal_coeffs.run_pipeline(ns.order, extrapolated=ns.extrapolated)
+    env = constant_env(max_odd=2 * ns.order + 1) if ns.numeric else None
+    lines = _header(ns) + optimal_coeffs.format_report(result, constants=env).splitlines()
     _emit(lines, ns.out)
     return 0
 
@@ -203,14 +203,10 @@ def _cmd_verify_ef(ns) -> int:
 
 
 def _cmd_extremal(ns) -> int:
-    import numpy as np
-
-    from .extremal_poisson import (KernelParams, eval_m, ft_m, l1_dist,
-                                   l1_numeric, numeric_ft, poisson_h)
+    from .extremal_poisson import (KernelParams, ft_m, l1_dist, l1_numeric, numeric_ft,
+                                   pointwise_ordered)
     p = KernelParams(ns.beta, ns.delta)
-    grid = np.linspace(-50.0, 50.0, 10 ** 4)
-    lo, hi, h = eval_m("-", p, grid), eval_m("+", p, grid), poisson_h(p, grid)
-    ordered = bool(np.all(lo <= h + 1e-12) and np.all(h <= hi + 1e-12))
+    ordered = pointwise_ordered(p)
     lines = _header(ns) + [
         f"pointwise minorant <= kernel <= majorant on 1e4 grid points: "
         f"{'yes' if ordered else 'NO'}"]

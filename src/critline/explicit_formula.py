@@ -90,7 +90,7 @@ class GWBreakdown:
     def verified(self) -> bool:
         """The verdict on the identity: the residual lies within the zero-sum
         tail bound plus a fixed 1e-3 for the quadrature and prime-sum budgets."""
-        return abs(self.residual) <= self.tail_bound + 1e-3
+        return bool(abs(self.residual) <= self.tail_bound + 1e-3)
 
 
 def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> ZeroSideSum:
@@ -227,7 +227,7 @@ def _archimedean_numerator(p: KernelParams, t: float) -> float:
     u = [h - np.expm1(-E * w) / 2] + [-(-E) ** j * np.exp(-E * w) / 2 for j in range(1, 6)]
     g = [sum(math.comb(n, j) * u[j] * (-1) ** (n - j) * math.factorial(n - j) * d[n - j]
              for j in range(n + 1)) for n in range(6)]
-    return (out + g[0] / 2 - g[1] / 12 + g[3] / 720 - g[5] / 30240).real
+    return float((out + g[0] / 2 - g[1] / 12 + g[3] / 720 - g[5] / 30240).real)
 
 
 def _sinh_weight(n: np.ndarray, x: float, beta: float) -> np.ndarray:

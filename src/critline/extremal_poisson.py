@@ -150,6 +150,17 @@ def l1_dist(sign: str, p: KernelParams) -> float:
     return 2 * math.pi * q / (-math.expm1(-a) if sign == "+" else 1 + q)
 
 
+#: where the pointwise ordering is checked: 1e4 equispaced points of [-50, 50]
+ORDERING_GRID = np.linspace(-50.0, 50.0, 10 ** 4)
+
+
+def pointwise_ordered(p: KernelParams) -> bool:
+    """m^- <= h_beta <= m^+ at every point of ``ORDERING_GRID``, within 1e-12."""
+    lo, hi = eval_m("-", p, ORDERING_GRID), eval_m("+", p, ORDERING_GRID)
+    h = poisson_h(p, ORDERING_GRID)
+    return bool(np.all(lo <= h + 1e-12) and np.all(h <= hi + 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # quadrature cross-checks of the closed forms
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ import numpy as np
 from . import bound_engine, optimal_coeffs, series_algebra, special_f
 from .errors import DomainError, NearZeroOfZeta
 from .extremal_poisson import (
+    ORDERING_GRID,
     KernelParams,
     eval_m,
     ft_m,
     l1_dist,
     l1_numeric,
     numeric_ft,
-    poisson_h,
+    pointwise_ordered,
 )
 from .explicit_formula import _archimedean, lemma3_bracket, partial_fraction_residual, verify_gw
 from .pari_text import parse_coefficient, series_matches_text
@@ -139,7 +140,7 @@ def criterion_3(ctx: CheckContext):
     for x in (100, 10 ** 4):
         n = np.arange(2, x + 1, dtype=float)
         logx, logn = math.log(x), np.log(n)
-        w = special_f.f_closed_form((logx - logn) / logx) / logx
+        w = bound_engine.dirichlet_weight(logn, x)
         upper = 1 / logn - 1 / (2 * logx - logn)
         upper2 = np.minimum(1 / logn, 2 * (logx - logn) / logn ** 2)
         eps = 1e-12
@@ -155,16 +156,12 @@ def criterion_4(ctx: CheckContext):
     """Extremal kernel: pointwise ordering, L1 errors, Fourier transforms."""
     t0 = time.perf_counter()
     conds = []
-    grid = np.linspace(-50.0, 50.0, 10 ** 4)
     for beta in (0.1, 0.5, 1.0):
         for delta in (1.0, 2.0):
             p = KernelParams(beta, delta)
-            lo = eval_m("-", p, grid)
-            hi = eval_m("+", p, grid)
-            h = poisson_h(p, grid)
-            conds.append((bool(np.all(lo <= h + 1e-12) and np.all(h <= hi + 1e-12)),
-                          f"ordering ({beta},{delta})"))
-            conds.append((bool(np.all(lo >= -1e-12)), f"minorant >= 0 ({beta},{delta})"))
+            conds.append((pointwise_ordered(p), f"ordering ({beta},{delta})"))
+            conds.append((bool(np.all(eval_m("-", p, ORDERING_GRID) >= -1e-12)),
+                          f"minorant >= 0 ({beta},{delta})"))
             for sign in "+-":
                 rel = abs(l1_numeric(sign, p) - l1_dist(sign, p)) / l1_dist(sign, p)
                 conds.append((rel <= 1e-6, f"L1 {sign} ({beta},{delta}) rel={rel:.1e}"))

@@ -14,7 +14,6 @@ from critline.bound_engine import (
     g_curve,
     g_min,
     gamma_moment_check,
-    optimal_coefficients_numeric,
     report_csv_row,
     scan_margins,
     theorem1_rhs,
@@ -23,6 +22,7 @@ from critline.bound_engine import (
 )
 from critline.errors import DomainError, NearZeroOfZeta
 from critline.special_f import f_closed_form
+from critline.zeta_oracle import zeta_real
 
 
 def test_dirichlet_empty_below_two(lam_small):
@@ -66,6 +66,19 @@ def test_report_fields(lam_small, zeros):
     assert not r.low_confidence
     assert r.error_scale == pytest.approx(
         math.sqrt(r.x) * math.log(r.x) / t + 1, abs=1e-14)
+
+
+def test_ordinate_guard_at_the_top_of_the_table(lam_small, zeros):
+    top = zeros.max_height
+    # at the top ordinate and just below it: refused, and nudged off it
+    for t in (top, top - 5e-3):
+        with pytest.raises(NearZeroOfZeta):
+            theorem1_rhs(t, 50.0, lam_small, zeros)
+        assert scan_margins(t, t, 1, zeros=zeros, x_policy="fixed", x_fixed=50.0)[0].t > t
+    # above the top the table knows no nearest ordinate: neither refused nor nudged
+    t = top + 5e-3
+    assert theorem1_rhs(t, 50.0, lam_small, zeros).t == t
+    assert scan_margins(t, t, 1, zeros=zeros, x_policy="fixed", x_fixed=50.0)[0].t == t
 
 
 def test_report_guards(lam_small, zeros):
@@ -121,7 +134,7 @@ def test_gamma_moments():
 
 
 def test_curve_policies():
-    coeffs = optimal_coefficients_numeric(3)
+    coeffs = CurvePolicy.optimal(3).coeffs
     L = math.log(2)
     assert coeffs[0] == pytest.approx(L / 2, abs=1e-15)
     assert coeffs[1] == pytest.approx(L / 2 + L ** 2, abs=1e-14)
@@ -131,7 +144,28 @@ def test_curve_policies():
     with pytest.raises(DomainError):
         CurvePolicy.optimal(9)
     with pytest.raises(DomainError):
-        CurvePolicy(kind="shifted")
+        CurvePolicy.optimal(0)
+
+
+@pytest.mark.parametrize("c", [0.0, 2 * math.log(2), 3.0])
+def test_curve_coefficients_match_the_closed_forms(c):
+    # the curves as closed forms in w, term by term as first stated
+    L = math.log(2)
+
+    def exact(w):
+        return L / 2 * w + 2 * L * w ** 2 + 2 * math.fsum(
+            (1 - 0.25 ** k) * math.factorial(2 * k + 1) * zeta_real(2 * k + 1) * w ** (2 * k + 2)
+            for k in range(1, 4))
+
+    def shifted(w):
+        return (L / 2) * w + (c * L / 2 + 2 * math.exp(-c) * L) * w ** 2 \
+            + (c * c * L / 4 + 4 * c * math.exp(-c) * L) * w ** 3
+
+    for w in np.linspace(0.002, 0.5, 25):
+        w = float(w)
+        assert curve_series_value(w, CurvePolicy.exact()) == pytest.approx(exact(w), rel=1e-15)
+        assert curve_series_value(w, CurvePolicy.shifted(c)) == pytest.approx(shifted(w),
+                                                                              rel=1e-15)
 
 
 def test_curve_ordering_small_w():
@@ -146,7 +180,7 @@ def test_theorem2_curve_values():
     v = theorem2_curve(t, CurvePolicy.optimal(3))
     w = 1 / math.log(math.log(t))
     expect = math.log(t) * sum(c * w ** (k + 1)
-                               for k, c in enumerate(optimal_coefficients_numeric(3)))
+                               for k, c in enumerate(CurvePolicy.optimal(3).coeffs))
     assert v == pytest.approx(expect, rel=1e-15)
     with pytest.raises(DomainError):
         theorem2_curve(1.5, CurvePolicy.exact())

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critline import zeros_table
+from critline import bound_engine, optimal_coeffs, zeros_table
+from critline.bound_engine import CurvePolicy
 from critline.cli import main, parse_args
 from critline.errors import UsageError
 from critline.zeros_table import load_zeros
@@ -53,6 +54,26 @@ def test_order_cap_needs_flag():
         parse_args(["coeffs", "--order", "9"])
     ns = parse_args(["coeffs", "--order", "9", "--extrapolated"])
     assert ns.extrapolated
+
+
+@pytest.fixture
+def vetted_to_eight(monkeypatch):
+    """K_MAX_GOLDEN raised to 8; the order-8 results it lets into the caches
+    are dropped afterwards."""
+    monkeypatch.setattr(optimal_coeffs, "K_MAX_GOLDEN", 8)
+    yield
+    optimal_coeffs.run_pipeline.cache_clear()
+    bound_engine._pipeline_numeric.cache_clear()
+
+
+def test_vetted_range_follows_k_max_golden(capsys, vetted_to_eight):
+    assert len(CurvePolicy.optimal(8).coeffs) == 8
+    code, out, err = run_cli(capsys, "coeffs", "--order", "8")
+    assert code == 0, err
+    assert "C_8 = " in out and "(extrapolated)" not in out
+    with pytest.raises(SystemExit):
+        main(["coeffs", "--help"])
+    assert "vetted range 8" in capsys.readouterr().out
 
 
 def test_coeffs_output_contains_golden_lines(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import time
@@ -112,6 +113,14 @@ def test_gw_breakdown_invariant(zeros, lam600):
     assert b.ft_zero_term == pytest.approx(
         ft_m("+", p, 0.0) * math.log(math.pi) / (2 * math.pi), abs=1e-15)
     assert b.tail_bound > 0
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_gw_breakdown_dumps_to_json(zeros, lam600, sign):
+    # criterion 5's first point
+    b = verify_gw(sign, KernelParams(1.0, 1.0), 50.0, zeros, lam600)
+    text = json.dumps({**dataclasses.asdict(b), "verified": b.verified})
+    assert json.loads(text)["verified"] is True
 
 
 def test_gw_identity_third_point(zeros):

@@ -57,6 +57,17 @@ def test_pointwise_ordering_grid():
         assert np.all(h <= hi + 1e-12)
 
 
+def test_pointwise_ordered_checks_both_sides(monkeypatch):
+    assert all(extremal_poisson.pointwise_ordered(p) for p in PARAM_GRID)
+    p = PARAM_GRID[0]
+    h = poisson_h
+    # a kernel above the majorant at the interpolation points, then one below the minorant
+    monkeypatch.setattr(extremal_poisson, "poisson_h", lambda p, x: 2 * h(p, x))
+    assert not extremal_poisson.pointwise_ordered(p)
+    monkeypatch.setattr(extremal_poisson, "poisson_h", lambda p, x: h(p, x) - 1e-3)
+    assert not extremal_poisson.pointwise_ordered(p)
+
+
 def test_evenness_exact():
     p = KernelParams(0.5, 1.5)
     xs = np.array([0.3, 1.7, 9.4, 25.0])
