@@ -245,30 +245,43 @@ def _prime_side_numerators(p: KernelParams, t: float,
                            lambdas: LambdaTable | None) -> tuple[float, ...]:
     """D times :func:`gw_prime_side`'s boundary, mhat(0), archimedean and prime
     terms, the same for both signs, then the sinh sum S of the prime term's
-    cross-check.  The prime term's FT weights and S's sinh weights are summed
-    against one cos(t log n) row."""
+    cross-check and D times the absolute sum of the prime term's terms.  The
+    prime term's FT weights and S's sinh weights are summed against one
+    cos(t log n) row; the FT weights are >= 0 for n <= x, so the absolute sum
+    is their dot product with Lambda(n)/sqrt(n)."""
     x = p.x
-    ft, S = dirichlet_cos_sum(covering_table(x, lambdas), x, t, lambda n, ln: np.array(
-        [ft_numerator(p, ln / (2 * math.pi)), _sinh_weight(n, x, p.beta)])).tolist()
+    table = covering_table(x, lambdas)
+    k = len(table.prime_powers(x))
+    w = np.array([ft_numerator(p, table.log_n[:k] / (2 * math.pi)),
+                  _sinh_weight(table.support[:k].astype(float), x, p.beta)])
+    ft, S = dirichlet_cos_sum(table, x, t, lambda n, ln: w).tolist()
     return (2 * m_numerator(p, complex(t, 0.5)).real,
             ft_numerator(p, 0.0) * math.log(math.pi) / (2 * math.pi),
             _archimedean_numerator(p, t),
             ft / math.pi,
-            S)
+            S,
+            float(table.amp[:k] @ w[0]) / math.pi)
 
 
 def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable | None) -> float:
     """The prime-power sum in its FT form, checked against the sinh form: the
-    two must agree to 1e-9, or ``CrossCheckFailed`` is raised.
+    two must agree to 1e-9 times the FT form's absolute sum (the sum with
+    every cos(t log n) at 1), or ``CrossCheckFailed`` is raised.
 
     FT form:    (1/pi) sum Lambda(n)/sqrt(n) mhat(log n/2pi) cos(t log n)
     sinh form:  (2 x^beta/(x^beta -+ 1)^2) Re sum Lambda(n) n^{-1/2-it} sinh(beta log(x/n))
+
+    The tolerance is relative because the terms grow like 1/beta^2 for m^+.
+    The sinh form's x^beta - 1 loses about eps/(beta log x) of relative
+    precision: measured, the two forms differ by at most 1.1e-10 of the
+    absolute sum over 6000 draws of beta in [1e-6, 3], x in [2, 3e5] and t in
+    [10, 1e6], and by 7e-14 at beta = 1e-4, x = log^2 t, t = 1000.3.
     """
     _, D = kernel_constants(sign, p)
-    *_, ft, S = _prime_side_numerators(p, t, lambdas)
+    *_, ft, S, ft_abs = _prime_side_numerators(p, t, lambdas)
     form_ft = ft / D
     form_sinh = _sinh_norm(sign, p.x ** p.beta) * S
-    if not abs(form_ft - form_sinh) <= 1e-9:
+    if not abs(form_ft - form_sinh) <= 1e-9 * ft_abs / D:
         raise CrossCheckFailed(f"prime-term forms disagree: {form_ft} vs {form_sinh}")
     return form_ft
 

@@ -13,6 +13,7 @@ correctly rounded one, :func:`~critline.summation.exact_sum`, equal to
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -111,16 +112,33 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     weights are formed once and an array is returned, each row summed as for
     a float t, so that the values are bit-identical.  Every sum is the
     correctly rounded one, :func:`~critline.summation.exact_sum`.
+
+    ``x`` may also be a 1-D array of one cutoff per t.  The weight is then
+    still called once, on the n <= x of every distinct cutoff, concatenated
+    in ascending order of cutoff, as ``weight(n, log n, log x)`` with
+    ``math.log`` of each entry's cutoff; each t is summed over its own
+    cutoff's stretch, bit-identical to a call at that float x.
     """
-    k = len(table.prime_powers(x))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ln, amp = table.log_n[:k], table.amp[:k]
-    w = None if weight is None else weight(table.support[:k].astype(float), ln)
+    per_point = np.ndim(x) > 0
+    cut_of = np.asarray(x, dtype=float).tolist() if per_point else [x] * len(ts)
+    cuts = sorted(set(cut_of)) if per_point else [x]
+    ks = [len(table.prime_powers(c)) for c in cuts]
+    stretch = {c: (end - k, end) for c, k, end in zip(cuts, ks, itertools.accumulate(ks))}
+    if weight is None:
+        w = None
+    elif not per_point:
+        w = weight(table.support[:ks[0]].astype(float), table.log_n[:ks[0]])
+    else:
+        at = np.concatenate([np.arange(k) for k in ks])  # the table index of each entry
+        w = weight(table.support[at].astype(float), table.log_n[at],
+                   np.repeat([math.log(c) for c in cuts], ks))
     sums = np.empty((len(ts),) + np.shape(w)[:-1])
-    for i, ti in enumerate(ts):
-        vals = amp * np.cos(ti * ln)
+    for i, (ti, c) in enumerate(zip(ts, cut_of, strict=True)):
+        lo, hi = stretch[c]
+        vals = table.amp[:hi - lo] * np.cos(ti * table.log_n[:hi - lo])
         if w is not None:
-            vals = vals * w
+            vals = vals * w[..., lo:hi]
         sums[i] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
     out = sums[0] if np.ndim(t) == 0 else sums
     return float(out) if out.ndim == 0 else out
@@ -129,9 +147,3 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
 def weighted_psi(x: int, table: LambdaTable | None = None) -> float:
     """sum_{n<=x} Lambda(n)/sqrt(n); under RH this is 2 sqrt(x) + O(log^3 x)."""
     return dirichlet_cos_sum(covering_table(x, table), x, 0.0)
-
-
-def chebyshev_psi(x: int, table: LambdaTable | None = None) -> float:
-    """sum_{n<=x} Lambda(n)."""
-    table = covering_table(x, table)
-    return exact_sum(table.log_p(table.prime_powers(x)))

@@ -140,7 +140,7 @@ def criterion_3(ctx: CheckContext):
     for x in (100, 10 ** 4):
         n = np.arange(2, x + 1, dtype=float)
         logx, logn = math.log(x), np.log(n)
-        w = bound_engine.dirichlet_weight(logn, x)
+        w = bound_engine.dirichlet_weight(logn, logx)
         upper = 1 / logn - 1 / (2 * logx - logn)
         upper2 = np.minimum(1 / logn, 2 * (logx - logn) / logn ** 2)
         eps = 1e-12

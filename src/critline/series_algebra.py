@@ -490,10 +490,6 @@ def ps_neg(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.valuation, [-c for c in a.coeffs], a.order)
 
 
-def ps_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return ps_add(a, ps_neg(b))
-
-
 def ps_scale(a: TruncatedSeries, c) -> TruncatedSeries:
     c = _coerce_coeff(c)
     return TruncatedSeries(a.valuation, [c * x for x in a.coeffs], a.order)
@@ -521,16 +517,6 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             "product of two Laurent heads falls below z^-1, outside the "
             "supported range")
     return _cauchy(a, b, min(a.order + b.valuation, b.order + a.valuation))
-
-
-def ps_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Drop knowledge beyond ``order`` (never extends)."""
-    if order > a.order:
-        raise DomainError("cannot extend a truncated series")
-    if order == a.order:
-        return a
-    v = min(a.valuation, order)
-    return TruncatedSeries(v, [a.coefficient(k) for k in range(v, order + 1)], order)
 
 
 def ps_recip(a: TruncatedSeries) -> TruncatedSeries:

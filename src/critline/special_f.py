@@ -117,10 +117,6 @@ def f_eval(u: float, method: FMethod = FMethod.CLOSED_FORM) -> float:
     return f_closed_form(u)
 
 
-def f_all_methods(u: float) -> dict:
-    return {m: f_eval(u, m) for m in FMethod}
-
-
 def f_prime(u: float) -> float:
     """F'(u) = 2 log 2 + 2 sum (1-4^-k)(2k+1) zeta(2k+1) u^{2k} on [0, 1/2].
 

@@ -299,7 +299,21 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def riemann_siegel_z(t: float) -> float:
+def _theta_phase(t: float):
+    """(N, p, a, theta_hi, theta_lo) at t: a = sqrt(t/2pi) = N + p and theta
+    reduced mod 2pi as a double-double, its main term in 40-digit decimal."""
+    with localcontext(_DEC):
+        big_t = Decimal(t)
+        a_sq = big_t / (2 * _PI_DEC)
+        a_dec = a_sq.sqrt()
+        N = int(a_dec)
+        th = (big_t / 2 * (a_sq.ln() - 1) - _PI_DEC / 8).remainder_near(2 * _PI_DEC)
+        th_hi = float(th)
+        return (N, float(a_dec - N), float(a_dec), th_hi,
+                float(th - Decimal(th_hi)) + _theta_tail(t))
+
+
+def riemann_siegel_z(t):
     """Z(t), with |Z(t)| = |zeta(1/2+it)|, by the Riemann-Siegel formula.
 
         Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta(t) - t log n)
@@ -313,34 +327,46 @@ def riemann_siegel_z(t: float) -> float:
     cancels the two large parts exactly before anything small is added.
     Measured against mpmath.siegelz: at most 4.7e-15 at 65 points of
     [T_RS, 1e6]; 1.2e-13 at t = 1e4, 2.6e-11 at t = 1e3 and 2.9e-9 at
-    t = 200, where the truncation dominates.  About 0.1 ms a call at 1e5
-    and 0.17 ms at 1e6 on a 2-core machine.
+    t = 200, where the truncation dominates.
+
+    ``t`` is a float, which gives a float, or a 1-D array, which gives an
+    array whose entries equal the float calls bit for bit.  The decimal
+    theta and a, and the corrections, are formed per point; the phases and
+    the terms of every point's main sum in one pass over a flat array of
+    sum N entries, each point's sum correctly rounded over its own slice.
+    A float call is a batch of one, about 0.12 ms at 1e5 and 0.14 ms at 1e6
+    on a 2-core machine; in a batch a point at 1e5 costs about 0.08 ms, of
+    which the decimal step is 0.045 ms.  Every t is checked before any is
+    evaluated.
     """
-    if t < 200:
-        raise DomainError(f"Riemann-Siegel remainder bound needs t >= 200, got {t}")
-    _check_window(complex(0.5, t))
-    with localcontext(_DEC):
-        big_t = Decimal(t)
-        a_sq = big_t / (2 * _PI_DEC)
-        a_dec = a_sq.sqrt()
-        N = int(a_dec)
-        p = float(a_dec - N)
-        th = (big_t / 2 * (a_sq.ln() - 1) - _PI_DEC / 8).remainder_near(2 * _PI_DEC)
-        th_hi = float(th)
-        th_lo = float(th - Decimal(th_hi)) + _theta_tail(t)
-
-    log_hi, log_lo = _log_pairs(N)
-    big, big_err = _two_product(t, log_hi)  # t log n = big + big_err + t lo
-    k = np.round((th_hi - big) / _TWO_PI_HI)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    for ti in ts:
+        if ti < 200:
+            raise DomainError(f"Riemann-Siegel remainder bound needs t >= 200, got {ti}")
+        _check_window(complex(0.5, ti))
+    Ns, ps, As, th_hi, th_lo = zip(*map(_theta_phase, ts)) if ts else ((),) * 5
+    Ns = np.array(Ns, dtype=int)
+    ends = np.cumsum(Ns)
+    point = np.repeat(np.arange(len(ts)), Ns)  # the point each term belongs to
+    n0 = np.arange(len(point)) - (ends - Ns)[point]  # n - 1 within its point
+    log_hi, log_lo = (v[n0] for v in _log_pairs(max(Ns, default=0)))
+    t_of = np.array(ts)[point]
+    big, big_err = _two_product(t_of, log_hi)  # t log n = big + big_err + t lo
+    th_hi_of = np.array(th_hi)[point]
+    k = np.round((th_hi_of - big) / _TWO_PI_HI)
     red, red_err = _two_product(k, _TWO_PI_HI)
-    phase = ((-big - red) + th_hi) + (th_lo - big_err - red_err - k * _TWO_PI_LO - t * log_lo)
-    main = 2 * exact_sum(np.cos(phase) / np.sqrt(np.arange(1, N + 1)))
+    phase = (((-big - red) + th_hi_of)
+             + (np.array(th_lo)[point] - big_err - red_err - k * _TWO_PI_LO - t_of * log_lo))
+    terms = np.cos(phase) / np.sqrt(n0 + 1.0)
 
-    a = float(a_dec)
     polys = _correction_polys()
-    c = ((p - 0.5) ** np.arange(len(polys))) @ polys  # |p - 1/2| <= 1/2: no power underflows
-    tail = np.polynomial.polynomial.polyval(1 / a, c) / math.sqrt(a)
-    return float(main + (tail if N % 2 else -tail))
+    out = np.empty(len(ts))
+    for i, (N, p, a, end) in enumerate(zip(Ns.tolist(), ps, As, ends.tolist())):
+        main = 2 * exact_sum(terms[end - N:end])
+        c = ((p - 0.5) ** np.arange(len(polys))) @ polys  # |p - 1/2| <= 1/2: no power underflows
+        tail = np.polynomial.polynomial.polyval(1 / a, c) / math.sqrt(a)
+        out[i] = main + (tail if N % 2 else -tail)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def hardy_z(t: float) -> float:
@@ -357,22 +383,32 @@ def hardy_z(t: float) -> float:
     return (cmath.exp(1j * theta(t)) * zeta_em(complex(0.5, t))).real
 
 
-def log_abs_zeta_crit(t: float) -> float:
+def log_abs_zeta_crit(t):
     """log|zeta(1/2+it)| for t >= 10; refuses |zeta| <= ZERO_GUARD (1e-8)
     with ``NearZeroOfZeta``.
 
     |zeta| is |Z(t)| from ``riemann_siegel_z`` at t >= T_RS, where its
     remainder bound meets 1e-12, and ``zeta_em`` below.  The distance to a
     tabulated ordinate is the caller's rule (``bound_engine``), not the
-    oracle's.
+    oracle's.  ``t`` is a float, or a 1-D array, which gives an array equal
+    to the float calls bit for bit: its points at or above T_RS go to
+    ``riemann_siegel_z`` as one batch, and the others to ``zeta_em`` one by
+    one (0.07 ms at 1e3 to 0.25 ms at 2e4 a point).  A batch is refused
+    whole, for the first t that a loop over it would refuse at a zero.
     """
-    if t < 10:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 10):
         raise DomainError("supported for t >= 10")
-    z = riemann_siegel_z(t) if t >= T_RS else zeta_em(complex(0.5, t))
-    a = abs(z)
-    if a <= ZERO_GUARD:
-        raise NearZeroOfZeta(f"|zeta(1/2+{t}i)| = {a:.2e}")
-    return math.log(a)
+    rs = ts >= T_RS
+    a = np.empty(len(ts))
+    if rs.any():
+        a[rs] = np.abs(riemann_siegel_z(ts[rs]))
+    a[~rs] = [abs(zeta_em(complex(0.5, ti))) for ti in ts[~rs].tolist()]
+    for ti, ai in zip(ts.tolist(), a.tolist()):
+        if ai <= ZERO_GUARD:
+            raise NearZeroOfZeta(f"|zeta(1/2+{ti}i)| = {ai:.2e}")
+    out = np.array([math.log(ai) for ai in a.tolist()])
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------

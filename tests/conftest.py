@@ -4,7 +4,9 @@ import pathlib
 import pytest
 
 from critline import explicit_formula, prime_arith
+from critline.errors import DomainError
 from critline.prime_arith import lambda_sieve
+from critline.series_algebra import TruncatedSeries
 from critline.zeros_table import load_zeros
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -18,6 +20,17 @@ def load_perfbench(name):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def ps_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Drop knowledge beyond ``order`` (never extends); a reference helper of
+    the series tests."""
+    if order > a.order:
+        raise DomainError("cannot extend a truncated series")
+    if order == a.order:
+        return a
+    v = min(a.valuation, order)
+    return TruncatedSeries(v, [a.coefficient(k) for k in range(v, order + 1)], order)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from critline.bound_engine import (
     CSV_HEADER,
+    BoundReport,
     CurvePolicy,
     archimedean_identity_check,
     archimedean_term,
@@ -14,6 +15,7 @@ from critline.bound_engine import (
     g_curve,
     g_min,
     gamma_moment_check,
+    optimal_cutoff,
     report_csv_row,
     scan_margins,
     theorem1_rhs,
@@ -22,7 +24,7 @@ from critline.bound_engine import (
 )
 from critline.errors import DomainError, NearZeroOfZeta
 from critline.special_f import f_closed_form
-from critline.zeta_oracle import zeta_real
+from critline.zeta_oracle import log_abs_zeta_crit, zeta_real
 
 
 def test_dirichlet_empty_below_two(lam_small):
@@ -225,3 +227,55 @@ def test_optimal_cutoff_policy():
     reports = scan_margins(1e3, 1e4, 3, x_policy="optimal")
     assert all(r.x <= math.log(r.t) ** 2 for r in reports)
     assert all(math.isfinite(r.margin) for r in reports)
+
+
+# --- the scan in one pass: the per-point route it replaced -----------------------
+
+SCAN_CASES = {  # policy -> (t_min, t_max, points, x_fixed)
+    "logsq": (1e3, 1e6, 30, None),
+    "fixed": (1e3, 1e6, 30, 5e3),
+    "optimal": (1e3, 1e6, 20, None),
+}
+
+
+def _reference_row(t, x, table):
+    """One BoundReport from the per-point calls, the arithmetic written out."""
+    d = dirichlet_term(t, x, table)
+    arch = archimedean_term(t, x)
+    oracle = log_abs_zeta_crit(t)
+    return BoundReport(t=t, x=x, dirichlet_term=d, archimedean_term=arch,
+                       error_scale=math.sqrt(x) * math.log(x) / t + 1.0,
+                       oracle_log_abs_zeta=oracle, margin=d + arch - oracle)
+
+
+@pytest.mark.parametrize("policy", SCAN_CASES)
+def test_scan_rows_equal_the_per_point_reference(lam_small, zeros, policy):
+    t_min, t_max, points, x_fixed = SCAN_CASES[policy]
+    x_of = {"logsq": lambda t: max(2.0, math.log(t) ** 2),
+            "fixed": lambda t: x_fixed,
+            "optimal": optimal_cutoff}[policy]
+    reports = scan_margins(t_min, t_max, points, zeros=zeros, x_policy=policy, x_fixed=x_fixed)
+    assert len(reports) == points
+    for r in reports:
+        assert r == _reference_row(r.t, x_of(r.t), lam_small), r.t
+
+
+@pytest.mark.parametrize("points", [3, 40])
+@pytest.mark.parametrize("policy", SCAN_CASES)
+def test_scan_is_one_weight_pass_and_one_rs_batch(monkeypatch, policy, points):
+    from critline import bound_engine, zeta_oracle
+    calls = {"f": 0, "two_product": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(bound_engine, "f_closed_form", counting("f", bound_engine.f_closed_form))
+    monkeypatch.setattr(zeta_oracle, "_two_product",
+                        counting("two_product", zeta_oracle._two_product))
+    t_min, t_max, _, x_fixed = SCAN_CASES[policy]
+    reports = scan_margins(t_min, t_max, points, x_policy=policy, x_fixed=x_fixed)
+    assert sum(r.t >= zeta_oracle.T_RS for r in reports) >= 1
+    assert calls == {"f": 1, "two_product": 2}

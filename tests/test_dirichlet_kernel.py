@@ -132,3 +132,23 @@ def test_weight_rows_are_summed_as_separate_weights(lam_small):
             one = prime_arith.dirichlet_cos_sum(lam_small, x, ts, lambda n, ln: rows(n, ln)[j])
             assert both[:, j].tolist() == one.tolist()
         assert prime_arith.dirichlet_cos_sum(lam_small, x, ts[1], rows).tolist() == both[1].tolist()
+
+
+def test_per_point_cutoffs_equal_float_cutoffs(lam_small):
+    # repeated cutoffs, one below 2 (no terms), weight rows, and the weight called once
+    ts = np.array([10.5, 777.7, 1e5 + 0.3, 42.0, 3e3, 9.25])
+    xs = np.array([30.5, 1.5, 8765.4, 30.5, 2.0, 8765.4])
+    calls = []
+
+    def rows(n, ln, log_x):
+        calls.append(len(n))
+        return np.array([np.sqrt(n), (log_x - ln) / log_x])
+
+    both = prime_arith.dirichlet_cos_sum(lam_small, xs, ts, rows)
+    assert both.shape == (6, 2) and calls == [0 + 1 + 16 + 1143]  # the distinct cutoffs, once
+    plain = prime_arith.dirichlet_cos_sum(lam_small, xs, ts)
+    for i, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
+        one = prime_arith.dirichlet_cos_sum(lam_small, x, t,
+                                            lambda n, ln: rows(n, ln, math.log(x)))
+        assert both[i].tolist() == one.tolist(), (t, x)
+        assert plain[i] == prime_arith.dirichlet_cos_sum(lam_small, x, t), (t, x)

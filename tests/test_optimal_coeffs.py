@@ -21,9 +21,9 @@ from critline.series_algebra import (
     ps_recip,
     ps_revert,
     ps_scale,
-    ps_truncate,
 )
 from critline.zeta_oracle import constant_env
+from conftest import ps_truncate
 
 EC = ExactCoefficient
 

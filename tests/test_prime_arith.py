@@ -5,11 +5,18 @@ import pytest
 
 from critline.errors import DomainError, LimitTooLarge
 from critline.prime_arith import (
-    chebyshev_psi,
+    covering_table,
     dirichlet_cos_sum,
     lambda_sieve,
     weighted_psi,
 )
+from critline.summation import exact_sum
+
+
+def chebyshev_psi(x: int, table=None) -> float:
+    """sum_{n<=x} Lambda(n)."""
+    table = covering_table(x, table)
+    return exact_sum(table.log_p(table.prime_powers(x)))
 
 
 def _is_prime(n):

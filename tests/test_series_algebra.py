@@ -32,9 +32,8 @@ from critline.series_algebra import (
     ps_recip,
     ps_revert,
     ps_scale,
-    ps_sub,
-    ps_truncate,
 )
+from conftest import ps_truncate
 
 EC = ExactCoefficient
 TS = TruncatedSeries
@@ -502,12 +501,12 @@ def _newton_revert(f):
         target = min(2 * g.order, n)
         # zero-padded candidate: no claim that the new coefficients are right
         gp = TS(1, list(g.coeffs) + [EC_ZERO] * (target - g.order), target)
-        residual = ps_sub(ps_compose(ps_truncate(f, target), gp), TS.identity(target))
+        residual = ps_compose(ps_truncate(f, target), gp) - TS.identity(target)
         if residual.is_zero():
             g = gp
             continue
         deriv = ps_compose(ps_truncate(fprime, min(fprime.order, target)), gp)
-        g = ps_truncate(ps_sub(gp, ps_mul(residual, ps_recip(deriv))), target)
+        g = ps_truncate(gp - ps_mul(residual, ps_recip(deriv)), target)
     return g
 
 
@@ -572,7 +571,7 @@ def test_truncation_monotonicity_random_ops():
 def test_scale_and_sub():
     a = series(0, [1, 2], 1)
     assert ps_scale(a, L).coefficient(1) == L * 2
-    assert ps_sub(a, a).is_zero()
+    assert (a - a).is_zero()
 
 
 # --- Horner, baby-step/giant-step and a'/a against the algorithms they replace --

@@ -256,6 +256,59 @@ def test_log_abs_crit_below_the_switch_is_euler_maclaurin():
         assert log_abs_zeta_crit(t) == math.log(abs(zeta_em(complex(0.5, t)))), t
 
 
+def _rs_grid():
+    """200 log-spaced t in [T_RS, 1e6], T_RS itself, and t on either side of
+    2 pi N^2, where N = floor(sqrt(t/2pi)) steps, for N from 73 to 398."""
+    steps = [2 * math.pi * N * N for N in (73, 74, 100, 150, 250, 398)]
+    near = [math.nextafter(s, side) for s in steps for side in (0, math.inf)]
+    return np.array(sorted([T_RS, *np.geomspace(T_RS, 1e6, 200), *steps, *near]))
+
+
+def test_riemann_siegel_array_equals_the_scalar_loop():
+    ts = _rs_grid()
+    batch = riemann_siegel_z(ts)
+    assert batch.shape == ts.shape
+    assert batch.tolist() == [riemann_siegel_z(t) for t in ts.tolist()]
+    # the grid's N run from T_RS's 72 to 398, and step within it
+    assert {zeta_oracle._theta_phase(t)[0] for t in ts.tolist()} >= {72, 73, 397, 398}
+    one = riemann_siegel_z(np.array([5e4]))
+    assert isinstance(one, np.ndarray) and one.tolist() == [riemann_siegel_z(5e4)]
+    assert type(riemann_siegel_z(5e4)) is float
+    assert riemann_siegel_z(np.array([])).shape == (0,)
+
+
+def test_log_abs_crit_array_spans_both_tiers():
+    ts = np.concatenate([np.geomspace(10, 1e6, 80), [math.nextafter(T_RS, 0), T_RS]])
+    batch = log_abs_zeta_crit(ts)
+    assert batch.tolist() == [log_abs_zeta_crit(t) for t in ts.tolist()]
+    assert type(log_abs_zeta_crit(1e5)) is float
+
+
+def _loop_refusal(ts):
+    for t in ts:
+        try:
+            log_abs_zeta_crit(t)
+        except NearZeroOfZeta as exc:
+            return str(exc)
+    return None
+
+
+def test_batch_with_a_zero_is_refused_at_the_loops_first_zero():
+    from scipy.optimize import brentq
+    # a zero above T_RS, from a sign change of Z near 5e4
+    grid = np.linspace(5e4, 5e4 + 2, 41)
+    z = riemann_siegel_z(grid)
+    i = int(np.nonzero(np.sign(z[:-1]) != np.sign(z[1:]))[0][0])
+    gamma_rs = brentq(riemann_siegel_z, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16)
+    for ts in ([100.0, gamma_rs, 5e4 + 0.3, GAMMA1], [1e3, GAMMA1, 7e4, gamma_rs],
+               [gamma_rs, GAMMA1]):
+        expected = _loop_refusal(ts)
+        assert expected is not None
+        with pytest.raises(NearZeroOfZeta) as exc:
+            log_abs_zeta_crit(np.array(ts))
+        assert str(exc.value) == expected, ts
+
+
 def test_theta_against_mpmath():
     ts = (10.0, 100.0, 1e3, 1e4)
     vals = theta(np.array(ts))
