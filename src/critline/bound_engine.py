@@ -273,7 +273,8 @@ def scan_margins(t_min: float, t_max: float, points: int,
     all distinct x, and one oracle call, whose Riemann-Siegel points form one
     batch.  What remains per point is a cos row over the prime powers
     n <= x with its correctly rounded sum, and the decimal theta of an RS
-    point or, below T_RS, an Euler-Maclaurin sum of |t|/4 terms.
+    point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
+    terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
     if points < 1 or t_min < 10 or t_max < t_min:
         raise DomainError("need t_max >= t_min >= 10 and points >= 1")

@@ -7,12 +7,12 @@ at most 59 correction terms meet the bound, so the head sum_{n<M} n^-s costs
 about |Im s|/4 terms; its float phases t log n dominate the error (bound in
 ``zeta_em``; measured against mpmath on the line, 1.3e-11 at t = 1e5 and
 9.8e-10 at t ~ 4.7e5).  On the critical line at t >= T_RS
-(about 3.30e4) Z(t) comes from the Riemann-Siegel formula with Gabcke's
-corrections C0..C4 and double-double phases, whose stated remainder bound
-meets the same 1e-12 target; ``log_abs_zeta_crit`` and ``hardy_z`` use
-it there and EM below.  EM stays the independent route: every other
-evaluation, on or off the line, is EM.  digamma is scipy's ``psi``, real
-on real input.
+(about 7.06e3) Z(t) comes from the Riemann-Siegel formula with the
+corrections C0..C7 and double-double phases, whose remainder bound (Gabcke's
+d_7 = 9.2) meets the same 1e-12 target; ``log_abs_zeta_crit`` and
+``hardy_z`` use it there and EM below.  EM stays the independent route:
+every other evaluation, on or off the line, is EM.  digamma is scipy's
+``psi``, real on real input.
 Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6.
 """
 
@@ -215,31 +215,39 @@ def theta(t):
     return t / 2 * np.log(t / (2 * np.pi)) - t / 2 - np.pi / 8 + _theta_tail(t)
 
 
-#: Gabcke's bound for the remainder after C0..C4: |R_4| <= d_4 (t/2pi)^(-11/4)
-#: for t >= 200, with d_4 = 0.017
-_GABCKE_D4 = 0.017
-#: the least t at which that bound meets the oracle's 1e-12 target (about 3.30e4)
-T_RS = 2 * math.pi * (_GABCKE_D4 / 1e-12) ** (4 / 11)
+#: Gabcke's bound for the remainder after C0..C7: |R_7| <= d_7 (t/2pi)^(-17/4)
+#: for t >= 200, with d_7 = 9.2 (Gabcke 1979, Satz 4.2.3)
+_GABCKE_D7 = 9.2
+#: the least t at which that bound meets the oracle's 1e-12 target (about 7.06e3)
+T_RS = 2 * math.pi * (_GABCKE_D7 / 1e-12) ** (4 / 17)
 
 # Taylor coefficients of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) about
-# p = 1/2, at (p - 1/2)^0, ^2, ..., ^68.  Psi is entire and even there; the
-# last term is below 1e-36 at |p - 1/2| = 1/2.  Regenerated from
+# p = 1/2, at (p - 1/2)^0, ^2, ..., ^100.  Psi is entire and even there; on
+# |p - 1/2| <= 1/2 the omitted terms of Psi^(21), the highest derivative the
+# corrections use, are below 1e-35 of its largest value.  Regenerated from
 # mpmath.taylor by tests/test_zeta_oracle.py.
 _PSI_TAYLOR = (
     0.3826834323650898, 1.7489618723100817, 2.118025207685496, -0.8707216670511481,
     -3.4733112243465167, -1.6626947308999325, 1.216731288919232, 1.3014304161007977,
-    0.03051102182736167, -0.3755803051545095, -0.1085784416564066,
-    0.051832902999549624, 0.029999480619902277, -0.0022759396706125644,
-    -0.004382647416580339, -0.0004064230183729847, 0.0004006097785422114,
-    8.971057991388841e-05, -2.3025650027239108e-05, -9.380006601906792e-06,
-    6.323514947609108e-07, 6.551022819231502e-07, 2.210523745552697e-08,
-    -3.322316176445629e-08, -3.734910989933656e-09, 1.2445067060797738e-09,
-    2.476820537650219e-10, -3.284272816891627e-11, -1.1305406852298404e-11,
-    4.565463979588694e-13, 3.9598480945249214e-13, 7.849566221259617e-15,
-    -1.1059043150991233e-14, -7.738543987641508e-16, 2.4857755550271373e-16,
+    0.03051102182736167, -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+    0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+    -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+    -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
+    6.551022819231502e-07, 2.210523745552697e-08, -3.322316176445629e-08,
+    -3.734910989933656e-09, 1.2445067060797738e-09, 2.476820537650219e-10,
+    -3.284272816891627e-11, -1.1305406852298404e-11, 4.565463979588694e-13,
+    3.9598480945249214e-13, 7.849566221259617e-15, -1.1059043150991233e-14,
+    -7.738543987641508e-16, 2.4857755550271373e-16, 3.0514797188827216e-17,
+    -4.414297887793303e-18, -8.631388878188415e-19, 5.701292196842975e-20,
+    1.952964016419934e-20, -3.3707667135349604e-22, -3.679459871576221e-22,
+    -7.311865182444788e-24, 5.869094638676539e-24, 3.1307592113656923e-25,
+    -7.947839566038058e-26, -7.08420948092837e-27, 9.022840660124028e-28,
+    1.224410947927372e-28, -8.218858109260207e-30, -1.761392489687558e-30,
 )
 
-# Gabcke's C_k(p) as sums of coef * Psi^(m)(p): (coef, m) pairs, k = 0..4
+# The corrections C_k(p) as sums of coef * Psi^(m)(p): (coef, m) pairs,
+# k = 0..7.  C0..C4 are Gabcke's; C5..C7 come from Arias de Reyna's
+# recurrence (Math. Comp. 80, 2011), rebuilt exactly by tests/test_zeta_oracle.py.
 _PI2 = math.pi ** 2
 _C_TERMS = (
     ((1.0, 0),),
@@ -248,12 +256,20 @@ _C_TERMS = (
     ((-1 / (64 * _PI2), 1), (-1 / (3840 * _PI2 ** 2), 5), (-1 / (5308416 * _PI2 ** 3), 9)),
     ((1 / (128 * _PI2), 0), (19 / (24576 * _PI2 ** 2), 4), (11 / (5898240 * _PI2 ** 3), 8),
      (1 / (2038431744 * _PI2 ** 4), 12)),
+    ((-2879 / (1769472 * _PI2 ** 2), 3), (-901 / (82575360 * _PI2 ** 3), 7),
+     (-7 / (849346560 * _PI2 ** 4), 11), (-1 / (978447237120 * _PI2 ** 5), 15)),
+    ((2879 / (1179648 * _PI2 ** 2), 2), (79267 / (1698693120 * _PI2 ** 3), 6),
+     (18889 / (237817036800 * _PI2 ** 4), 10), (17 / (652298158080 * _PI2 ** 5), 14),
+     (1 / (563585608581120 * _PI2 ** 6), 18)),
+    ((-2879 / (1179648 * _PI2 ** 2), 1), (-2747 / (17694720 * _PI2 ** 3), 5),
+     (-1914877 / (3424565329920 * _PI2 ** 4), 9), (-2131 / (5707608883200 * _PI2 ** 5), 13),
+     (-1 / (15655155793920 * _PI2 ** 6), 17), (-1 / (378729528966512640 * _PI2 ** 7), 21)),
 )
 
 
 @lru_cache(maxsize=None)
 def _correction_polys() -> np.ndarray:
-    """C_0..C_4 as polynomials in p - 1/2, one column each, all derived from
+    """C_0..C_7 as polynomials in p - 1/2, one column each, all derived from
     the one Taylor table.  Built on first use, not at import."""
     psi = np.zeros(2 * len(_PSI_TAYLOR) - 1)
     psi[::2] = _PSI_TAYLOR
@@ -317,16 +333,17 @@ def riemann_siegel_z(t):
     """Z(t), with |Z(t)| = |zeta(1/2+it)|, by the Riemann-Siegel formula.
 
         Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta(t) - t log n)
-               + (-1)^(N-1) a^-1/2 sum_{k<=4} C_k(p) a^-k + R_4,
+               + (-1)^(N-1) a^-1/2 sum_{k<=7} C_k(p) a^-k + R_7,
 
-    with a = sqrt(t/2pi), N = floor(a), p = a - N, C_k Gabcke's corrections
-    and |R_4| <= 0.017 a^-11/2 for t >= 200 (below 1e-12 from T_RS on).
+    with a = sqrt(t/2pi), N = floor(a), p = a - N, C_k the corrections
+    (``_C_TERMS``) and Gabcke's |R_7| <= 9.2 a^-17/2 for t >= 200 (below
+    1e-12 from T_RS on).
     Each phase is kept in double-double: theta's main term and a are formed
     in 40-digit decimal and reduced mod 2pi there, t log n is an exact
     two-product plus t times log n's low part, and the reduction by k 2pi
     cancels the two large parts exactly before anything small is added.
-    Measured against mpmath.siegelz: at most 4.7e-15 at 65 points of
-    [T_RS, 1e6]; 1.2e-13 at t = 1e4, 2.6e-11 at t = 1e3 and 2.9e-9 at
+    Measured against mpmath.siegelz: at most 8.9e-16 at 65 points of
+    [T_RS, 1e6]; 4.4e-16 at t = 1e4, 2.6e-14 at t = 1e3 and 1.6e-12 at
     t = 200, where the truncation dominates.
 
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
@@ -363,7 +380,7 @@ def riemann_siegel_z(t):
     out = np.empty(len(ts))
     for i, (N, p, a, end) in enumerate(zip(Ns.tolist(), ps, As, ends.tolist())):
         main = 2 * exact_sum(terms[end - N:end])
-        c = ((p - 0.5) ** np.arange(len(polys))) @ polys  # |p - 1/2| <= 1/2: no power underflows
+        c = ((p - 0.5) ** np.arange(len(polys))) @ polys  # |p - 1/2| <= 1/2: no power overflows
         tail = np.polynomial.polynomial.polyval(1 / a, c) / math.sqrt(a)
         out[i] = main + (tail if N % 2 else -tail)
     return float(out[0]) if np.ndim(t) == 0 else out
@@ -374,7 +391,7 @@ def hardy_z(t: float) -> float:
     ``riemann_siegel_z`` at t >= T_RS, and below it the real part of
     e^{i theta(t)} times ``zeta_em`` (the imaginary part is rounding).
     Measured against mpmath.siegelz: at most 5.0e-14 on [100, 101], 4.6e-12
-    at t = 5000.5 (theta's float rounding) and 1.3e-15 above T_RS.
+    at t = 5000.5 (theta's float rounding) and 8.9e-16 above T_RS.
     """
     if t < 10:
         raise DomainError("supported for t >= 10")
@@ -387,14 +404,15 @@ def log_abs_zeta_crit(t):
     """log|zeta(1/2+it)| for t >= 10; refuses |zeta| <= ZERO_GUARD (1e-8)
     with ``NearZeroOfZeta``.
 
-    |zeta| is |Z(t)| from ``riemann_siegel_z`` at t >= T_RS, where its
-    remainder bound meets 1e-12, and ``zeta_em`` below.  The distance to a
-    tabulated ordinate is the caller's rule (``bound_engine``), not the
-    oracle's.  ``t`` is a float, or a 1-D array, which gives an array equal
-    to the float calls bit for bit: its points at or above T_RS go to
-    ``riemann_siegel_z`` as one batch, and the others to ``zeta_em`` one by
-    one (0.07 ms at 1e3 to 0.25 ms at 2e4 a point).  A batch is refused
-    whole, for the first t that a loop over it would refuse at a zero.
+    |zeta| is |Z(t)| from ``riemann_siegel_z`` at t >= T_RS (about 7.06e3),
+    where its remainder bound meets 1e-12, and ``zeta_em`` below.  The
+    distance to a tabulated ordinate is the caller's rule (``bound_engine``),
+    not the oracle's.  ``t`` is a float, or a 1-D array, which gives an
+    array equal to the float calls bit for bit: its points at or above T_RS
+    go to ``riemann_siegel_z`` as one batch (about 0.07 ms a point at 7e3),
+    and the others to ``zeta_em`` one by one (0.07 ms at 1e3 to 0.19 ms
+    just below T_RS a point).  A batch is refused whole, for the first t
+    that a loop over it would refuse at a zero.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 10):

@@ -20,6 +20,10 @@ SCAN_CSV = "scan_t1e3_1e6.csv"
 #: relative term only matters for t near 1e6, where an ulp is 1.2e-10
 SCAN_ABS_TOL = 1e-10
 SCAN_REL_TOL = 2.0 ** -52
+#: the Riemann-Siegel switch when the tracked artifact was written (Gabcke's
+#: C0..C4 bound 0.017 (t/2pi)^(-11/4) at 1e-12, about 3.2987e4): its rows
+#: below this are Euler-Maclaurin values, off mpmath by up to 7.6e-11
+ARTIFACT_T_RS = 2 * math.pi * (0.017 / 1e-12) ** (4 / 11)
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +71,17 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_scan_artifact_matches_tracked_copy(ctx):
+def _fresh_scan_rows(ctx):
     out = f"{ctx.artifacts_dir}/{SCAN_CSV}"
     try:
-        new_rows = _read_csv(out)
+        return _read_csv(out)
     except FileNotFoundError:  # criterion 8 deselected: write the artifact now
         assert run_criterion(8, ctx).passed
-        new_rows = _read_csv(out)
+        return _read_csv(out)
+
+
+def test_scan_artifact_matches_tracked_copy(ctx):
+    new_rows = _fresh_scan_rows(ctx)
     old_rows = _read_csv(REPO / "artifacts" / SCAN_CSV)
     assert new_rows[0] == old_rows[0]
     assert len(new_rows) == len(old_rows)
@@ -84,20 +92,30 @@ def test_scan_artifact_matches_tracked_copy(ctx):
                                 abs_tol=SCAN_ABS_TOL), (i, name, a, b)
 
 
-def test_scan_artifact_oracle_against_mpmath():
-    # the tracked rows served by Riemann-Siegel, against an independent zeta;
-    # t is taken as the float the row names, not as its decimal string
-    rows = _read_csv(REPO / "artifacts" / SCAN_CSV)
+def _rows_against_mpmath(rows, t_from):
+    """Check the oracle column and the margin of the rows at t >= t_from
+    against an independent zeta; t is taken as the float the row names, not
+    as its decimal string.  Returns the number of rows checked."""
     col = {name: i for i, name in enumerate(rows[0])}
     checked = 0
     with mpmath.workdps(25):
         for row in rows[1:]:
             t = float(row[col["t"]])
-            if t < T_RS:
+            if t < t_from:
                 continue
             ref = float(mpmath.log(abs(mpmath.zeta(mpmath.mpc(0.5, t)))))
             margin = float(row[col["dirichlet_term"]]) + float(row[col["arch_term"]]) - ref
             assert abs(float(row[col["log_abs_zeta"]]) - ref) <= 1e-12, t
             assert abs(float(row[col["margin"]]) - margin) <= 1e-12, t
             checked += 1
-    assert checked == 25
+    return checked
+
+
+def test_scan_artifact_oracle_against_mpmath():
+    # the tracked rows that were served by Riemann-Siegel
+    assert _rows_against_mpmath(_read_csv(REPO / "artifacts" / SCAN_CSV), ARTIFACT_T_RS) == 25
+
+
+def test_fresh_scan_oracle_against_mpmath(ctx):
+    # every row of a fresh scan that Riemann-Siegel serves now
+    assert _rows_against_mpmath(_fresh_scan_rows(ctx), T_RS) == 36

@@ -44,10 +44,10 @@ def ref_bracket_sides(t, x, beta, table):
     nsf = ns.astype(float)
     S = fsum(table.log_p(ns) / np.sqrt(nsf) * np.cos(t * np.log(nsf))
              * np.sinh(beta * np.log(x / nsf)))
-    xb = x ** beta
+    em1 = math.expm1(beta * math.log(x))  # x^beta - 1 without cancellation
     logt = math.log(t)
-    return (-logt / (xb - 1) + 2 * xb / (xb - 1) ** 2 * S,
-            logt / (xb + 1) + 2 * xb / (xb + 1) ** 2 * S)
+    return (-logt / em1 + 2 * (em1 + 1) / em1 ** 2 * S,
+            logt / (em1 + 2) + 2 * (em1 + 1) / (em1 + 2) ** 2 * S)
 
 
 def ref_weighted_psi(x, table):

@@ -88,6 +88,21 @@ def test_prime_forms_disagreement_raises(lam600, monkeypatch):
         _prime_term("+", KernelParams(0.5, 1.0), 100.0, lam600)
 
 
+@pytest.mark.parametrize("beta", [1e-7, 1e-8])
+@pytest.mark.parametrize("sign", "+-")
+def test_prime_forms_agree_at_a_tiny_beta(lam600, sign, beta):
+    # x^beta - 1 by subtraction put the sinh form 1.9e-9 off the FT form at
+    # beta = 1e-7, x = 2.1, and the cross-check refused a correct value
+    p = KernelParams(beta, math.log(2.1) / (2 * math.pi))
+    gw_prime_side(sign, p, 100.0, lam600)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        xb = mp.mpf(p.x) ** mp.mpf(beta)
+        ref = 2 * xb / (xb - 1 if sign == "+" else xb + 1) ** 2
+    got = explicit_formula._sinh_norm(sign, p.x, beta)
+    assert abs(got - float(ref)) <= 4 * 2.0 ** -53 * got
+
+
 def test_archimedean_rejects_bad_sign():
     with pytest.raises(DomainError):
         explicit_formula._archimedean("*", KernelParams(0.5, 1.0), 100.0)

@@ -16,6 +16,8 @@ from critline.errors import (
 from critline import zeta_oracle
 from critline.zeta_oracle import (
     _C2J,
+    _C_TERMS,
+    _PI2,
     _PSI_TAYLOR,
     T_RS,
     _correction_polys,
@@ -171,6 +173,44 @@ def test_em_cutoff_stays_near_a_quarter_of_the_height(monkeypatch):
             assert cutoffs[-1] <= math.ceil(abs(t) / 2), (t, f)
 
 
+def _rs_coefficients(order):
+    """r[k][j] for k <= order: C_k = sum_j r_kj Psi^(3k-4j)(p) / pi^(2k-2j).
+
+    Arias de Reyna's d[0, n, k] recurrence (Math. Comp. 80, 2011, as in
+    mpmath's rszeta) at sigma = 1/2, in exact rationals; odd k vanish there,
+    and r_kj = (-2)^(-3k) (-4)^j d[k, 2j]."""
+    d = {(0, 0): Fraction(1)}
+    for n in range(1, order + 1):
+        for k in range(3 * n // 2 + 1):
+            m = 3 * n - 2 * k
+            if m:
+                d[n, k] = (-(m + 1) * d.get((n - 1, k - 2), 0)
+                           + Fraction(1, 4 * m) * d.get((n - 1, k), 0))
+            else:
+                d[n, k] = -sum((-1) ** (k - r) * d[n, r]
+                               * Fraction(math.factorial(2 * k - 2 * r), math.factorial(k - r))
+                               for r in range(k))
+    return [[Fraction(-2) ** (-3 * k) * Fraction(-4) ** j * d[k, 2 * j]
+             for j in range(3 * k // 4 + 1)] for k in range(order + 1)]
+
+
+def test_correction_table_is_the_recurrence():
+    # Every term of C_1..C_7 with a derivative of Psi is the recurrence's
+    # rational over its power of pi, evaluated as the table writes it.  The
+    # recurrence's Psi(p) term of C_4 is 143/18432, not Gabcke's 1/128
+    # (mpmath.siegelz at t = 200 is 1.6e-12 from Z with 1/128 and 9.6e-10
+    # with 143/18432), so C_0..C_4 stay Gabcke's literals, and the table
+    # stops at C_7, the last order without a Psi(p) term.
+    r = _rs_coefficients(7)
+    assert len(_C_TERMS) == 8 and _C_TERMS[0] == ((1.0, 0),)
+    assert _C_TERMS[4][0] == (1 / (128 * _PI2), 0) and r[4][3] == Fraction(143, 18432)
+    for k in range(1, 8):
+        want = {3 * k - 4 * j: q.numerator / (q.denominator * _PI2 ** (k - j))
+                for j, q in enumerate(r[k]) if 3 * k - 4 * j > 0}
+        got = {m: c for c, m in _C_TERMS[k] if m > 0}
+        assert got == want, k
+
+
 def test_correction_product_matches_horner():
     polys = _correction_polys()
     for p in np.linspace(0, 1, 200, endpoint=False):
@@ -226,6 +266,14 @@ def test_riemann_siegel_against_mpmath():
         assert abs(riemann_siegel_z(float(t)) - float(mpmath.siegelz(t))) <= 1e-13, t
 
 
+def test_riemann_siegel_from_the_switch_within_gabckes_bound():
+    # where C_5..C_7 moved the switch down: C_0..C_4 alone are up to 2.7e-13 off here
+    for t in [T_RS, *np.geomspace(T_RS, 3.30e4, 41)]:
+        t = float(t)
+        err = abs(riemann_siegel_z(t) - float(mpmath.siegelz(t)))
+        assert err <= min(1e-13, 9.2 * (t / (2 * math.pi)) ** (-17 / 4)), t
+
+
 def test_riemann_siegel_against_euler_maclaurin():
     # |Z| = |zeta| on the line; the tolerance is EM's own phase rounding
     for t in np.geomspace(T_RS, 1e5, 5):
@@ -241,25 +289,34 @@ def test_riemann_siegel_domain():
 
 
 def test_psi_taylor_table_against_mpmath():
+    degree = 2 * len(_PSI_TAYLOR) - 2
     with mpmath.workdps(20):
         def psi(p):
             return mpmath.cos(2 * mpmath.pi * (p * p - p - mpmath.mpf(1) / 16)) \
                 / mpmath.cos(2 * mpmath.pi * p)
-        ref = mpmath.taylor(psi, mpmath.mpf(1) / 2, 2 * len(_PSI_TAYLOR) - 2)
+        ref = [float(c) for c in mpmath.taylor(psi, mpmath.mpf(1) / 2, degree + 20)]
     for j, c in enumerate(_PSI_TAYLOR):
-        assert abs(c - float(ref[2 * j])) <= 1e-15 * abs(c), 2 * j
+        assert abs(c - ref[2 * j]) <= 1e-15 * abs(c), 2 * j
     assert all(abs(c) <= 1e-18 for c in ref[1::2])  # Psi is even about 1/2
+    # on |p - 1/2| <= 1/2 the terms the table omits are below an ulp of the
+    # largest value of every derivative Psi^(m) that the corrections use
+    for m in range(max(m for terms in _C_TERMS for _, m in terms) + 1):
+        def series(lo, u):
+            return sum(ref[n] * math.perm(n, m) * u ** (n - m) for n in range(lo, len(ref)))
+        omitted = series(degree + 1, 0.5)
+        largest = max(abs(series(m, i / 20)) for i in range(11))
+        assert abs(omitted) <= 2.0 ** -53 * largest, m
 
 
 def test_log_abs_crit_below_the_switch_is_euler_maclaurin():
-    for t in (T_RS - 1e-3, math.nextafter(T_RS, 0), 2e4):
+    for t in (T_RS - 1e-3, math.nextafter(T_RS, 0), 5e3):
         assert log_abs_zeta_crit(t) == math.log(abs(zeta_em(complex(0.5, t)))), t
 
 
 def _rs_grid():
     """200 log-spaced t in [T_RS, 1e6], T_RS itself, and t on either side of
-    2 pi N^2, where N = floor(sqrt(t/2pi)) steps, for N from 73 to 398."""
-    steps = [2 * math.pi * N * N for N in (73, 74, 100, 150, 250, 398)]
+    2 pi N^2, where N = floor(sqrt(t/2pi)) steps, for N from 34 to 398."""
+    steps = [2 * math.pi * N * N for N in (34, 35, 100, 150, 250, 398)]
     near = [math.nextafter(s, side) for s in steps for side in (0, math.inf)]
     return np.array(sorted([T_RS, *np.geomspace(T_RS, 1e6, 200), *steps, *near]))
 
@@ -269,8 +326,8 @@ def test_riemann_siegel_array_equals_the_scalar_loop():
     batch = riemann_siegel_z(ts)
     assert batch.shape == ts.shape
     assert batch.tolist() == [riemann_siegel_z(t) for t in ts.tolist()]
-    # the grid's N run from T_RS's 72 to 398, and step within it
-    assert {zeta_oracle._theta_phase(t)[0] for t in ts.tolist()} >= {72, 73, 397, 398}
+    # the grid's N run from T_RS's 33 to 398, and step within it
+    assert {zeta_oracle._theta_phase(t)[0] for t in ts.tolist()} >= {33, 34, 397, 398}
     one = riemann_siegel_z(np.array([5e4]))
     assert isinstance(one, np.ndarray) and one.tolist() == [riemann_siegel_z(5e4)]
     assert type(riemann_siegel_z(5e4)) is float
