@@ -78,10 +78,10 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
     Margins are only meaningful away from zeros: a loaded table rejects t
     within 1e-2 of an ordinate, and the oracle refuses |zeta| < 1e-8.
     """
-    if t < 10:
-        raise DomainError("t must be >= 10")
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    if not 10 <= t < math.inf:  # NaN fails every such range check
+        raise DomainError("t must be finite and >= 10")
+    if not 2 <= x < math.inf:
+        raise DomainError("x must be finite and >= 2")
     d = _ordinate_distance(t, zeros)
     if d < MARGIN_GUARD_RADIUS:
         raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
@@ -270,14 +270,14 @@ def scan_margins(t_min: float, t_max: float, points: int,
 
     Every row equals :func:`theorem1_rhs` at its (t, x), bit for bit, but the
     grid is one pass: one kernel call, which evaluates the weights F once for
-    all distinct x, and one oracle call, whose Riemann-Siegel points form one
-    batch.  What remains per point is a cos row over the prime powers
-    n <= x with its correctly rounded sum, and the decimal theta of an RS
+    all distinct x, and one ``log_abs_zeta_crit`` call, one ``hardy_z`` batch.
+    What remains per point is a cos row over the prime powers n <= x with
+    its correctly rounded sum, and the decimal theta of a Riemann-Siegel
     point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
     terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
-    if points < 1 or t_min < 10 or t_max < t_min:
-        raise DomainError("need t_max >= t_min >= 10 and points >= 1")
+    if not (points >= 1 and 10 <= t_min <= t_max < math.inf):
+        raise DomainError("need finite t_max >= t_min >= 10 and points >= 1")
     if x_policy == "logsq":
         def x_of(t):
             return math.log(t) ** 2

@@ -296,8 +296,8 @@ def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable | Non
 def gw_prime_side(sign: str, p: KernelParams, t: float,
                   lambdas: LambdaTable | None = None) -> GWBreakdown:
     """Right-hand side of the identity at t (zero_side/tail filled by verify_gw)."""
-    if t < 10:
-        raise DomainError("t must be >= 10")
+    if not 10 <= t < math.inf:
+        raise DomainError("t must be finite and >= 10")
     _, D = kernel_constants(sign, p)
     boundary, ft_zero, arch = (v / D for v in _prime_side_numerators(p, t, lambdas)[:3])
     prime = _prime_term(sign, p, t, lambdas)
@@ -338,7 +338,7 @@ def partial_fraction_residual(beta: float, t: float, z: ZeroTable) -> ResidualRe
     """
     if not 0 < beta <= 1:
         raise DomainError("beta must lie in (0, 1]")
-    if t < 10:
+    if not t >= 10:
         raise DomainError("t must be >= 10")
     side = _zero_sum(lambda x: beta / (beta ** 2 + x ** 2), 1.0, beta, t, z)
     re_ld = zeta_logderiv(complex(0.5 + beta, t)).real
@@ -365,10 +365,10 @@ def lemma3_bracket(t: float, x: float, beta: float,
     """
     if beta < BETA_FLOOR:
         raise DegenerateBeta(f"beta={beta} below {BETA_FLOOR}: x^beta - 1 degenerates")
-    if beta > 1:
+    if not beta <= 1:  # NaN fails this and the checks below
         raise DomainError("beta must lie in (0, 1]")
-    if t < 10 or x < 2:
-        raise DomainError("need t >= 10 and x >= 2")
+    if not (10 <= t < math.inf and 2 <= x < math.inf):
+        raise DomainError("need finite t >= 10 and x >= 2")
     S = dirichlet_cos_sum(covering_table(x, lambdas), x, t,
                           lambda n, ln: _sinh_weight(n, x, beta))
     em1 = _xb_minus_one(x, beta)

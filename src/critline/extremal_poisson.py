@@ -42,8 +42,8 @@ class KernelParams:
     delta: float
 
     def __post_init__(self):
-        if self.beta <= 0 or self.delta <= 0:
-            raise DomainError("beta and delta must be positive")
+        if not (0 < self.beta < math.inf and 0 < self.delta < math.inf):
+            raise DomainError("beta and delta must be positive and finite")
 
     @property
     def x(self) -> float:

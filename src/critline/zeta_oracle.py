@@ -6,14 +6,14 @@ remainder bound verified at runtime.  The cutoff M starts at |Im s|/4, where
 at most 59 correction terms meet the bound, so the head sum_{n<M} n^-s costs
 about |Im s|/4 terms; its float phases t log n dominate the error (bound in
 ``zeta_em``; measured against mpmath on the line, 1.3e-11 at t = 1e5 and
-9.8e-10 at t ~ 4.7e5).  On the critical line at t >= T_RS
-(about 7.06e3) Z(t) comes from the Riemann-Siegel formula with the
+9.8e-10 at t ~ 4.7e5).  On the critical line ``hardy_z`` alone picks the
+route: at t >= T_RS (about 7.06e3) the Riemann-Siegel formula with the
 corrections C0..C7 and double-double phases, whose remainder bound (Gabcke's
-d_7 = 9.2) meets the same 1e-12 target; ``log_abs_zeta_crit`` and
-``hardy_z`` use it there and EM below.  EM stays the independent route:
+d_7 = 9.2) meets the same 1e-12 target, and EM rotated by theta below;
+``log_abs_zeta_crit`` is log|Z|.  EM stays the independent route:
 every other evaluation, on or off the line, is EM.  digamma is scipy's
 ``psi``, real on real input.
-Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6.
+Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6, no NaN.
 """
 
 from __future__ import annotations
@@ -67,29 +67,16 @@ _J_MAX = len(_C2J) - 1
 
 
 def _csum(arr: np.ndarray) -> complex:
-    """Sum of a complex array, real and imaginary parts apart.
-
-    Up to 4096 terms each part is correctly rounded (``exact_sum``, equal to
-    ``math.fsum``).  Longer arrays are cut into 4096-term chunks summed
-    pairwise by numpy; the chunk sums, and the remainder, are each summed
-    correctly rounded.
-    """
-    n = len(arr)
-    k = 4096
-    if n <= k:
-        return complex(exact_sum(arr.real), exact_sum(arr.imag))
-    m = (n // k) * k
-    chunks = arr[:m].reshape(-1, k).sum(axis=1)
-    re = exact_sum(chunks.real) + exact_sum(arr[m:].real)
-    im = exact_sum(chunks.imag) + exact_sum(arr[m:].imag)
-    return complex(re, im)
+    """Sum of a complex array, real and imaginary parts apart, each correctly
+    rounded (``exact_sum``, equal to ``math.fsum``) at any length."""
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 def _check_window(s: complex):
-    if s.real < 0:
-        raise WindowExceeded(f"Re s = {s.real} < 0 unsupported")
-    if abs(s.imag) > IM_WINDOW:
-        raise WindowExceeded(f"|Im s| = {abs(s.imag)} > {IM_WINDOW}")
+    if not s.real >= 0:  # written so that NaN fails, as below
+        raise WindowExceeded(f"Re s = {s.real} is outside Re s >= 0")
+    if not abs(s.imag) <= IM_WINDOW:
+        raise WindowExceeded(f"|Im s| = {abs(s.imag)} is outside |Im s| <= {IM_WINDOW}")
     if abs(s - 1) < 1e-10:
         raise PoleAtOne("zeta has a pole at s = 1")
 
@@ -163,8 +150,8 @@ def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
     is far smaller in practice: against mpmath on the line, 2.6e-14 at
     t = 50, 1.3e-11 at t = 1e5, 9.8e-10 at t ~ 4.7e5 and 1.8e-9 at 1e6 - 0.3,
     against bounds of 1.4e-12, 1.1e-7, 1.4e-6 and 4.6e-6.
-    This is every zeta value of the package except log|zeta(1/2+it)| at
-    t >= T_RS, which ``log_abs_zeta_crit`` takes from ``riemann_siegel_z``;
+    This is every zeta value of the package except Z(t) at t >= T_RS, which
+    ``hardy_z`` takes from ``riemann_siegel_z``;
     the two routes share none of their numerics, so each checks the other.
     """
     return _em_sum(s, target, min_m, 0)
@@ -329,6 +316,10 @@ def _theta_phase(t: float):
                 float(th - Decimal(th_hi)) + _theta_tail(t))
 
 
+#: points per pass of ``riemann_siegel_z``, so that its flat arrays stay small
+_RS_SLICE = 256
+
+
 def riemann_siegel_z(t):
     """Z(t), with |Z(t)| = |zeta(1/2+it)|, by the Riemann-Siegel formula.
 
@@ -347,20 +338,24 @@ def riemann_siegel_z(t):
     t = 200, where the truncation dominates.
 
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
-    array whose entries equal the float calls bit for bit.  The decimal
-    theta and a, and the corrections, are formed per point; the phases and
-    the terms of every point's main sum in one pass over a flat array of
-    sum N entries, each point's sum correctly rounded over its own slice.
-    A float call is a batch of one, about 0.12 ms at 1e5 and 0.14 ms at 1e6
-    on a 2-core machine; in a batch a point at 1e5 costs about 0.08 ms, of
-    which the decimal step is 0.045 ms.  Every t is checked before any is
-    evaluated.
+    array whose entries equal the float calls bit for bit.  Every t is
+    checked before any is evaluated.  Then each slice of ``_RS_SLICE``
+    points is one pass: the decimal theta and a, and the corrections, per
+    point; the phases and the terms of every point's main sum over a flat
+    array of sum N entries, each point's sum correctly rounded over its own
+    part.  A float call is a batch of one, about 0.12 ms at 1e5 and 0.14 ms
+    at 1e6 on a 2-core machine; in a batch a point at 1e5 costs about
+    0.08 ms, of which the decimal step is 0.045 ms.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
-    for ti in ts:
-        if ti < 200:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    for ti in ts.tolist():
+        if not ti >= 200:  # NaN fails it too
             raise DomainError(f"Riemann-Siegel remainder bound needs t >= 200, got {ti}")
         _check_window(complex(0.5, ti))
+    if len(ts) > _RS_SLICE:
+        return np.concatenate([riemann_siegel_z(ts[i:i + _RS_SLICE])
+                               for i in range(0, len(ts), _RS_SLICE)])
+    ts = ts.tolist()
     Ns, ps, As, th_hi, th_lo = zip(*map(_theta_phase, ts)) if ts else ((),) * 5
     Ns = np.array(Ns, dtype=int)
     ends = np.cumsum(Ns)
@@ -386,42 +381,44 @@ def riemann_siegel_z(t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def hardy_z(t: float) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2+it), real and signed, for t >= 10:
+def hardy_z(t):
+    """Z(t) = e^{i theta(t)} zeta(1/2+it), real and signed, for t >= 10, and
+    the only code that picks a route on the critical line:
     ``riemann_siegel_z`` at t >= T_RS, and below it the real part of
     e^{i theta(t)} times ``zeta_em`` (the imaginary part is rounding).
     Measured against mpmath.siegelz: at most 5.0e-14 on [100, 101], 4.6e-12
     at t = 5000.5 (theta's float rounding) and 8.9e-16 above T_RS.
+
+    ``t`` is a float, which gives a float, or a 1-D array, which gives an
+    array equal to the float calls bit for bit: its points at or above T_RS
+    go to ``riemann_siegel_z`` as one batch (about 0.07 ms a point at 7e3),
+    and the others to ``zeta_em`` one by one (0.07 ms at 1e3 to 0.19 ms a
+    point just below T_RS).  A batch is refused whole, before any point is
+    evaluated, if any t is below 10, NaN or above the window.
     """
-    if t < 10:
+    arr = np.asarray(t, dtype=float)
+    ts = arr.reshape(-1).tolist()  # lists, not masks: a float call stays cheap
+    if not all(ti >= 10 for ti in ts):  # NaN fails it too
         raise DomainError("supported for t >= 10")
-    if t >= T_RS:
-        return riemann_siegel_z(t)
-    return (cmath.exp(1j * theta(t)) * zeta_em(complex(0.5, t))).real
+    high = [ti for ti in ts if ti >= T_RS]  # RS first: its window check precedes any EM sum
+    rs = iter(riemann_siegel_z(np.array(high)).tolist() if high else ())
+    z = [next(rs) if ti >= T_RS else (cmath.exp(1j * theta(ti)) * zeta_em(complex(0.5, ti))).real
+         for ti in ts]
+    return z[0] if arr.ndim == 0 else np.array(z)
 
 
 def log_abs_zeta_crit(t):
-    """log|zeta(1/2+it)| for t >= 10; refuses |zeta| <= ZERO_GUARD (1e-8)
-    with ``NearZeroOfZeta``.
+    """log|zeta(1/2+it)| = log|``hardy_z``(t)| for t >= 10; refuses
+    |zeta| <= ZERO_GUARD (1e-8) with ``NearZeroOfZeta``.
 
-    |zeta| is |Z(t)| from ``riemann_siegel_z`` at t >= T_RS (about 7.06e3),
-    where its remainder bound meets 1e-12, and ``zeta_em`` below.  The
-    distance to a tabulated ordinate is the caller's rule (``bound_engine``),
-    not the oracle's.  ``t`` is a float, or a 1-D array, which gives an
-    array equal to the float calls bit for bit: its points at or above T_RS
-    go to ``riemann_siegel_z`` as one batch (about 0.07 ms a point at 7e3),
-    and the others to ``zeta_em`` one by one (0.07 ms at 1e3 to 0.19 ms
-    just below T_RS a point).  A batch is refused whole, for the first t
-    that a loop over it would refuse at a zero.
+    The distance to a tabulated ordinate is the caller's rule
+    (``bound_engine``), not the oracle's.  ``t`` is a float or a 1-D array,
+    one ``hardy_z`` batch, and gives the same: an array equal to the float
+    calls bit for bit.  A batch is refused whole, for the first t that a
+    loop over it would refuse at a zero.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 10):
-        raise DomainError("supported for t >= 10")
-    rs = ts >= T_RS
-    a = np.empty(len(ts))
-    if rs.any():
-        a[rs] = np.abs(riemann_siegel_z(ts[rs]))
-    a[~rs] = [abs(zeta_em(complex(0.5, ti))) for ti in ts[~rs].tolist()]
+    a = np.abs(hardy_z(ts))
     for ti, ai in zip(ts.tolist(), a.tolist()):
         if ai <= ZERO_GUARD:
             raise NearZeroOfZeta(f"|zeta(1/2+{ti}i)| = {ai:.2e}")

@@ -126,7 +126,7 @@ def test_verify_ordinates_rejects_a_non_zero(tmp_path):
     f = tmp_path / "z.txt"
     f.write_text("14.134725142\n21.022039639\n25.500000000\n")
     with pytest.raises(CrossCheckFailed):
-        verify_ordinates(load_zeros(f), full=True)
+        verify_ordinates(load_zeros(f))
 
 
 def test_zero_count_predicted_on_arrays():
@@ -197,12 +197,18 @@ def test_search_runs_on_past_a_bad_gram_point(zeros):
 
 def test_a_block_that_does_not_fill_raises(monkeypatch):
     calls = []
-    monkeypatch.setattr(zeros_table, "hardy_z", lambda t: calls.append(t) or 1.0)
+
+    def fake_hardy_z(t):
+        calls.append(len(t))
+        return np.ones(len(t))
+
+    monkeypatch.setattr(zeros_table, "hardy_z", fake_hardy_z)
     ts, zs = np.array([100.0, 100.5, 101.0]), np.array([1.0, 1.0, -1.0])
     with pytest.raises(CrossCheckFailed, match="1 of its 3 sign changes"):
         zeros_table._block_brackets(ts, zs, 3)
-    # each doubling is checked, the last one included
-    assert len(calls) == 2 * (2 ** zeros_table.MAX_DOUBLINGS - 1)
+    # each doubling is checked, the last one included: one batch of midpoints each
+    assert len(calls) == zeros_table.MAX_DOUBLINGS
+    assert sum(calls) == 2 * (2 ** zeros_table.MAX_DOUBLINGS - 1)
 
 
 def test_searched_ordinates_against_mpmath_zetazero(searched):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from critline.errors import (
+    CritlineError,
     DomainError,
     NearZeroOfZeta,
     PoleAtNonpositiveInteger,
     PoleAtOne,
     WindowExceeded,
 )
-from critline import zeta_oracle
+from critline import bound_engine, explicit_formula, extremal_poisson, zeta_oracle
+from critline.zeros_table import ZeroTable
 from critline.zeta_oracle import (
     _C2J,
     _C_TERMS,
@@ -309,8 +311,13 @@ def test_psi_taylor_table_against_mpmath():
 
 
 def test_log_abs_crit_below_the_switch_is_euler_maclaurin():
-    for t in (T_RS - 1e-3, math.nextafter(T_RS, 0), 5e3):
-        assert log_abs_zeta_crit(t) == math.log(abs(zeta_em(complex(0.5, t)))), t
+    # log|Z| below T_RS is log|zeta_em| up to the rounding of the theta rotation
+    rng = np.random.default_rng(11)
+    ts = [T_RS - 1e-3, math.nextafter(T_RS, 0), 5e3, *rng.uniform(10, T_RS, 200).tolist()]
+    for t in ts:
+        v = log_abs_zeta_crit(t)
+        assert v == math.log(abs(hardy_z(t))), t
+        assert abs(v - math.log(abs(zeta_em(complex(0.5, t))))) <= 1e-15, t
 
 
 def _rs_grid():
@@ -334,11 +341,78 @@ def test_riemann_siegel_array_equals_the_scalar_loop():
     assert riemann_siegel_z(np.array([])).shape == (0,)
 
 
+def _both_tiers():
+    return np.concatenate([np.geomspace(10, 1e6, 80), [math.nextafter(T_RS, 0), T_RS]])
+
+
 def test_log_abs_crit_array_spans_both_tiers():
-    ts = np.concatenate([np.geomspace(10, 1e6, 80), [math.nextafter(T_RS, 0), T_RS]])
+    ts = _both_tiers()
     batch = log_abs_zeta_crit(ts)
     assert batch.tolist() == [log_abs_zeta_crit(t) for t in ts.tolist()]
+    assert batch.tolist() == [math.log(abs(hardy_z(t))) for t in ts.tolist()]
     assert type(log_abs_zeta_crit(1e5)) is float
+
+
+def test_hardy_z_array_equals_the_scalar_loop():
+    ts = _both_tiers()
+    batch = hardy_z(ts)
+    assert batch.shape == ts.shape
+    assert batch.tolist() == [hardy_z(t) for t in ts.tolist()]
+    assert type(hardy_z(100.0)) is float and type(hardy_z(1e5)) is float
+    assert hardy_z(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("f", [riemann_siegel_z, hardy_z])
+def test_batches_across_slice_boundaries_equal_the_scalar_loop(monkeypatch, f):
+    monkeypatch.setattr(zeta_oracle, "_RS_SLICE", 3)
+    # 10 points above T_RS make slices of 3, 3, 3 and 1; hardy_z mixes in EM points
+    ts = np.geomspace(T_RS, 1e6, 10)
+    if f is hardy_z:
+        ts = np.sort(np.concatenate([ts, [100.0, 5e3]]))
+    assert f(ts).tolist() == [f(t) for t in ts.tolist()]
+
+
+@pytest.mark.parametrize("n", [4097, 25_000])
+def test_csum_is_correctly_rounded_at_any_length(n):
+    rng = np.random.default_rng(n)
+    # terms of mixed size and sign, where a pairwise sum would round
+    arr = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) \
+        + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    total = zeta_oracle._csum(arr)
+    assert total.real == math.fsum(arr.real.tolist())
+    assert total.imag == math.fsum(arr.imag.tolist())
+
+
+_BAD_INPUTS = {
+    "zeta_em": lambda v: zeta_em(complex(0.5, v)),
+    "zeta_em(re)": lambda v: zeta_em(complex(v, 10.0)),
+    "riemann_siegel_z": riemann_siegel_z,
+    "hardy_z": hardy_z,
+    "hardy_z(batch)": lambda v: hardy_z(np.array([100.0, v, 1e4])),
+    "log_abs_zeta_crit": log_abs_zeta_crit,
+    "theorem1_rhs(t)": lambda v: bound_engine.theorem1_rhs(v, 10.0),
+    "theorem1_rhs(x)": lambda v: bound_engine.theorem1_rhs(100.0, v),
+    "scan_margins(t_min)": lambda v: bound_engine.scan_margins(v, 1e3, 3),
+    "scan_margins(t_max)": lambda v: bound_engine.scan_margins(1e3, v, 3),
+    "lemma3_bracket(t)": lambda v: explicit_formula.lemma3_bracket(v, 10.0, 0.5),
+    "lemma3_bracket(x)": lambda v: explicit_formula.lemma3_bracket(100.0, v, 0.5),
+    "lemma3_bracket(beta)": lambda v: explicit_formula.lemma3_bracket(100.0, 10.0, v),
+    "gw_prime_side(t)": lambda v: explicit_formula.gw_prime_side(
+        "+", extremal_poisson.KernelParams(0.5, 1.0), v),
+    "partial_fraction_residual(t)": lambda v: explicit_formula.partial_fraction_residual(
+        0.5, v, ZeroTable(np.array([GAMMA1]), "one ordinate")),
+    "KernelParams(beta)": lambda v: extremal_poisson.KernelParams(v, 1.0),
+    "KernelParams(delta)": lambda v: extremal_poisson.KernelParams(1.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_BAD_INPUTS))
+def test_nan_and_inf_are_refused_typed(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused up front, before any numpy warning
+        with pytest.raises(CritlineError):
+            _BAD_INPUTS[entry](value)
 
 
 def _loop_refusal(ts):
