@@ -50,9 +50,9 @@ class BoundReport:
         return self.error_scale > math.log(self.t)
 
 
-def dirichlet_weight(log_n, log_x):
-    """F(log(x/n)/log x) / log x, the weight of n in :func:`dirichlet_term`,
-    from log n and log x; either may be an array."""
+def dirichlet_weight(n, log_n, log_x):
+    """F(log(x/n)/log x) / log x, the kernel weight of :func:`dirichlet_term`;
+    it reads log n and log x (either may be an array), not n."""
     return f_closed_form((log_x - log_n) / log_x) / log_x
 
 
@@ -61,9 +61,7 @@ def dirichlet_term(t, x: float, table: LambdaTable | None = None):
     may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`."""
     if x < 2:
         return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
-    log_x = math.log(x)
-    return dirichlet_cos_sum(covering_table(x, table), x, t,
-                             lambda n, ln: dirichlet_weight(ln, log_x))
+    return dirichlet_cos_sum(covering_table(x, table), x, t, dirichlet_weight)
 
 
 def archimedean_term(t: float, x: float) -> float:
@@ -73,7 +71,8 @@ def archimedean_term(t: float, x: float) -> float:
 
 def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
                  zeros: ZeroTable | None = None) -> BoundReport:
-    """Main terms of the bound at (t, x), with the oracle margin.
+    """Main terms of the bound at (t, x), with the oracle margin: one point
+    of :func:`scan_margins`'s evaluation.
 
     Margins are only meaningful away from zeros: a loaded table rejects t
     within 1e-2 of an ordinate, and the oracle refuses |zeta| < 1e-8.
@@ -85,7 +84,7 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
     d = _ordinate_distance(t, zeros)
     if d < MARGIN_GUARD_RADIUS:
         raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
-    return _bound_report(t, x, dirichlet_term(t, x, table), log_abs_zeta_crit(t))
+    return _theorem1_rows([t], [x], table)[0]
 
 
 def _ordinate_distance(t: float, zeros: ZeroTable | None) -> float:
@@ -96,16 +95,16 @@ def _ordinate_distance(t: float, zeros: ZeroTable | None) -> float:
     return zeros.distance_to_nearest(t)
 
 
-def _bound_report(t: float, x: float, dir_term: float, oracle: float) -> BoundReport:
-    arch = archimedean_term(t, x)
-    return BoundReport(
-        t=t, x=x,
-        dirichlet_term=dir_term,
-        archimedean_term=arch,
-        error_scale=math.sqrt(x) * math.log(x) / t + 1.0,
-        oracle_log_abs_zeta=oracle,
-        margin=dir_term + arch - oracle,
-    )
+def _theorem1_rows(ts: list, xs: list, table: LambdaTable | None = None) -> list:
+    """BoundReports at checked points (t >= 10, x >= 2): one kernel call, with
+    F formed once for all distinct x, and one ``log_abs_zeta_crit`` batch."""
+    dir_terms = dirichlet_cos_sum(covering_table(max(xs), table), np.array(xs), np.array(ts),
+                                  dirichlet_weight).tolist()
+    oracle = log_abs_zeta_crit(np.array(ts)).tolist()
+    return [BoundReport(t=t, x=x, dirichlet_term=d, archimedean_term=a,
+                        error_scale=math.sqrt(x) * math.log(x) / t + 1.0,
+                        oracle_log_abs_zeta=o, margin=d + a - o)
+            for t, x, d, a, o in zip(ts, xs, dir_terms, map(archimedean_term, ts, xs), oracle)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +267,12 @@ def scan_margins(t_min: float, t_max: float, points: int,
     falling within 1e-2 of a tabulated ordinate are nudged up by 2e-2
     (deterministically) so margins stay meaningful.
 
-    Every row equals :func:`theorem1_rhs` at its (t, x), bit for bit, but the
-    grid is one pass: one kernel call, which evaluates the weights F once for
-    all distinct x, and one ``log_abs_zeta_crit`` call, one ``hardy_z`` batch.
-    What remains per point is a cos row over the prime powers n <= x with
-    its correctly rounded sum, and the decimal theta of a Riemann-Siegel
-    point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
-    terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
+    Every row is :func:`theorem1_rhs`'s evaluation at its (t, x), run once
+    for the whole grid (one kernel call, one ``hardy_z`` batch).  What
+    remains per point is a cos row over the prime powers n <= x with its
+    correctly rounded sum, and the decimal theta of a Riemann-Siegel point
+    or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4 terms: in
+    a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
     if not (points >= 1 and 10 <= t_min <= t_max < math.inf):
         raise DomainError("need finite t_max >= t_min >= 10 and points >= 1")
@@ -298,12 +296,8 @@ def scan_margins(t_min: float, t_max: float, points: int,
         while _ordinate_distance(t, zeros) < MARGIN_GUARD_RADIUS:
             t += 2 * MARGIN_GUARD_RADIUS
         ts.append(t)
-    xs = [max(2.0, x_of(t)) for t in ts]
     # the nudge above keeps every point clear of theorem1_rhs's table refusal
-    dir_terms = dirichlet_cos_sum(covering_table(max(xs)), np.array(xs), np.array(ts),
-                                  lambda n, ln, log_x: dirichlet_weight(ln, log_x))
-    oracle = log_abs_zeta_crit(np.array(ts))
-    return [_bound_report(*row) for row in zip(ts, xs, dir_terms.tolist(), oracle.tolist())]
+    return _theorem1_rows(ts, [max(2.0, x_of(t)) for t in ts])
 
 
 CSV_HEADER = "t,x,log_abs_zeta,dirichlet_term,arch_term,rhs_main,margin,error_scale"

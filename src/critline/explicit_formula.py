@@ -27,9 +27,9 @@ t, table) with tables hashed by identity, so a "+" call and the "-" call after
 it at the same arguments share the work.
 
 Both zero sums, of the numerator of m^{+-} and of h_beta, are one private
-``_zero_sum``: it owns the sum over +-gamma, the rule that the table must
-reach 10t (``InsufficientHeight``) and the density-integral bound on the
-omitted tail.
+``_zero_sum``: it owns the sum over +-gamma, the rule that t is finite and
+>= 10 (``DomainError``), the rule that the table must reach 10t
+(``InsufficientHeight``) and the density-integral bound on the omitted tail.
 
 The archimedean term has two routes.  ``gw_prime_side`` takes the closed
 form, ``_archimedean_numerator`` / D: two digammas and a geometric series.
@@ -98,9 +98,11 @@ def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> Z
     kernel with |kernel(x)| <= envelope * h_beta(x), h_beta = beta/(beta^2+x^2).
 
     The omitted |gamma| > height tail is bounded (2x safety) by integrating
-    the envelope against the zero density (1/2pi) log(u/2pi); the table must
-    reach 10t.
+    the envelope against the zero density (1/2pi) log(u/2pi); t must be
+    finite and >= 10, and the table must reach 10t.
     """
+    if not 10 <= t < math.inf:  # NaN fails every such range check
+        raise DomainError("t must be finite and >= 10")
     if z.max_height < 10 * t:
         raise InsufficientHeight(
             f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
@@ -261,7 +263,7 @@ def _prime_side_numerators(p: KernelParams, t: float,
     k = len(table.prime_powers(x))
     w = np.array([ft_numerator(p, table.log_n[:k] / (2 * math.pi)),
                   _sinh_weight(table.support[:k].astype(float), x, p.beta)])
-    ft, S = dirichlet_cos_sum(table, x, t, lambda n, ln: w).tolist()
+    ft, S = dirichlet_cos_sum(table, x, t, lambda n, ln, log_x: w).tolist()
     return (2 * m_numerator(p, complex(t, 0.5)).real,
             ft_numerator(p, 0.0) * math.log(math.pi) / (2 * math.pi),
             _archimedean_numerator(p, t),
@@ -338,8 +340,6 @@ def partial_fraction_residual(beta: float, t: float, z: ZeroTable) -> ResidualRe
     """
     if not 0 < beta <= 1:
         raise DomainError("beta must lie in (0, 1]")
-    if not t >= 10:
-        raise DomainError("t must be >= 10")
     side = _zero_sum(lambda x: beta / (beta ** 2 + x ** 2), 1.0, beta, t, z)
     re_ld = zeta_logderiv(complex(0.5 + beta, t)).real
     return ResidualReport(residual=re_ld + 0.5 * math.log(t / (2 * math.pi)) - side.sum,
@@ -370,7 +370,7 @@ def lemma3_bracket(t: float, x: float, beta: float,
     if not (10 <= t < math.inf and 2 <= x < math.inf):
         raise DomainError("need finite t >= 10 and x >= 2")
     S = dirichlet_cos_sum(covering_table(x, lambdas), x, t,
-                          lambda n, ln: _sinh_weight(n, x, beta))
+                          lambda n, ln, log_x: _sinh_weight(n, x, beta))
     em1 = _xb_minus_one(x, beta)
     logt = math.log(t)
     left = -logt / em1 + _sinh_norm("+", x, beta) * S

@@ -105,19 +105,21 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
 
     The shared evaluation kernel for every Dirichlet polynomial in the
     package, on slices of the table's n, log n and Lambda(n)/sqrt(n).
-    ``weight(n, log n)`` maps the float arrays of prime powers n <= x and their
-    logarithms to w(n); None means w = 1.  A weight may also return r rows
-    of weights, which are summed against the one cos(t log n) row and give a
-    trailing axis of r sums.  ``t`` is a float, or a 1-D array for which the
-    weights are formed once and an array is returned, each row summed as for
-    a float t, so that the values are bit-identical.  Every sum is the
-    correctly rounded one, :func:`~critline.summation.exact_sum`.
+    ``weight(n, log n, log x)`` maps the float arrays of prime powers n <= x
+    and their logarithms, and ``math.log(x)``, to w(n); None means w = 1.  A
+    weight may also return r rows of weights, which are summed against the
+    one cos(t log n) row and give a trailing axis of r sums.  ``t`` is a
+    float, or a 1-D array for which the weights are formed once and an array
+    is returned, each row summed as for a float t, so that the values are
+    bit-identical.  Every sum is the correctly rounded one,
+    :func:`~critline.summation.exact_sum`.
 
     ``x`` may also be a 1-D array of one cutoff per t.  The weight is then
     still called once, on the n <= x of every distinct cutoff, concatenated
-    in ascending order of cutoff, as ``weight(n, log n, log x)`` with
-    ``math.log`` of each entry's cutoff; each t is summed over its own
-    cutoff's stretch, bit-identical to a call at that float x.
+    in ascending order of cutoff, with log x the array of each entry's; each
+    t is summed over its own cutoff's stretch, bit-identical to a call at
+    that float x.  A cutoff with no prime powers (x < 2) has zero sums and
+    no log: a float one passes NaN as log x.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     per_point = np.ndim(x) > 0
@@ -125,14 +127,14 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     cuts = sorted(set(cut_of)) if per_point else [x]
     ks = [len(table.prime_powers(c)) for c in cuts]
     stretch = {c: (end - k, end) for c, k, end in zip(cuts, ks, itertools.accumulate(ks))}
+    log_cuts = [math.log(c) if k else math.nan for c, k in zip(cuts, ks)]
     if weight is None:
         w = None
     elif not per_point:
-        w = weight(table.support[:ks[0]].astype(float), table.log_n[:ks[0]])
+        w = weight(table.support[:ks[0]].astype(float), table.log_n[:ks[0]], log_cuts[0])
     else:
         at = np.concatenate([np.arange(k) for k in ks])  # the table index of each entry
-        w = weight(table.support[at].astype(float), table.log_n[at],
-                   np.repeat([math.log(c) for c in cuts], ks))
+        w = weight(table.support[at].astype(float), table.log_n[at], np.repeat(log_cuts, ks))
     sums = np.empty((len(ts),) + np.shape(w)[:-1])
     for i, (ti, c) in enumerate(zip(ts, cut_of, strict=True)):
         lo, hi = stretch[c]

@@ -1,8 +1,9 @@
 """The acceptance suite: eleven numbered criteria, each a callable check.
 
 A criterion returns its ``(ok, label)`` conditions and the detail to show
-when all of them hold; ``run_criterion`` alone turns that into PASS/FAIL and
-the ``failed: ...`` detail listing the labels that did not hold.
+when all of them hold; ``run_criterion`` alone times it, adds a ``runtime``
+condition where ``TIME_BUDGETS`` holds a budget, and turns that into PASS/FAIL
+and the ``failed: ...`` detail listing the labels that did not hold.
 
 Both the pytest acceptance module and the ``selftest`` CLI subcommand run
 these.  The golden strings below are the regression anchor for the exact
@@ -103,17 +104,14 @@ class CriterionResult:
 
 
 def criterion_1(ctx: CheckContext):
-    """Symbolic golden match of the K=7 pipeline, under 1 second."""
+    """Symbolic golden match of the K=7 pipeline."""
     optimal_coeffs.run_pipeline.cache_clear()
-    t0 = time.perf_counter()
     result = optimal_coeffs.run_pipeline(7)
-    elapsed = time.perf_counter() - t0
     conds = [(series_matches_text(result.w1, GOLDEN_W1), "w1 series"),
              (series_matches_text(result.Z, GOLDEN_Z), "Z series")]
     for k, text in GOLDEN_C.items():
         conds.append((result.coefficient(k) == parse_coefficient(text), f"C_{k}"))
-    conds.append((elapsed < 1.0, f"runtime {elapsed:.3f}s"))
-    return conds, f"7 coefficients + 2 series lines, {elapsed * 1e3:.0f} ms"
+    return conds, "7 coefficients + 2 series lines"
 
 
 def criterion_2(ctx: CheckContext):
@@ -125,7 +123,6 @@ def criterion_2(ctx: CheckContext):
 
 def criterion_3(ctx: CheckContext):
     """Weight function consistency, envelope bound, and the weight chain."""
-    t0 = time.perf_counter()
     conds = []
     for u in np.arange(0.05, 0.951, 0.05):
         vals = [special_f.f_eval(float(u), m) for m in special_f.FMethod]
@@ -140,21 +137,18 @@ def criterion_3(ctx: CheckContext):
     for x in (100, 10 ** 4):
         n = np.arange(2, x + 1, dtype=float)
         logx, logn = math.log(x), np.log(n)
-        w = bound_engine.dirichlet_weight(logn, logx)
+        w = bound_engine.dirichlet_weight(n, logn, logx)
         upper = 1 / logn - 1 / (2 * logx - logn)
         upper2 = np.minimum(1 / logn, 2 * (logx - logn) / logn ** 2)
         eps = 1e-12
         conds.append((bool(np.all(w >= -eps)), f"w >= 0 (x={x})"))
         conds.append((bool(np.all(w <= upper + eps)), f"w <= 1/log n - 1/log(x^2/n) (x={x})"))
         conds.append((bool(np.all(upper <= upper2 + eps)), f"chain tail (x={x})"))
-    elapsed = time.perf_counter() - t0
-    conds.append((elapsed < 10.0, f"runtime {elapsed:.1f}s"))
-    return conds, f"{len(conds)} checks, {elapsed:.1f}s"
+    return conds, f"{len(conds)} checks"
 
 
 def criterion_4(ctx: CheckContext):
     """Extremal kernel: pointwise ordering, L1 errors, Fourier transforms."""
-    t0 = time.perf_counter()
     conds = []
     for beta in (0.1, 0.5, 1.0):
         for delta in (1.0, 2.0):
@@ -170,15 +164,12 @@ def criterion_4(ctx: CheckContext):
                     conds.append((d <= 1e-6, f"FT {sign} xi={frac}D ({beta},{delta})"))
                 d = abs(numeric_ft(sign, p, 1.5 * delta))
                 conds.append((d <= 1e-6, f"FT {sign} beyond band ({beta},{delta})"))
-    elapsed = time.perf_counter() - t0
-    conds.append((elapsed < 10.0, f"runtime {elapsed:.1f}s"))
-    return conds, f"{len(conds)} checks, {elapsed:.1f}s"
+    return conds, f"{len(conds)} checks"
 
 
 def criterion_5(ctx: CheckContext):
     """Guinand-Weil verification at two parameter points, both signs, with the
     archimedean term cross-checked between its two routes."""
-    t0 = time.perf_counter()
     z = ctx.zeros()
     conds = [(z.max_height >= 10 ** 4, "table height >= 1e4")]
     lam = lambda_sieve(600)
@@ -191,9 +182,7 @@ def criterion_5(ctx: CheckContext):
             # the Fourier-side archimedean term against the independent y-space route
             gap = abs(b.archimedean_term - _archimedean(sign, p, t))
             conds.append((gap <= 1e-9, f"archimedean {sign} (t={t}) routes differ by {gap:.1e}"))
-    elapsed = time.perf_counter() - t0
-    conds.append((elapsed < 300.0, f"runtime {elapsed:.1f}s"))
-    return conds, f"residuals within tails, archimedean routes agree, {elapsed:.1f}s"
+    return conds, "residuals within tails, archimedean routes agree"
 
 
 def criterion_6(ctx: CheckContext):
@@ -337,6 +326,7 @@ CRITERIA = [
 ]
 
 SLOW_CRITERIA = {5, 8, 9}  # skipped by --quick
+TIME_BUDGETS = {1: 1.0, 3: 10.0, 4: 10.0, 5: 300.0}  # seconds; over budget is a FAIL
 
 
 def run_criterion(number: int, ctx: CheckContext) -> CriterionResult:
@@ -351,6 +341,9 @@ def run_criterion(number: int, ctx: CheckContext) -> CriterionResult:
             except Exception as exc:  # surfaced, not swallowed: a crash is a FAIL
                 passed, detail = False, f"error: {type(exc).__name__}: {exc}"
             else:
+                seconds = time.perf_counter() - t0
+                if num in TIME_BUDGETS:
+                    conds = [*conds, (seconds < TIME_BUDGETS[num], f"runtime {seconds:.2f}s")]
                 bad = [label for ok, label in conds if not ok]
                 passed, detail = not bad, "failed: " + ", ".join(bad) if bad else summary
             return CriterionResult(num, name, passed, detail, time.perf_counter() - t0)

@@ -29,8 +29,6 @@ from .errors import (
     UnsupportedConstantTerm,
 )
 
-DEFAULT_ORDER = 10
-
 # A monomial L^eL * Z3^e3 * Z5^e5 * ... packs into one int, its key: eL
 # (signed) sits in the low _BITS-bit field and the exponent of Z_k in field
 # (k-1)/2, so the key is eL + sum_k e_k 2^(_BITS (k-1)/2).  The product of
@@ -343,10 +341,11 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
     """Evaluate a ring element at numeric bindings for L and the Z symbols.
 
     ``constants`` maps 'L' to ln 2 and 'Z3', 'Z5', ... to zeta at odd
-    integers, each accurate to <= 1e-15 absolute.  The result carries the sum
-    of |rational| * |monomial value| * (relative binding error) as its error,
-    i.e. first-order propagation; with 1e-15 bindings and the magnitudes in
-    play this stays far below every downstream tolerance.
+    integers, each accurate to <= 1e-15 absolute.  Returns a bare float, the
+    ``math.fsum`` of the terms rational * monomial value, each formed in
+    floating point.  Note: to first order its error is the sum of |rational|
+    * |monomial value| * (relative binding error); with 1e-15 bindings and
+    the magnitudes in play this stays far below every downstream tolerance.
     """
     parts = []
     for key, n in zip(c._keys, c._nums):
@@ -405,21 +404,21 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def constant(cls, c, order: int) -> "TruncatedSeries":
         return cls(0, [_coerce_coeff(c)] + [EC_ZERO] * order, order)
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def zero(cls, order: int) -> "TruncatedSeries":
         return cls(order, [EC_ZERO], order)
 
     @classmethod
-    def monomial(cls, exponent: int, c=1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def monomial(cls, exponent: int, c, order: int) -> "TruncatedSeries":
         if exponent > order:
             raise DomainError("monomial exponent beyond requested order")
         return cls(exponent, [_coerce_coeff(c)] + [EC_ZERO] * (order - exponent), order)
 
     @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def identity(cls, order: int) -> "TruncatedSeries":
         return cls.monomial(1, 1, order)
 
     # -- accessors --------------------------------------------------------------

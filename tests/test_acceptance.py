@@ -7,7 +7,7 @@ import math
 import mpmath
 import pytest
 
-from critline import explicit_formula
+from critline import explicit_formula, selfcheck
 from critline.cli import parse_args
 from critline.errors import DomainError
 from critline.selfcheck import CRITERIA, CheckContext, run_criterion
@@ -49,6 +49,14 @@ def test_criterion_5_sees_prime_form_disagreement(ctx, monkeypatch):
     result = run_criterion(5, ctx)
     assert not result.passed and not result.skipped
     assert "CrossCheckFailed" in result.detail
+
+
+def test_criterion_over_its_time_budget_fails(monkeypatch):
+    # run_criterion times the criterion and holds it to its budget
+    monkeypatch.setitem(selfcheck.TIME_BUDGETS, 3, 0.0)
+    result = run_criterion(3, CheckContext())
+    assert not result.passed and not result.skipped
+    assert result.detail.startswith("failed: runtime ")
 
 
 def test_unknown_criterion_is_a_domain_error(ctx):

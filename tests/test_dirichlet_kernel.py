@@ -88,14 +88,15 @@ def test_batched_t_is_bit_identical_to_scalar_t(lam_small):
 def test_kernel_weight_sees_n_and_log_n(lam_small):
     seen = {}
 
-    def weight(n, ln):
-        seen["n"], seen["ln"] = n, ln
+    def weight(n, ln, log_x):
+        seen["n"], seen["ln"], seen["log_x"] = n, ln, log_x
         return np.ones_like(n)
 
     assert prime_arith.dirichlet_cos_sum(lam_small, 30.5, 7.0, weight) == \
         prime_arith.dirichlet_cos_sum(lam_small, 30.5, 7.0)
     assert list(seen["n"]) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
     assert np.array_equal(seen["ln"], np.log(seen["n"]))
+    assert seen["log_x"] == math.log(30.5)
 
 
 def test_cover_rule_compares_floor_of_x():
@@ -122,22 +123,23 @@ def test_dirichlet_term_without_table_sieves_to_floor(sieve_calls):
 def test_weight_rows_are_summed_as_separate_weights(lam_small):
     ts = np.array([10.5, 777.7, 1e5 + 0.3])
 
-    def rows(n, ln):
+    def rows(n, ln, log_x):
         return np.array([np.sqrt(n), 1 / ln])
 
     for x in (1.5, 30.5, 8765.4):
         both = prime_arith.dirichlet_cos_sum(lam_small, x, ts, rows)
         assert both.shape == (3, 2)
         for j in range(2):
-            one = prime_arith.dirichlet_cos_sum(lam_small, x, ts, lambda n, ln: rows(n, ln)[j])
+            one = prime_arith.dirichlet_cos_sum(lam_small, x, ts, lambda *a: rows(*a)[j])
             assert both[:, j].tolist() == one.tolist()
         assert prime_arith.dirichlet_cos_sum(lam_small, x, ts[1], rows).tolist() == both[1].tolist()
 
 
 def test_per_point_cutoffs_equal_float_cutoffs(lam_small):
-    # repeated cutoffs, one below 2 (no terms), weight rows, and the weight called once
-    ts = np.array([10.5, 777.7, 1e5 + 0.3, 42.0, 3e3, 9.25])
-    xs = np.array([30.5, 1.5, 8765.4, 30.5, 2.0, 8765.4])
+    # repeated cutoffs, two below 2 (no terms; no log is taken of 0.0), weight
+    # rows, and the weight called once
+    ts = np.array([10.5, 777.7, 1e5 + 0.3, 42.0, 3e3, 9.25, 500.0])
+    xs = np.array([30.5, 1.5, 8765.4, 30.5, 2.0, 8765.4, 0.0])
     calls = []
 
     def rows(n, ln, log_x):
@@ -145,10 +147,11 @@ def test_per_point_cutoffs_equal_float_cutoffs(lam_small):
         return np.array([np.sqrt(n), (log_x - ln) / log_x])
 
     both = prime_arith.dirichlet_cos_sum(lam_small, xs, ts, rows)
-    assert both.shape == (6, 2) and calls == [0 + 1 + 16 + 1143]  # the distinct cutoffs, once
+    assert both.shape == (7, 2) and calls == [0 + 0 + 1 + 16 + 1143]  # the distinct cutoffs, once
+    assert both[1].tolist() == both[6].tolist() == [0.0, 0.0]
     plain = prime_arith.dirichlet_cos_sum(lam_small, xs, ts)
     for i, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
-        one = prime_arith.dirichlet_cos_sum(lam_small, x, t,
-                                            lambda n, ln: rows(n, ln, math.log(x)))
+        # the same weight as the per-point call: a float cutoff passes log x as a float
+        one = prime_arith.dirichlet_cos_sum(lam_small, x, t, rows)
         assert both[i].tolist() == one.tolist(), (t, x)
         assert plain[i] == prime_arith.dirichlet_cos_sum(lam_small, x, t), (t, x)

@@ -383,6 +383,7 @@ def test_csum_is_correctly_rounded_at_any_length(n):
     assert total.imag == math.fsum(arr.imag.tolist())
 
 
+_ONE_ORDINATE = ZeroTable(np.array([GAMMA1]), "one ordinate")
 _BAD_INPUTS = {
     "zeta_em": lambda v: zeta_em(complex(0.5, v)),
     "zeta_em(re)": lambda v: zeta_em(complex(v, 10.0)),
@@ -400,7 +401,11 @@ _BAD_INPUTS = {
     "gw_prime_side(t)": lambda v: explicit_formula.gw_prime_side(
         "+", extremal_poisson.KernelParams(0.5, 1.0), v),
     "partial_fraction_residual(t)": lambda v: explicit_formula.partial_fraction_residual(
-        0.5, v, ZeroTable(np.array([GAMMA1]), "one ordinate")),
+        0.5, v, _ONE_ORDINATE),
+    "gw_zero_side(t)": lambda v: explicit_formula.gw_zero_side(
+        "+", extremal_poisson.KernelParams(0.5, 1.0), v, _ONE_ORDINATE),
+    "verify_gw(t)": lambda v: explicit_formula.verify_gw(
+        "+", extremal_poisson.KernelParams(0.5, 1.0), v, _ONE_ORDINATE),
     "KernelParams(beta)": lambda v: extremal_poisson.KernelParams(v, 1.0),
     "KernelParams(delta)": lambda v: extremal_poisson.KernelParams(1.0, v),
 }
@@ -413,6 +418,15 @@ def test_nan_and_inf_are_refused_typed(entry, value):
         warnings.simplefilter("error")  # refused up front, before any numpy warning
         with pytest.raises(CritlineError):
             _BAD_INPUTS[entry](value)
+
+
+def test_zero_side_refuses_t_below_10():
+    # the zero side owns the t >= 10 rule: verify_gw runs it before the prime side's
+    p = extremal_poisson.KernelParams(0.5, 1.0)
+    for call in (explicit_formula.gw_zero_side, explicit_formula.verify_gw):
+        for t in (5.0, -100.0):
+            with pytest.raises(DomainError, match="t must be finite and >= 10"):
+                call("+", p, t, _ONE_ORDINATE)
 
 
 def _loop_refusal(ts):
