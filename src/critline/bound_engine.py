@@ -58,7 +58,10 @@ def dirichlet_weight(n, log_n, log_x):
 
 def dirichlet_term(t, x: float, table: LambdaTable | None = None):
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x; ``t``
-    may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`."""
+    may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`.
+    A non-finite t or x is refused; a finite x < 2 gives 0."""
+    if not (math.isfinite(x) and np.isfinite(t).all()):
+        raise DomainError("t and x must be finite")
     if x < 2:
         return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
     return dirichlet_cos_sum(covering_table(x, table), x, t, dirichlet_weight)
@@ -270,9 +273,9 @@ def scan_margins(t_min: float, t_max: float, points: int,
     Every row is :func:`theorem1_rhs`'s evaluation at its (t, x), run once
     for the whole grid (one kernel call, one ``hardy_z`` batch).  What
     remains per point is a cos row over the prime powers n <= x with its
-    correctly rounded sum, and the decimal theta of a Riemann-Siegel point
-    or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4 terms: in
-    a 50-point scan of 1e3..1e6, 14 points are below T_RS.
+    correctly rounded sum, and the double-double theta of a Riemann-Siegel
+    point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
+    terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
     if not (points >= 1 and 10 <= t_min <= t_max < math.inf):
         raise DomainError("need finite t_max >= t_min >= 10 and points >= 1")

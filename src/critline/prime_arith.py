@@ -91,8 +91,10 @@ def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:
     """``table`` if it holds every n <= x, else a fresh sieve to max(2, floor(x)).
 
     The limit is compared with floor(x), not with x: a table built to floor(x)
-    covers a fractional x.
+    covers a fractional x.  A non-finite x is refused before any sieve.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"cutoff x must be finite, got {x}")
     n = math.floor(x)
     if table is None or table.limit < n:
         table = lambda_sieve(max(2, n))

@@ -10,7 +10,9 @@ about |Im s|/4 terms; its float phases t log n dominate the error (bound in
 route: at t >= T_RS (about 7.06e3) the Riemann-Siegel formula with the
 corrections C0..C7 and double-double phases, whose remainder bound (Gabcke's
 d_7 = 9.2) meets the same 1e-12 target, and EM rotated by theta below;
-``log_abs_zeta_crit`` is log|Z|.  EM stays the independent route:
+``log_abs_zeta_crit`` is log|Z|.  Riemann-Siegel's theta is a float
+double-double (``_theta_phase``), reduced mod 2pi within 2e-31 t of its
+exact main term from T_RS on.  EM stays the independent route:
 every other evaluation, on or off the line, is EM.  digamma is scipy's
 ``psi``, real on real input.
 Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6, no NaN.
@@ -197,7 +199,8 @@ def theta(t):
     511/(1216512 t^9), for t >= 10: against mpmath.siegeltheta it is 4.4e-13
     at t = 10, 8.3e-16 at t = 20 and 4.2e-22 at t = 100.  Float rounding of
     the main term adds a few 1e-16 t log t (3.6e-12 at t = 1e4);
-    ``riemann_siegel_z`` forms that term in decimal instead.
+    ``riemann_siegel_z`` forms that term in double-double instead
+    (``_theta_phase``).
     """
     return t / 2 * np.log(t / (2 * np.pi)) - t / 2 - np.pi / 8 + _theta_tail(t)
 
@@ -267,10 +270,24 @@ def _correction_polys() -> np.ndarray:
             polys[:len(d), k] += coef * d
     return polys
 
-_DEC = Context(prec=40)
-_PI_DEC = Decimal("3.141592653589793238462643383279502884197")
-_TWO_PI_HI = 6.283185307179586  # 2pi = _TWO_PI_HI + _TWO_PI_LO to ~1e-32
+
+# Double-double constants, each hi + lo (+ lo2) to 50 digits; rebuilt from
+# mpmath by tests/test_zeta_oracle.py
+_TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
+_TWO_PI_LO2 = -5.989539619436679e-33
+_PI = (_TWO_PI_HI / 2, _TWO_PI_LO / 2)  # halving is exact
+_INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
+_PI_8 = (0.39269908169872414, 1.5308084989341915e-17)
+# 1/(2j+1) for j = 0..8: atanh(z) = z sum_j z^2j/(2j+1), Horner in z^2
+_ATANH = (
+    (1.0, 0.0), (0.3333333333333333, 1.850371707708594e-17),
+    (0.2, -1.1102230246251566e-17), (0.14285714285714285, 7.93016446160826e-18),
+    (0.1111111111111111, 6.1679056923619804e-18), (0.09090909090909091, -2.523234146875356e-18),
+    (0.07692307692307693, -4.270088556250602e-18), (0.06666666666666667, 9.251858538542971e-19),
+    (0.058823529411764705, 8.163404592832033e-19),
+)
+_DEC = Context(prec=40)
 # (hi, lo) of log n for n = 1..len, swapped in whole; at most
 # sqrt(IM_WINDOW/2pi) ~ 399 entries inside the window
 _log_cache = [(np.zeros(1), np.zeros(1))]
@@ -302,18 +319,78 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _less_two_pi(terms: list, k: int):
+    """sum(terms) - 2pi k as a double-double (hi, lo), for float terms and an
+    integer k: k times each part of 2pi as exact products, all summed
+    correctly rounded by ``math.fsum``."""
+    K, K_lo = _two_product(k, _TWO_PI_HI)
+    M, M_lo = _two_product(k, _TWO_PI_LO)
+    terms = terms + [-K, -K_lo, -M, -M_lo, -k * _TWO_PI_LO2]
+    hi = math.fsum(terms)
+    return hi, math.fsum(terms + [-hi])
+
+
 def _theta_phase(t: float):
-    """(N, p, a, theta_hi, theta_lo) at t: a = sqrt(t/2pi) = N + p and theta
-    reduced mod 2pi as a double-double, its main term in 40-digit decimal."""
-    with localcontext(_DEC):
-        big_t = Decimal(t)
-        a_sq = big_t / (2 * _PI_DEC)
-        a_dec = a_sq.sqrt()
-        N = int(a_dec)
-        th = (big_t / 2 * (a_sq.ln() - 1) - _PI_DEC / 8).remainder_near(2 * _PI_DEC)
-        th_hi = float(th)
-        return (N, float(a_dec - N), float(a_dec), th_hi,
-                float(th - Decimal(th_hi)) + _theta_tail(t))
+    """(N, p, a, theta_hi, theta_lo) at a float t >= 200: a = sqrt(t/2pi) =
+    N + p, and theta reduced mod 2pi into [-pi, pi] as a double-double, in
+    floats throughout.
+
+    N = floor(a) is fixed by the sign of t - 2pi N^2 = 2pi p (2N + p), which
+    ``_less_two_pi`` forms to about 1e-43, and p is the root of that
+    quadratic, one Newton step from the float root: p keeps about 1e-32 of
+    its own size however close a is to N.  log a = log N + 2 atanh(z),
+    z = p/(2N + p) <= 1/(2N + 1), with log N from ``_log_pairs`` and nine
+    terms of the atanh series in double-double; the first omitted one,
+    2 z^19/19, is below 1e-32 of log a from T_RS on (N >= 33).  The main term
+    t log a - t/2 - pi/8 less k 2pi is a sum of exact products and error
+    terms, summed by ``_less_two_pi`` into theta_hi and its remainder, and
+    ``_theta_tail`` is added to the remainder.  From T_RS on the reduced main
+    term is within 2e-31 t of the exact one (1.3e-31 t measured), set by the
+    rounding of log N's low part; so N, p, a and theta_hi are the correctly
+    rounded values but for ties, and theta_lo is within an ulp of its own.
+    """
+    # the float root is within 3e-16 of a relative, so this is floor(a) or one above
+    N = math.floor(math.sqrt(t * _INV_TWO_PI[0]) * (1 + 1e-15))
+    e, e_lo = _less_two_pi([t], N * N)
+    if e < 0:
+        N -= 1
+        e, e_lo = _less_two_pi([t], N * N)
+    d, d_lo = _two_product(e, _INV_TWO_PI[0])  # p (2N + p) = d + d_lo
+    d_lo += e * _INV_TWO_PI[1] + e_lo * _INV_TWO_PI[0]
+    p = d / (N + math.sqrt(N * N + d))  # the float root, then one Newton step
+    sq, sq_lo = _two_product(p, p)
+    m, m_lo = _two_product(2 * N, p)
+    p_lo = -math.fsum([sq, sq_lo, m, m_lo, -d, -d_lo]) / (2 * (N + p))
+    p, p_lo = p + p_lo, p_lo - ((p + p_lo) - p)
+    v = 2 * N + p
+    v_lo = (p - (v - 2 * N)) + p_lo  # 2N + p = v + v_lo
+    z = p / v
+    m, m_lo = _two_product(z, v)
+    z_lo = ((p - m) - m_lo + p_lo - z * v_lo) / v
+    w, w_lo = _two_product(z, z)
+    w_lo += 2 * z * z_lo
+    s, s_lo = _ATANH[-1]
+    for c, c_lo in _ATANH[-2::-1]:  # s = c + z^2 s, with |z^2 s| < c
+        m, m_lo = _two_product(w, s)
+        m_lo += w * s_lo + w_lo * s
+        s = c + m
+        s_lo = ((c - s) + m) + m_lo + c_lo
+    m, m_lo = _two_product(z, s)
+    m_lo += z * s_lo + z_lo * s  # atanh(z) = m + m_lo
+    log_n, log_n_lo = (float(col[N - 1]) for col in _log_pairs(N))
+    log_a = log_n + 2 * m
+    log_a_lo = ((log_n - log_a) + 2 * m) + 2 * m_lo + log_n_lo
+    P, P_lo = _two_product(t, log_a)
+    terms = [P, -t / 2, P_lo, t * log_a_lo, -_PI_8[0], -_PI_8[1]]
+    k = round((P - t / 2) / _TWO_PI_HI)
+    while True:  # k is one off when theta/2pi is within rounding of a half-integer
+        th_hi, th_lo = _less_two_pi(terms, k)
+        if (th_hi, th_lo) > _PI:
+            k += 1
+        elif (-th_hi, -th_lo) > _PI:
+            k -= 1
+        else:
+            return N, p, math.fsum([N, p, p_lo]), th_hi, th_lo + _theta_tail(t)
 
 
 #: points per pass of ``riemann_siegel_z``, so that its flat arrays stay small
@@ -329,10 +406,10 @@ def riemann_siegel_z(t):
     with a = sqrt(t/2pi), N = floor(a), p = a - N, C_k the corrections
     (``_C_TERMS``) and Gabcke's |R_7| <= 9.2 a^-17/2 for t >= 200 (below
     1e-12 from T_RS on).
-    Each phase is kept in double-double: theta's main term and a are formed
-    in 40-digit decimal and reduced mod 2pi there, t log n is an exact
-    two-product plus t times log n's low part, and the reduction by k 2pi
-    cancels the two large parts exactly before anything small is added.
+    Each phase is kept in double-double: theta, reduced mod 2pi, and a come
+    from ``_theta_phase``, t log n is an exact two-product plus t times
+    log n's low part, and the reduction by k 2pi cancels the two large parts
+    exactly before anything small is added.
     Measured against mpmath.siegelz: at most 8.9e-16 at 65 points of
     [T_RS, 1e6]; 4.4e-16 at t = 1e4, 2.6e-14 at t = 1e3 and 1.6e-12 at
     t = 200, where the truncation dominates.
@@ -340,12 +417,12 @@ def riemann_siegel_z(t):
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
     array whose entries equal the float calls bit for bit.  Every t is
     checked before any is evaluated.  Then each slice of ``_RS_SLICE``
-    points is one pass: the decimal theta and a, and the corrections, per
-    point; the phases and the terms of every point's main sum over a flat
-    array of sum N entries, each point's sum correctly rounded over its own
-    part.  A float call is a batch of one, about 0.12 ms at 1e5 and 0.14 ms
-    at 1e6 on a 2-core machine; in a batch a point at 1e5 costs about
-    0.08 ms, of which the decimal step is 0.045 ms.
+    points is one pass: ``_theta_phase`` and the corrections per point; the
+    phases and the terms of every point's main sum over a flat array of
+    sum N entries, each point's sum correctly rounded over its own part.  A
+    float call is a batch of one, about 0.08 ms at 1e5 and 0.09 ms at 1e6
+    on a 2-core x86 machine; in a batch of 200 a point at 1e5 costs about
+    0.07 ms, of which ``_theta_phase`` is 0.011 ms.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     for ti in ts.tolist():
@@ -391,7 +468,7 @@ def hardy_z(t):
 
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
     array equal to the float calls bit for bit: its points at or above T_RS
-    go to ``riemann_siegel_z`` as one batch (about 0.07 ms a point at 7e3),
+    go to ``riemann_siegel_z`` as one batch (about 0.04 ms a point at 7e3),
     and the others to ``zeta_em`` one by one (0.07 ms at 1e3 to 0.19 ms a
     point just below T_RS).  A batch is refused whole, before any point is
     evaluated, if any t is below 10, NaN or above the window.

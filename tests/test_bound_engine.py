@@ -264,7 +264,7 @@ def test_scan_rows_equal_the_per_point_reference(lam_small, zeros, policy):
 @pytest.mark.parametrize("policy", SCAN_CASES)
 def test_scan_is_one_weight_pass_and_one_rs_batch(monkeypatch, policy, points):
     from critline import bound_engine, zeta_oracle
-    calls = {"f": 0, "two_product": 0}
+    calls = {"f": 0, "rs": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -273,9 +273,10 @@ def test_scan_is_one_weight_pass_and_one_rs_batch(monkeypatch, policy, points):
         return wrapped
 
     monkeypatch.setattr(bound_engine, "f_closed_form", counting("f", bound_engine.f_closed_form))
-    monkeypatch.setattr(zeta_oracle, "_two_product",
-                        counting("two_product", zeta_oracle._two_product))
+    # at most _RS_SLICE (256) points: one riemann_siegel_z call is one RS batch
+    monkeypatch.setattr(zeta_oracle, "riemann_siegel_z",
+                        counting("rs", zeta_oracle.riemann_siegel_z))
     t_min, t_max, _, x_fixed = SCAN_CASES[policy]
     reports = scan_margins(t_min, t_max, points, x_policy=policy, x_fixed=x_fixed)
     assert sum(r.t >= zeta_oracle.T_RS for r in reports) >= 1
-    assert calls == {"f": 1, "two_product": 2}
+    assert calls == {"f": 1, "rs": 1}

@@ -1,6 +1,8 @@
+import decimal
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ from critline.errors import (
     PoleAtOne,
     WindowExceeded,
 )
-from critline import bound_engine, explicit_formula, extremal_poisson, zeta_oracle
+from critline import bound_engine, explicit_formula, extremal_poisson, prime_arith, zeta_oracle
 from critline.zeros_table import ZeroTable
 from critline.zeta_oracle import (
     _C2J,
@@ -341,6 +343,130 @@ def test_riemann_siegel_array_equals_the_scalar_loop():
     assert riemann_siegel_z(np.array([])).shape == (0,)
 
 
+# A 40-digit decimal _theta_phase: the reference that the float
+# double-double one is held to.
+_DEC = decimal.Context(prec=40)
+_PI_DEC = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+
+def _decimal_theta_main(t):
+    """t/2 log(t/2pi) - t/2 - pi/8, unreduced, in 40-digit decimal."""
+    with decimal.localcontext(_DEC):
+        t = decimal.Decimal(t)
+        return t / 2 * ((t / (2 * _PI_DEC)).ln() - 1) - _PI_DEC / 8
+
+
+def _decimal_theta_phase(t):
+    with decimal.localcontext(_DEC):
+        a = (decimal.Decimal(t) / (2 * _PI_DEC)).sqrt()
+        N = int(a)
+        th = _decimal_theta_main(t).remainder_near(2 * _PI_DEC)
+        th_hi = float(th)
+        return (N, float(a - N), float(a), th_hi,
+                float(th - decimal.Decimal(th_hi)) + zeta_oracle._theta_tail(t))
+
+
+def _half_turn_fraction(t):
+    """How far theta's main term over 2pi is from a half-integer at t."""
+    with decimal.localcontext(_DEC):
+        f = _decimal_theta_main(t) / (2 * _PI_DEC)
+        return float(abs(f - f.to_integral_value(decimal.ROUND_FLOOR) - decimal.Decimal("0.5")))
+
+
+@lru_cache(maxsize=None)
+def _theta_points(kind):
+    """Float t in [T_RS, 1e6]: "seeded" are 5000 uniform draws; "n_steps" are
+    t = 2pi N^2, where a is an integer, and its float neighbours for N = 34..398;
+    "ties" are the float t nearest to where theta's main term is an odd
+    multiple of pi, and their neighbours, from 150 log-uniform starts by
+    Newton's method in decimal.  There theta/2pi is within 1e-12 of a
+    half-integer up to t ~ 2e4, and within the float spacing of t times
+    theta' above, so the reduction's k is the nearer of two."""
+    rng = np.random.default_rng(30)
+    if kind == "seeded":
+        return rng.uniform(T_RS, 1e6, 5000).tolist()
+    if kind == "n_steps":
+        steps = [2 * math.pi * N * N for N in range(34, 399)]
+        return [u for s in steps for u in (math.nextafter(s, 0), s, math.nextafter(s, math.inf))]
+    out = []
+    for t0 in np.exp(rng.uniform(math.log(T_RS), math.log(1e6), 150)).tolist():
+        with decimal.localcontext(_DEC):
+            f = _decimal_theta_main(t0) / (2 * _PI_DEC)
+            target = (f.to_integral_value() + decimal.Decimal("0.5")) * 2 * _PI_DEC
+            t = decimal.Decimal(t0)
+            for _ in range(4):
+                t += (target - _decimal_theta_main(t)) / ((t / (2 * _PI_DEC)).ln() / 2)
+        t = float(t)
+        out += [math.nextafter(t, 0), t, math.nextafter(t, math.inf)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["seeded", "n_steps", "ties"])
+def test_theta_phase_equals_the_decimal_reference(kind):
+    for t in _theta_points(kind):
+        N, p, a, th_hi, th_lo = zeta_oracle._theta_phase(t)
+        ref = _decimal_theta_phase(t)
+        assert (N, p, a, th_hi) == ref[:4], t
+        assert abs(th_lo - ref[4]) <= math.ulp(ref[4]), t
+
+
+@pytest.mark.parametrize("kind", ["seeded", "n_steps", "ties"])
+def test_riemann_siegel_equals_the_decimal_theta_route(monkeypatch, kind):
+    ts = np.array(_theta_points(kind))
+    z = riemann_siegel_z(ts)
+    monkeypatch.setattr(zeta_oracle, "_theta_phase", _decimal_theta_phase)
+    assert z.tolist() == riemann_siegel_z(ts).tolist()
+
+
+def test_theta_points_reach_the_cases_they_name(monkeypatch):
+    steps = _theta_points("n_steps")
+    assert {zeta_oracle._theta_phase(t)[0] for t in steps} == set(range(33, 399))
+    ties = _theta_points("ties")
+    near = [_half_turn_fraction(t) for t in ties]
+    assert max(near) < 2e-10 and sum(d < 1e-12 for d in near) >= 30
+    # at some ties the float quotient picks the wrong k and the reduction steps it
+    reductions = []
+    less_two_pi = zeta_oracle._less_two_pi
+    monkeypatch.setattr(zeta_oracle, "_less_two_pi",
+                        lambda *args: reductions.append(1) or less_two_pi(*args))
+    counts = []
+    for t in ties:
+        reductions.clear()
+        zeta_oracle._theta_phase(t)
+        counts.append(len(reductions))
+    assert set(counts) == {2, 3}
+
+
+def test_double_double_constants_against_mpmath():
+    with mpmath.workdps(50):
+        def parts(x, n):
+            out = []
+            for _ in range(n):
+                out.append(float(x))
+                x -= out[-1]
+            return tuple(out)
+        two_pi = 2 * mpmath.pi
+        assert (zeta_oracle._TWO_PI_HI, zeta_oracle._TWO_PI_LO,
+                zeta_oracle._TWO_PI_LO2) == parts(two_pi, 3)
+        assert zeta_oracle._PI == parts(mpmath.pi, 2)
+        assert zeta_oracle._INV_TWO_PI == parts(1 / two_pi, 2)
+        assert zeta_oracle._PI_8 == parts(mpmath.pi / 8, 2)
+        assert zeta_oracle._ATANH == tuple(parts(mpmath.mpf(1) / (2 * j + 1), 2)
+                                           for j in range(len(zeta_oracle._ATANH)))
+
+
+def test_atanh_series_truncation_below_1e_32_of_log_a():
+    # z = p/(2N + p) < 1/(2N + 1), largest at the least N, which T_RS has
+    J = len(zeta_oracle._ATANH)
+    with mpmath.workdps(50):
+        a = mpmath.sqrt(T_RS / (2 * mpmath.pi))
+        N = int(a)
+        assert N == 33
+        z = mpmath.mpf(1) / (2 * N + 1)
+        omitted = 2 * z ** (2 * J + 1) / (2 * J + 1) / (1 - z * z)  # bounds every omitted term
+        assert omitted < 1e-32 * mpmath.log(a)
+
+
 def _both_tiers():
     return np.concatenate([np.geomspace(10, 1e6, 80), [math.nextafter(T_RS, 0), T_RS]])
 
@@ -406,6 +532,10 @@ _BAD_INPUTS = {
         "+", extremal_poisson.KernelParams(0.5, 1.0), v, _ONE_ORDINATE),
     "verify_gw(t)": lambda v: explicit_formula.verify_gw(
         "+", extremal_poisson.KernelParams(0.5, 1.0), v, _ONE_ORDINATE),
+    "dirichlet_term(t)": lambda v: bound_engine.dirichlet_term(v, 100.0),
+    "dirichlet_term(t, batch)": lambda v: bound_engine.dirichlet_term(np.array([100.0, v]), 100.0),
+    "dirichlet_term(x)": lambda v: bound_engine.dirichlet_term(100.0, v),
+    "weighted_psi(x)": prime_arith.weighted_psi,
     "KernelParams(beta)": lambda v: extremal_poisson.KernelParams(v, 1.0),
     "KernelParams(delta)": lambda v: extremal_poisson.KernelParams(1.0, v),
 }
