@@ -56,7 +56,7 @@ from .extremal_poisson import (
     numerator_constant,
 )
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
-from .quadrature import _integrate_on_edges, geometric_tail, panel_integrate_chunked
+from .quadrature import geometric_tail, integrate_on_edges, panel_integrate
 from .summation import exact_sum
 from .zeros_table import ZeroTable
 from .zeta_oracle import digamma, re_digamma_quarter, zeta_logderiv
@@ -167,7 +167,7 @@ def _archimedean(sign: str, p: KernelParams, t: float) -> float:
 
     # resolve the oscillation, the beta-scale kernel peak, and the psi factor
     panel = min(0.25 / max(delta, 1.0), beta / 2)
-    main = panel_integrate_chunked(f, t - window, t + window, panel)
+    main = panel_integrate(f, t - window, t + window, max(1, math.ceil(2 * window / panel)))
 
     def smooth(u):
         # (A/D) h_beta at distance u from t, against both wings of psi
@@ -216,7 +216,7 @@ def _archimedean_numerator(p: KernelParams, t: float) -> float:
     if E * K < 37:
         out += 2 * sh * exp1(E * (w + beta / 2))
         # s = E (w- + beta r), r in [0, 1], so that the segment is exactly beta E long
-        ein = beta * E * _integrate_on_edges(
+        ein = beta * E * integrate_on_edges(
             lambda r: -np.expm1(-E * (w - beta / 2 + beta * r)) / (E * (w - beta / 2 + beta * r)),
             np.linspace(0, 1, math.ceil(beta * E) + 1), 16)
     out += sh * log_ratio + math.exp(-c) / 2 * ein

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _integrate_on_edges, cos_tail_start, panel_integrate_chunked, poisson_cos_tail
+from .quadrature import cos_tail_start, integrate_on_edges, poisson_cos_tail
 
 SING_RADIUS = 1e-6
 #: graded panel count above which the quadrature cross-checks refuse (about
@@ -47,8 +47,13 @@ class KernelParams:
 
     @property
     def x(self) -> float:
-        """The prime-sum cutoff e^{2 pi Delta} tied to the type."""
-        return math.exp(2 * math.pi * self.delta)
+        """The prime-sum cutoff e^{2 pi Delta} tied to the type; a Delta above
+        about 112.9, where it overflows, is refused (``DomainError``)."""
+        try:
+            return math.exp(2 * math.pi * self.delta)
+        except OverflowError:
+            raise DomainError(f"delta={self.delta} overflows the prime-sum cutoff "
+                              "e^(2 pi delta)") from None
 
 
 def _sign_factor(sign: str) -> int:
@@ -173,7 +178,7 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
     into order-12 Gauss-Legendre panels on a graded mesh, x -> x + min(max(beta,
     x)/2, P) from x = 0: beta/2 panels cover the Poisson peak and grow by 1.5x
     up to the oscillation panel P = 4/omega_max (0.64 of the fastest period),
-    which then runs to T.  Past T each term is
+    which then runs to T (one ``integrate_on_edges`` call).  Past T each term is
     :func:`~critline.quadrature.poisson_cos_tail`.  T is where the tail's
     remainder bounds, summed and doubled, reach 1e-12 min(1, s), s the sum of
     |c_i| over omega_i > 0 (relative when the coefficients are small, as for
@@ -204,6 +209,8 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
     if len(edges) - 1 + n_uniform > MAX_COS_PANELS:
         raise DomainError(f"beta={beta}, delta={p.delta} need {len(edges) - 1 + n_uniform} "
                           f"quadrature panels, above the cap of {MAX_COS_PANELS}")
+    edges = np.append(edges, edges[-1] + P * np.arange(1, n_uniform + 1))
+    T = float(edges[-1])
 
     def f(x):
         env = beta / (beta * beta + x * x)
@@ -213,9 +220,7 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
         out *= env
         return out
 
-    main = float(_integrate_on_edges(f, edges, 12))
-    T = edges[-1] + n_uniform * P
-    main += panel_integrate_chunked(f, edges[-1], T, P)
+    main = float(integrate_on_edges(f, edges, 12))
     tail = 0.0
     bound = 0.0
     for c, w in coefs:

@@ -3,9 +3,10 @@
 Adaptive library quadrature struggles on long oscillatory ranges (a bounded
 envelope times cos(omega x) over thousands of periods), so the heavy
 integrals here use fixed-order Gauss-Legendre panels sized against the
-oscillation frequency, evaluated in single vectorized calls.  Tails of
-Poisson-kernel type integrands are handled analytically: exactly (arctan)
-for the non-oscillatory part, by ``TAIL_PARTS`` integrations by parts with a
+oscillation frequency, evaluated in vectorized calls of at most
+``_MAX_NODES`` nodes by the one core :func:`integrate_on_edges`.  Tails of
+Poisson-kernel type integrands are handled analytically: exactly (arctan) for
+the non-oscillatory part, by ``TAIL_PARTS`` integrations by parts with a
 bounded remainder for the oscillatory part.
 """
 
@@ -28,32 +29,30 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_on_edges(f, edges, order: int):
+#: most nodes per evaluation of f in :func:`integrate_on_edges`, to bound peak memory
+_MAX_NODES = 4_000_000
+
+
+def integrate_on_edges(f, edges, order: int):
     """Sum of order-``order`` Gauss-Legendre over the panels [edges[i], edges[i+1]],
-    in one vectorized evaluation of f; complex edges give the integral along
-    the straight path through them."""
+    evaluating f on at most ``_MAX_NODES`` nodes per call; complex edges give the
+    integral along the straight path through them."""
     x, w = _gl_rule(order)
     edges = np.asarray(edges)
-    half = (edges[1:] - edges[:-1]) / 2
-    nodes = ((edges[1:] + edges[:-1]) / 2)[:, None] + half[:, None] * x[None, :]
-    return np.dot(np.dot(np.asarray(f(nodes.ravel())).reshape(len(half), order), w), half)
+    half, mid = (edges[1:] - edges[:-1]) / 2, (edges[1:] + edges[:-1]) / 2
+    step, total = _MAX_NODES // order, 0.0
+    for i in range(0, len(half), step):
+        h = half[i:i + step]
+        nodes = mid[i:i + step, None] + h[:, None] * x
+        total += np.dot(np.dot(np.asarray(f(nodes.ravel())).reshape(-1, order), w), h)
+    return total
 
 
 def panel_integrate(f, a: float, b: float, n_panels: int, order: int = 12) -> float:
-    """Integral over [a, b] on n_panels uniform Gauss-Legendre panels, in one
-    evaluation of f on the ndarray of all nodes."""
+    """Integral over [a, b] on n_panels uniform Gauss-Legendre panels."""
     if b <= a:
         return 0.0
-    return float(_integrate_on_edges(f, np.linspace(a, b, n_panels + 1), order))
-
-
-def panel_integrate_chunked(f, a: float, b: float, panel_len: float) -> float:
-    """Like :func:`panel_integrate` at order 12 with a target panel length,
-    chunked to at most 4e6 nodes per call to bound peak memory."""
-    n_panels = max(1, math.ceil((b - a) / panel_len))
-    h, chunk = (b - a) / n_panels, 4_000_000 // 12
-    return sum(panel_integrate(f, a + i * h, a + min(i + chunk, n_panels) * h,
-                               min(chunk, n_panels - i), 12) for i in range(0, n_panels, chunk))
+    return float(integrate_on_edges(f, np.linspace(a, b, n_panels + 1), order))
 
 
 def geometric_tail(f, start: float) -> float:
@@ -65,7 +64,7 @@ def geometric_tail(f, start: float) -> float:
     while edges[-1] < 1e16:
         b = min(edges[-1] * 1.5, 1e16)
         edges += [(edges[-1] + b) / 2, b]
-    return float(_integrate_on_edges(f, edges, 16))
+    return float(integrate_on_edges(f, edges, 16))
 
 
 def poisson_cos_tail(coef: float, beta: float, omega: float, T: float):

@@ -107,9 +107,13 @@ def f_series(u: float, terms: int | None = None) -> float:
 
 
 def f_eval(u: float, method: FMethod = FMethod.CLOSED_FORM) -> float:
-    """F(u) on [0, 0.99] by the requested route; |error| <= 1e-10."""
-    if isinstance(method, str):
+    """F(u) on [0, 0.99] by the requested route, an ``FMethod`` or its value
+    (anything else is a ``DomainError``); |error| <= 1e-10."""
+    try:
         method = FMethod(method)
+    except ValueError:
+        raise DomainError(f"unknown F method {method!r}, expected one of "
+                          f"{', '.join(m.value for m in FMethod)}") from None
     if method is FMethod.QUADRATURE:
         return f_quadrature(u)
     if method is FMethod.SERIES:

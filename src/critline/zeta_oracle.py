@@ -464,7 +464,9 @@ def hardy_z(t):
     ``riemann_siegel_z`` at t >= T_RS, and below it the real part of
     e^{i theta(t)} times ``zeta_em`` (the imaginary part is rounding).
     Measured against mpmath.siegelz: at most 5.0e-14 on [100, 101], 4.6e-12
-    at t = 5000.5 (theta's float rounding) and 8.9e-16 above T_RS.
+    at t = 5000.5 (``zeta_em``'s own error there, 4.8e-12, from the rounding
+    of its head's phases: with mpmath's theta Z is off by the same 4.6e-12)
+    and 8.9e-16 above T_RS.
 
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
     array equal to the float calls bit for bit: its points at or above T_RS

@@ -255,6 +255,8 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["bound", "--t", "nan"],
     ["verify-ef", "--t", "100", "--beta", "200", "--delta", "1",
      "--zeros", str(ZEROS_PATH)],  # A and D overflow
+    ["verify-ef", "--t", "100", "--beta", "0.5", "--delta", "200",
+     "--zeros", str(ZEROS_PATH)],  # the cutoff e^{2 pi Delta} overflows
     ["scan", "--t-min", "inf", "--t-max", "inf", "--points", "2"],
     ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
     ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # 1/D of m^+ near 1e35

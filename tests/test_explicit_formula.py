@@ -159,6 +159,18 @@ def test_gw_prime_side_requires_t_ge_10(lam600):
         gw_prime_side("+", KernelParams(0.5, 1.0), 5.0, lam600)
 
 
+@pytest.mark.parametrize("delta", [113.0, 200.0])
+def test_gw_refuses_a_delta_whose_cutoff_overflows(zeros, delta):
+    # x = e^{2 pi Delta} overflows a float above Delta ~ 112.9
+    p = KernelParams(0.5, delta)
+    with pytest.raises(DomainError, match="overflows"):
+        p.x
+    with pytest.raises(DomainError, match="overflows"):
+        gw_prime_side("+", p, 100.0)
+    with pytest.raises(DomainError, match="overflows"):
+        verify_gw("-", p, 100.0, zeros)
+
+
 @pytest.mark.parametrize("sign", "+-")
 @pytest.mark.parametrize("t,beta,delta", [(50.0, 1.0, 1.0), (100.0, 0.5, 1.0)])
 def test_archimedean_routes_agree_at_criterion_5_points(sign, t, beta, delta):

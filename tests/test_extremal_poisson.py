@@ -195,6 +195,23 @@ def test_kernel_quadrature_tail_bound_at_criterion_4_grid(monkeypatch):
     assert max(bounds) <= 1e-12
 
 
+def test_each_cross_check_is_one_core_call(monkeypatch):
+    # the graded and uniform panels of the mesh are integrated together
+    core = extremal_poisson.integrate_on_edges
+    calls = []
+
+    def recording(f, edges, order):
+        calls.append(len(edges))
+        return core(f, edges, order)
+
+    monkeypatch.setattr(extremal_poisson, "integrate_on_edges", recording)
+    p = KernelParams(0.5, 1.0)
+    for run in (lambda: numeric_ft("+", p, 0.5), lambda: l1_numeric("-", p)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("beta,delta", [
     # corners and interior points of the benchmark's draw box
     (0.25, 0.5), (0.25, 2.0), (1.0, 0.5), (1.0, 2.0),

@@ -5,11 +5,11 @@ import pytest
 from scipy import integrate
 
 from critline.errors import DomainError
+from critline import quadrature
 from critline.quadrature import (
-    _integrate_on_edges,
     geometric_tail,
+    integrate_on_edges,
     panel_integrate,
-    panel_integrate_chunked,
     poisson_cos_tail,
 )
 
@@ -22,7 +22,7 @@ def test_panel_integrate_polynomial_exact():
 
 def test_panel_integrate_oscillatory_vs_scipy():
     f = lambda x: np.cos(7.3 * x) / (1 + x * x)
-    mine = panel_integrate_chunked(f, 0.0, 50.0, 0.1)
+    mine = panel_integrate(f, 0.0, 50.0, 500)
     ref, _ = integrate.quad(lambda x: math.cos(7.3 * x) / (1 + x * x), 0, 50,
                             limit=2000, epsabs=1e-13)
     assert mine == pytest.approx(ref, abs=1e-12)
@@ -30,7 +30,8 @@ def test_panel_integrate_oscillatory_vs_scipy():
 
 def test_empty_interval():
     assert panel_integrate(lambda x: x, 1.0, 1.0, 4) == 0.0
-    assert panel_integrate_chunked(lambda x: x, 2.0, 1.0, 0.1) == 0.0
+    assert panel_integrate(lambda x: x, 2.0, 1.0, 4) == 0.0
+    assert integrate_on_edges(lambda x: x, [1.0], 12) == 0.0
 
 
 def test_geometric_tail_log_over_square():
@@ -54,8 +55,24 @@ def test_geometric_tail_evaluates_f_once():
 def test_integrate_on_edges_along_a_complex_segment():
     # int e^{-s} ds from a to b along the straight path is e^{-a} - e^{-b}
     a, b = 1 + 2j, 3 + 5j
-    val = _integrate_on_edges(lambda s: np.exp(-s), np.linspace(0, 1, 5) * (b - a) + a, 16)
+    val = integrate_on_edges(lambda s: np.exp(-s), np.linspace(0, 1, 5) * (b - a) + a, 16)
     assert abs(val - (np.exp(-a) - np.exp(-b))) <= 1e-15
+
+
+def test_integrate_on_edges_bounds_the_nodes_per_call(monkeypatch):
+    f = lambda x: np.cos(3 * x) / (1 + x * x)
+    edges = np.linspace(0.0, 5.0, 11)
+    whole = integrate_on_edges(f, edges, 12)
+    calls = []
+
+    def recording(x):
+        calls.append(len(x))
+        return f(x)
+
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 48)
+    chunked = integrate_on_edges(recording, edges, 12)
+    assert calls == [48, 48, 24]  # 10 order-12 panels, 4 per call
+    assert abs(chunked - whole) <= 4 * math.ulp(whole)
 
 
 def test_poisson_cos_tail_zero_frequency_exact():
@@ -70,8 +87,8 @@ def test_poisson_cos_tail_vs_bruteforce():
     val, bound = poisson_cos_tail(1.0, beta, omega, T)
     # brute force over many decaying oscillations, to X = 1e5: its own
     # truncation is at most 2 g(X)/omega = 3.3e-11 (second mean value theorem)
-    ref = panel_integrate_chunked(
-        lambda x: beta * np.cos(omega * x) / (beta ** 2 + x ** 2), T, 1e5, 1.0)
+    ref = panel_integrate(
+        lambda x: beta * np.cos(omega * x) / (beta ** 2 + x ** 2), T, 1e5, math.ceil(1e5 - T))
     assert abs(val - ref) <= bound + 1e-10
 
 

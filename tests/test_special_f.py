@@ -32,6 +32,18 @@ def test_three_method_agreement_on_grid():
         assert max(vals) - min(vals) <= 1e-9, u
 
 
+def test_method_by_member_or_value():
+    for m in FMethod:
+        assert f_eval(0.5, m.value) == f_eval(0.5, m)
+
+
+@pytest.mark.parametrize("bad", [3, "quad", None, FMethod])
+def test_unknown_method_is_refused(bad):
+    # neither a member nor a value string: no silent fallback to the closed form
+    with pytest.raises(DomainError, match="unknown F method"):
+        f_eval(0.5, bad)
+
+
 def test_cross_method_at_edge():
     assert abs(f_quadrature(0.9) - f_series(0.9)) <= 1e-10
 
