@@ -62,7 +62,13 @@ def lambda_sieve(x: int) -> LambdaTable:
     if x < 2:
         raise DomainError("x must be >= 2")
     if x > SIEVE_CAP:
-        raise LimitTooLarge(f"x={x} above cap {SIEVE_CAP}")
+        try:
+            size = f"x={float(x):.12g}"
+        except OverflowError:  # an int beyond float range: its digit count
+            e = math.floor(math.log10(x))  # a float log, so up to one off
+            e += (x >= 10 ** (e + 1)) - (x < 10 ** e)
+            size = f"x of {e + 1} digits"
+        raise LimitTooLarge(f"{size} above cap {SIEVE_CAP}")
     is_prime = np.ones(x + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(x) + 1):

@@ -120,9 +120,34 @@ def _normalised(acc: dict, den: int, deg: int) -> "ExactCoefficient":
 
 def _dot(pairs) -> "ExactCoefficient":
     """sum of x * y over the (x, y) pairs, formed over one common denominator
-    and normalised once."""
+    and normalised once.
+
+    When every pair without a zero factor multiplies two single-key
+    coefficients and all their products land on one key, as on pure
+    rationals, the result is one integer sum over that denominator, reduced
+    by one gcd; any other dot accumulates a dict keyed by monomial."""
     dens = [x._den * y._den for x, y in pairs]
     den = math.lcm(*dens)
+    deg = 0
+    key = None
+    num = 0
+    for (x, y), d in zip(pairs, dens):
+        if x._deg + y._deg > deg:
+            deg = x._deg + y._deg
+        kx, ky = x._keys, y._keys
+        if not (kx and ky):
+            continue
+        if len(kx) != 1 or len(ky) != 1 or (kx[0] + ky[0] != key and key is not None):
+            break
+        key = kx[0] + ky[0]
+        num += x._nums[0] * y._nums[0] * (den // d)
+    else:
+        _check_degree(deg)
+        if not num:
+            return EC_ZERO
+        g = math.gcd(den, num)
+        keys = (key,)
+        return _make(_INTERNED.setdefault(keys, keys), _compact((num // g,)), den // g, deg)
     acc = {}
     get = acc.get
     deg = 0
@@ -190,6 +215,8 @@ class ExactCoefficient:
 
     @classmethod
     def rational(cls, num, den=1) -> "ExactCoefficient":
+        if not den:
+            raise DomainError(f"rational {num}/{den} has a zero denominator")
         q = Fraction(num, den)
         return _make(_ONE_KEY, _compact((q.numerator,)), q.denominator, 0) if q else EC_ZERO
 
@@ -244,6 +271,9 @@ class ExactCoefficient:
                 and self._nums == other._nums)
 
     def __hash__(self):
+        # a rational hashes as the Fraction it equals, zero as 0
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self._keys, tuple(self._nums), self._den))
 
     # -- ring operations --------------------------------------------------------
@@ -369,6 +399,8 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
 # -----------------------------------------------------------------------------
 
 def _coerce_coeff(c) -> ExactCoefficient:
+    if type(c) is ExactCoefficient:
+        return c
     out = _as_coeff(c)
     if out is None:
         raise TypeError(f"bad coefficient type {type(c).__name__}")

@@ -272,6 +272,15 @@ def test_bad_input_exits_without_traceback(args):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_ef_beyond_the_sieve_cap_names_it_briefly(capsys):
+    # Delta = 100 puts the prime cutoff e^{2 pi Delta} near 7.5e272
+    code, out, err = run_cli(capsys, "verify-ef", "--t", "100", "--beta", "0.5",
+                             "--delta", "100", "--zeros", str(ZEROS_PATH))
+    assert code == 1 and not out
+    assert "LimitTooLarge" in err and "above cap 100000000" in err
+    assert len(err) < 100, err
+
+
 def _mostly(good, bad):
     """Nine draws in ten from ``good``, a function of a ``random.Random``,
     the rest from the texts ``bad``."""

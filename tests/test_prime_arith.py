@@ -103,6 +103,17 @@ def test_sieve_cap():
         lambda_sieve(1)
 
 
+@pytest.mark.parametrize("x, size", [
+    (10 ** 9, "x=1000000000"), (10 ** 8 + 1, "x=100000001"), (1e300, "x=1e+300"),
+    (10 ** 400, "x of 401 digits"), (10 ** 400 - 1, "x of 400 digits"),
+    (10 ** 5000 + 1, "x of 5001 digits")],
+    ids=["1e9", "cap+1", "float", "1e400", "1e400-1", "1e5000+1"])
+def test_sieve_cap_message_gives_a_readable_size(x, size):
+    with pytest.raises(LimitTooLarge) as info:
+        lambda_sieve(x)
+    assert str(info.value) == f"{size} above cap 100000000"
+
+
 def test_lam_out_of_range(lam_small):
     with pytest.raises(IndexError):
         lam_small.lam(0)

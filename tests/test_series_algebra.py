@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from critline.errors import (
     PositiveValuationRequired,
     UnsupportedConstantTerm,
 )
+from critline import series_algebra
 from critline.series_algebra import (
     EC_ONE,
     EC_ZERO,
@@ -23,6 +26,7 @@ from critline.series_algebra import (
     L,
     TruncatedSeries,
     Z,
+    _dot,
     _lagrange,
     coeff_eval,
     ps_add,
@@ -75,6 +79,34 @@ def test_monomial_inverse():
         (L + rational(1)).monomial_inverse()
     with pytest.raises(NonInvertibleLeadingCoefficient):
         Z(3).monomial_inverse()
+
+
+def test_rational_equals_and_hashes_as_its_fraction():
+    half, three_halves_L = rational(1, 2), EC.log2_power(1, Fraction(3, 2))
+    assert len({EC_ONE, 1}) == len({EC_ONE, Fraction(1)}) == 1
+    assert len({EC_ZERO, 0, Fraction(0)}) == 1
+    assert {Fraction(1, 2): "half"}[half] == "half"
+    assert {half: "half"}[Fraction(1, 2)] == "half"
+    assert {1: "one"}[EC_ONE] == "one" and {EC_ONE: "one"}[1] == "one"
+    assert {0: "zero"}[EC_ZERO] == "zero"
+    assert rational(-7, 3) in {Fraction(-7, 3)} and 5 in {rational(5)}
+    # elements beyond Q hash as before and still find themselves
+    assert three_halves_L not in {Fraction(3, 2)}
+    assert {three_halves_L: 1}[L * Fraction(3, 2)] == 1
+    assert len({L, L + rational(1) - rational(1), Z(3)}) == 2
+
+
+@pytest.mark.parametrize("num", [0, 1, -3, Fraction(1, 2)])
+def test_rational_refuses_a_zero_denominator(num):
+    with pytest.raises(DomainError):
+        EC.rational(num, 0)
+    with pytest.raises(DomainError):
+        EC.rational(num, Fraction(0))
+
+
+def test_series_keeps_ring_coefficients_as_they_are():
+    c = L * Fraction(2, 3)
+    assert TS(0, [c, EC_ONE], 1).coeffs[0] is c
 
 
 def _random_coeff(rng):
@@ -684,6 +716,99 @@ def test_lagrange_core_equals_compose_after_revert(h, H):
     composed = ps_compose(H, z_of_w)
     assert len(hc) == min(n, H.order) <= composed.order
     assert hc == [composed.coefficient(k) for k in range(1, len(hc) + 1)]
+
+
+# --- _dot: the one-sum route and the dict route ---------------------------------
+
+_big = st.integers(-2 ** 70, 2 ** 70).map(Fraction)
+_q = st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=9), _big)
+
+
+def _monomial(eL, e3, q):
+    """q * L^eL * Z3^e3."""
+    return EC({(eL, ((3, e3),)): q})
+
+
+_one_term = st.one_of(
+    _q.map(EC.rational),
+    st.builds(EC.log2_power, st.integers(-3, 3), _q),
+    st.builds(_monomial, st.integers(-3, 3), st.integers(1, 2), _q))
+_dot_elements = st.one_of(st.just(EC_ZERO), _one_term,
+                          st.tuples(_one_term, _one_term).map(lambda xy: xy[0] + xy[1]))
+
+
+@st.composite
+def _dots(draw):
+    """Pairs for _dot: every product on one monomial, or any elements."""
+    n = draw(st.integers(1, 5))
+    if not draw(st.booleans()):
+        return [(draw(_dot_elements), draw(_dot_elements)) for _ in range(n)]
+    eL, e3 = draw(st.integers(-3, 3)), draw(st.integers(0, 2))
+    pairs = []
+    for _ in range(n):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(0, e3))
+        pair = [_monomial(a, b, draw(_q)), _monomial(eL - a, e3 - b, draw(_q))]
+        if draw(st.integers(0, 4)) == 0:
+            pair[draw(st.integers(0, 1))] = EC_ZERO
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@PROPERTY
+@given(_dots())
+def test_dot_equals_the_fraction_reference(pairs):
+    products = [_RefCoefficient(x.terms) * _RefCoefficient(y.terms) for x, y in pairs]
+    ref = sum(products, _RefCoefficient())
+    # a product of Laurent polynomials is one term only when both factors are
+    monomials = [tuple(p.terms) for p in products if p.terms]
+    one_key = all(len(m) == 1 for m in monomials) and len(set(monomials)) <= 1
+    with mock.patch.object(series_algebra, "_normalised",
+                           wraps=series_algebra._normalised) as normalised:
+        got = _dot(pairs)
+    want = EC(ref.terms)  # canonical, by the constructor
+    assert got.terms == ref.terms
+    assert got == want
+    assert got._keys is want._keys
+    assert type(got._nums) is type(want._nums) and list(got._nums) == list(want._nums)
+    assert got._den == want._den
+    assert got._deg == (max(x._deg + y._deg for x, y in pairs) if ref.terms else 0)
+    # only a dot on several keys forms the per-key dict
+    assert normalised.called == (not one_key)
+
+
+def test_dot_one_sum_cancels_to_zero():
+    assert _dot([(rational(1, 2), rational(2)), (rational(-1, 3), rational(3))]) is EC_ZERO
+    assert _dot([(L, rational(3, 4)), (EC.log2_power(1, 3), rational(-1, 4))]) is EC_ZERO
+    assert _dot([(EC_ZERO, L), (rational(5), EC_ZERO)]) is EC_ZERO
+
+
+def test_dot_one_sum_beyond_int64_stores_a_tuple():
+    got = _dot([(rational(2 ** 40, 3), rational(2 ** 40)), (rational(1, 3), rational(1))])
+    assert type(got._nums) is tuple and got._nums == (2 ** 80 + 1,) and got._den == 3
+    assert got == rational(2 ** 80 + 1, 3)
+    small = _dot([(rational(2 ** 40, 3), rational(-2 ** 40, 5)),
+                  (rational(2 ** 80, 3), rational(1, 5))])
+    assert small is EC_ZERO
+    fits = _dot([(rational(2 ** 62, 7), rational(1)), (rational(-1, 7), rational(1))])
+    assert fits._nums.typecode == "q" and fits == rational(2 ** 62 - 1, 7)
+
+
+def test_dot_keeps_the_degree_of_zero_pairs():
+    got = _dot([(EC_ZERO, L ** 7), (rational(1, 2), rational(3))])
+    assert got == rational(3, 2) and got._deg == 7
+    got = _dot([(L ** 2, Z(3)), (EC_ZERO, Z(3) ** 9)])
+    assert got == L ** 2 * Z(3) and got._deg == 9
+
+
+def test_dot_on_two_keys_takes_the_dict_route():
+    pairs = [(L, rational(2, 3)), (rational(1, 2), rational(5)), (Z(3), L)]
+    with mock.patch.object(series_algebra, "_normalised",
+                           wraps=series_algebra._normalised) as normalised:
+        got = _dot(pairs)
+    assert normalised.call_count == 1
+    assert got == L * Fraction(2, 3) + rational(5, 2) + Z(3) * L
+    # the same value as the sum of the one-pair dots, which take the one-sum route
+    assert got == sum((_dot([p]) for p in pairs), EC_ZERO)
 
 
 def test_compose_order_rule_cases():
