@@ -257,7 +257,8 @@ def _prime_side_numerators(p: KernelParams, t: float,
     cross-check and D times the absolute sum of the prime term's terms.  The
     prime term's FT weights and S's sinh weights are summed against one
     cos(t log n) row; the FT weights are >= 0 for n <= x, so the absolute sum
-    is their dot product with Lambda(n)/sqrt(n)."""
+    is the plain sum of their products with Lambda(n)/sqrt(n): a numpy
+    reduction, which unlike a BLAS dot runs on one thread."""
     x = p.x
     table = covering_table(x, lambdas)
     k = len(table.prime_powers(x))
@@ -269,7 +270,7 @@ def _prime_side_numerators(p: KernelParams, t: float,
             _archimedean_numerator(p, t),
             ft / math.pi,
             S,
-            float(table.amp[:k] @ w[0]) / math.pi)
+            float(np.sum(table.amp[:k] * w[0])) / math.pi)
 
 
 def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable | None) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -58,7 +59,13 @@ class LambdaTable:
 
 def lambda_sieve(x: int) -> LambdaTable:
     """Exact table by Eratosthenes plus explicit prime-power marking, for
-    2 <= x <= SIEVE_CAP."""
+    2 <= x <= SIEVE_CAP; an integral float is taken as its int."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    try:
+        x = operator.index(x)
+    except TypeError:  # non-integral, NaN, infinite or not a number
+        raise DomainError(f"x must be an integer, got {x!r}") from None
     if x < 2:
         raise DomainError("x must be >= 2")
     if x > SIEVE_CAP:

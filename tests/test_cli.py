@@ -261,8 +261,12 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["extremal", "--beta", "200", "--delta", "1"],  # A and D overflow
     ["extremal", "--beta", "1e-9", "--delta", "1e-9"],  # 1/D of m^+ near 1e35
     ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature ill-conditioned
+    ["verify-ef", "--t", "100", "--beta", "0.5", "--delta", "1",
+     "--zeros", "{tmp}/not-utf8.txt"],  # a zero table with a byte that is not UTF-8
 ])
-def test_bad_input_exits_without_traceback(args):
+def test_bad_input_exits_without_traceback(args, tmp_path):
+    (tmp_path / "not-utf8.txt").write_bytes(b"14.134725141735\n21.02203963\xff\n")
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     # a fresh interpreter, so an uncaught exception shows as a real traceback
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "critline.cli", *args],

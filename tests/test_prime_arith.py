@@ -114,6 +114,21 @@ def test_sieve_cap_message_gives_a_readable_size(x, size):
     assert str(info.value) == f"{size} above cap 100000000"
 
 
+@pytest.mark.parametrize("x", [2.5, math.nan, math.inf, -math.inf, "1000", None, 1e3 + 0.5],
+                         ids=["2.5", "nan", "inf", "-inf", "str", "None", "1000.5"])
+def test_sieve_refuses_what_is_not_an_integer(x):
+    with pytest.raises(DomainError, match="must be an integer"):
+        lambda_sieve(x)
+
+
+def test_sieve_takes_an_integral_float_as_its_int():
+    a, b = lambda_sieve(1000.0), lambda_sieve(1000)
+    assert a.limit == 1000 and type(a.limit) is int
+    for name in ("prime", "power", "support", "log_n", "amp"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert lambda_sieve(np.float64(30.0)).limit == 30 and lambda_sieve(np.int64(30)).limit == 30
+
+
 def test_lam_out_of_range(lam_small):
     with pytest.raises(IndexError):
         lam_small.lam(0)
