@@ -13,6 +13,7 @@ reported as ``error_scale`` instead of being folded into the bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
@@ -24,9 +25,9 @@ from . import optimal_coeffs
 from .errors import DomainError, NearZeroOfZeta
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
-from .special_f import f_closed_form
+from .special_f import f_closed_form, f_taylor
 from .zeros_table import ZeroTable
-from .zeta_oracle import constant_env, log_abs_zeta_crit, zeta_real
+from .zeta_oracle import constant_env, log_abs_zeta_crit
 
 MARGIN_GUARD_RADIUS = 1e-2  # min distance to a tabulated ordinate: the one such refusal
 
@@ -120,8 +121,8 @@ def w0_weight(n: int, x: float) -> float:
 
     Differs from F(log(x/n)/log x)/log x by O(1/(n log n)).
     """
-    if not 2 <= n <= x:
-        raise DomainError("need 2 <= n <= x")
+    if not 2 <= n <= x < math.inf:
+        raise DomainError("need 2 <= n <= x, x finite")
     r = math.log(x / n)
 
     def integrand(u):
@@ -134,8 +135,8 @@ def w0_weight(n: int, x: float) -> float:
 
 def archimedean_identity_check(x: float) -> float:
     """Residual of integral_0^inf du/(x^u+1) = log 2/log x (|residual| <= 1e-10)."""
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    if not 2 <= x < math.inf:  # NaN fails it too
+        raise DomainError("x must be finite and >= 2")
     logx = math.log(x)
     U = 60.0 / logx  # x^-U = e^-60; tail of the integrand below 1e-26
 
@@ -157,10 +158,10 @@ class MomentCheck:
 def gamma_moment_check(k: int, x: float) -> MomentCheck:
     """integral_0^inf u^{2k} x^{-u/2} du against the closed form
     2^{2k+1} (2k)! / (log x)^{2k+1}."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise DomainError(f"k must be an integer >= 0, got {k!r}")
+    if not 2 <= x < math.inf:
+        raise DomainError("x must be finite and >= 2")
     logx = math.log(x)
 
     def integrand(u):
@@ -193,9 +194,9 @@ def _pipeline_numeric(K: int) -> tuple[tuple, tuple]:
 
 def _w_of(t: float) -> float:
     """w = 1/log log t, the variable of the curves and of the cutoff series."""
-    loglog = math.log(math.log(t)) if t > 1 else -math.inf
+    loglog = math.log(math.log(t)) if 1 < t < math.inf else 0.0  # NaN gives 0.0 too
     if loglog <= 0:
-        raise DomainError("need log log t > 0")
+        raise DomainError("need finite t with log log t > 0")
     return 1.0 / loglog
 
 
@@ -212,7 +213,7 @@ class CurvePolicy:
         L = math.log(2)
         coeffs = [L / 2, 2 * L]
         for k in range(1, 4):
-            coeffs += [0.0, 2 * (1 - 0.25 ** k) * math.factorial(2 * k + 1) * zeta_real(2 * k + 1)]
+            coeffs += [0.0, f_taylor(k) * math.factorial(2 * k + 1)]
         return cls(tuple(coeffs))
 
     @classmethod
@@ -277,8 +278,9 @@ def scan_margins(t_min: float, t_max: float, points: int,
     point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
     terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
-    if not (points >= 1 and 10 <= t_min <= t_max < math.inf):
-        raise DomainError("need finite t_max >= t_min >= 10 and points >= 1")
+    if not (isinstance(points, numbers.Integral) and points >= 1
+            and 10 <= t_min <= t_max < math.inf):
+        raise DomainError("need finite t_max >= t_min >= 10 and an integer points >= 1")
     if x_policy == "logsq":
         def x_of(t):
             return math.log(t) ** 2

@@ -279,12 +279,7 @@ def dispatch(ns: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        ns = parse_args(argv if argv is not None else sys.argv[1:])
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(ns)
+        return dispatch(parse_args(argv if argv is not None else sys.argv[1:]))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

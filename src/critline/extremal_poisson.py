@@ -221,13 +221,8 @@ def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
         return out
 
     main = float(integrate_on_edges(f, edges, 12))
-    tail = 0.0
-    bound = 0.0
-    for c, w in coefs:
-        v, b = poisson_cos_tail(c, beta, w, T)
-        tail += v
-        bound += b
-    return 2.0 * (main + tail), 2.0 * bound
+    tails = [poisson_cos_tail(c, beta, w, T) for c, w in coefs]
+    return 2.0 * (main + sum(v for v, _ in tails)), 2.0 * sum(b for _, b in tails)
 
 
 def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:

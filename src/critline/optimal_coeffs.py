@@ -17,6 +17,7 @@ C_k come out as closed-form ring elements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,8 +97,8 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     for m < K - 1.  Both Z and B come from one Lagrange-Buermann pass over
     the powers of h, with R' multiplied into its giant steps.
     """
-    if K < 1:
-        raise DomainError("K must be >= 1")
+    if not (isinstance(K, numbers.Integral) and K >= 1):
+        raise DomainError(f"K must be an integer >= 1, got {K!r}")
     if K > K_MAX_GOLDEN and not extrapolated:
         raise OrderTooLarge(
             f"K={K} beyond the vetted range (<= {K_MAX_GOLDEN}); "

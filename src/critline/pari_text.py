@@ -41,18 +41,12 @@ def _monomial_str(n: int, d: int, eL: int, zpart: tuple, ze: int = 0) -> str:
         num.append("z" if ze == 1 else f"z^{ze}")
     elif ze < 0:
         den.append("z" if ze == -1 else f"z^{-ze}")
-    tail_den = None
     if n == 1 and d > 1 and num and ze == 0:
         # golden style: unit numerators trail the symbols, as in L/2
-        tail_den = d
+        den.append(str(d))
     elif n != d or not num:
         num.insert(0, str(n) if d == 1 else f"{n}/{d}")
-    out = "*".join(num)
-    for x in den:
-        out += f"/{x}"
-    if tail_den is not None:
-        out += f"/{tail_den}"
-    return out
+    return "/".join(["*".join(num), *den])
 
 
 def _sorted_terms(c: ExactCoefficient) -> list:

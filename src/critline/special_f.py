@@ -68,7 +68,7 @@ def f_closed_form(u):
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and (arr.min() < 0 or arr.max() > U_MAX):
+    if arr.size and not (arr.min() >= 0 and arr.max() <= U_MAX):  # NaN fails it too
         raise DomainError(f"u outside [0, {U_MAX}]")
     out = np.zeros_like(arr)
     pos = arr > 0
@@ -77,6 +77,11 @@ def f_closed_form(u):
         out[pos] = (np.pi * up / np.sin(np.pi * up)
                     - up * (digamma((up + 1) / 2).real - digamma(up / 2).real) + 1.0)
     return float(out[0]) if scalar else out
+
+
+def f_taylor(k: int) -> float:
+    """2 (1 - 4^-k) zeta(2k+1), the coefficient of u^(2k+1) in F, k >= 1."""
+    return 2 * (1 - 0.25 ** k) * zeta_real(2 * k + 1)
 
 
 def _series_terms(u: float, tol: float) -> int:
@@ -102,7 +107,7 @@ def f_series(u: float, terms: int | None = None) -> float:
     upow = u
     for k in range(1, K + 1):
         upow *= u2
-        vals.append(2 * (1 - 0.25 ** k) * zeta_real(2 * k + 1) * upow)
+        vals.append(f_taylor(k) * upow)
     return fsum(vals)
 
 
@@ -140,7 +145,7 @@ def f_prime(u: float) -> float:
     xpow = 1.0
     for k in range(1, K + 1):
         xpow *= x
-        vals.append(2 * (1 - 0.25 ** k) * (2 * k + 1) * zeta_real(2 * k + 1) * xpow)
+        vals.append(f_taylor(k) * (2 * k + 1) * xpow)
     return fsum(vals)
 
 

@@ -56,13 +56,8 @@ class ZeroTable:
 
     def distance_to_nearest(self, t: float) -> float:
         g = self.gammas
-        i = np.searchsorted(g, t)
-        best = math.inf
-        if i < len(g):
-            best = min(best, abs(g[i] - t))
-        if i > 0:
-            best = min(best, abs(t - g[i - 1]))
-        return float(best)
+        i = np.searchsorted(g, t)  # the nearest is g[i - 1] or g[i]
+        return float(min((abs(g[j] - t) for j in (i - 1, i) if 0 <= j < len(g)), default=math.inf))
 
 
 _BLOCK_CHARS = 1 << 15  # read at a time: bounds the loader's memory
@@ -185,9 +180,7 @@ def verify_ordinates(table: ZeroTable, sample: int = 50, tol: float = 1e-5) -> f
     """
     rng = np.random.default_rng(0)
     picks = rng.choice(table.gammas, min(sample, len(table.gammas)), replace=False)
-    worst = 0.0
-    for g in picks:
-        worst = max(worst, abs(zeta_em(complex(0.5, float(g)))))
+    worst = max((abs(zeta_em(complex(0.5, g))) for g in picks.tolist()), default=0.0)
     if worst > tol:
         raise CrossCheckFailed(f"an ordinate fails |zeta| <= {tol}: worst {worst:.2e}")
     return worst

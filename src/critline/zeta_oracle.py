@@ -10,11 +10,11 @@ about |Im s|/4 terms; its float phases t log n dominate the error (bound in
 route: at t >= T_RS (about 7.06e3) the Riemann-Siegel formula with the
 corrections C0..C7 and double-double phases, whose remainder bound (Gabcke's
 d_7 = 9.2) meets the same 1e-12 target, and EM rotated by theta below;
-``log_abs_zeta_crit`` is log|Z|.  Riemann-Siegel's theta is a float
-double-double (``_theta_phase``), reduced mod 2pi within 2e-31 t of its
-exact main term from T_RS on.  EM stays the independent route:
-every other evaluation, on or off the line, is EM.  digamma is scipy's
-``psi``, real on real input.
+``log_abs_zeta_crit`` is log|Z|.  Riemann-Siegel's theta (``_theta_phase``)
+and log n (``_log_pairs``) are float double-doubles on one atanh series,
+theta reduced mod 2pi within 2e-31 t of its exact main term from T_RS on.
+EM stays the independent route: every other evaluation, on or off the line,
+is EM.  digamma is scipy's ``psi``, real on real input.
 Supported window: 0 <= Re s (pole at s=1 excluded), |Im s| <= 1e6, no NaN.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -271,42 +270,6 @@ def _correction_polys() -> np.ndarray:
     return polys
 
 
-# Double-double constants, each hi + lo (+ lo2) to 50 digits; rebuilt from
-# mpmath by tests/test_zeta_oracle.py
-_TWO_PI_HI = 6.283185307179586
-_TWO_PI_LO = 2.4492935982947064e-16
-_TWO_PI_LO2 = -5.989539619436679e-33
-_PI = (_TWO_PI_HI / 2, _TWO_PI_LO / 2)  # halving is exact
-_INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
-_PI_8 = (0.39269908169872414, 1.5308084989341915e-17)
-# 1/(2j+1) for j = 0..8: atanh(z) = z sum_j z^2j/(2j+1), Horner in z^2
-_ATANH = (
-    (1.0, 0.0), (0.3333333333333333, 1.850371707708594e-17),
-    (0.2, -1.1102230246251566e-17), (0.14285714285714285, 7.93016446160826e-18),
-    (0.1111111111111111, 6.1679056923619804e-18), (0.09090909090909091, -2.523234146875356e-18),
-    (0.07692307692307693, -4.270088556250602e-18), (0.06666666666666667, 9.251858538542971e-19),
-    (0.058823529411764705, 8.163404592832033e-19),
-)
-_DEC = Context(prec=40)
-# (hi, lo) of log n for n = 1..len, swapped in whole; at most
-# sqrt(IM_WINDOW/2pi) ~ 399 entries inside the window
-_log_cache = [(np.zeros(1), np.zeros(1))]
-
-
-def _log_pairs(N: int):
-    """log n = hi + lo for n = 1..N, lo from a 40-digit decimal log.  Built on
-    first use and extended as larger N are asked for."""
-    hi, lo = _log_cache[0]
-    if len(hi) < N:
-        with localcontext(_DEC):
-            logs = [Decimal(n).ln() for n in range(len(hi) + 1, N + 1)]
-            new_hi = [float(d) for d in logs]
-            new_lo = [float(d - Decimal(h)) for d, h in zip(logs, new_hi)]
-        hi, lo = np.concatenate([hi, new_hi]), np.concatenate([lo, new_lo])
-        _log_cache[0] = (hi, lo)
-    return hi[:N], lo[:N]
-
-
 def _two_product(a, b):
     """Dekker's exact product: a*b = p + e, for floats or ndarrays."""
     p = a * b
@@ -317,6 +280,65 @@ def _two_product(a, b):
     b_hi = b1 - (b1 - b)
     b_lo = b - b_hi
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# Double-double constants, each hi + lo (+ lo2) to 50 digits; rebuilt from
+# mpmath by tests/test_zeta_oracle.py
+_TWO_PI_HI = 6.283185307179586
+_TWO_PI_LO = 2.4492935982947064e-16
+_TWO_PI_LO2 = -5.989539619436679e-33
+_PI = (_TWO_PI_HI / 2, _TWO_PI_LO / 2)  # halving is exact
+_INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
+_PI_8 = (0.39269908169872414, 1.5308084989341915e-17)
+_LOG2 = (0.6931471805599453, 2.3190468138462996e-17, 5.707708438416212e-34)
+# 1/d and its correctly rounded remainder ((1 - p) - e)/d, p + e = (1/d) d, odd d < 45
+_ATANH = tuple((1 / d, ((1 - p) - e) / d)
+               for d in range(1, 45, 2) for p, e in [_two_product(1 / d, d)])
+
+
+def _atanh(z, z_lo, terms: int):
+    """atanh(z + z_lo) as a double-double, floats or ndarrays: the first ``terms``
+    terms of z sum_j z^2j/(2j+1), Horner in z^2; the first omitted is z^(2 terms+1)/(2 terms+1)."""
+    w, w_lo = _two_product(z, z)
+    w_lo += 2 * z * z_lo
+    s, s_lo = _ATANH[terms - 1]
+    for c, c_lo in _ATANH[terms - 2::-1]:  # s = c + z^2 s, with |z^2 s| < c
+        m, m_lo = _two_product(w, s)
+        m_lo += w * s_lo + w_lo * s
+        s = c + m
+        s_lo = ((c - s) + m) + m_lo + c_lo
+    m, m_lo = _two_product(z, s)
+    return m, m_lo + (z * s_lo + z_lo * s)
+
+
+# (hi, lo) of log n for n = 1..len, swapped in whole; 399 entries cover the window
+_log_cache = [(np.zeros(1), np.zeros(1))]
+
+
+def _log_pairs(N: int):
+    """log n = hi + lo for n = 1..N, float arrays built on first use and
+    extended, one array pass, as larger N are asked for.  With n = 2^k m and
+    m in [1/sqrt 2, sqrt 2], log n = k log 2 + 2 atanh((m - 1)/(m + 1)), the
+    quotient at most 0.172: 22 terms of ``_atanh`` leave under 1e-35.  hi + lo
+    is within 2e-32 max(1, log n) of log n (1.7e-32 max(1, log n) measured
+    against mpmath to n = 4e5), so hi is log n correctly rounded but near
+    ties.  Cold, N = 4000 takes about 2 ms, N = 4e5 about 0.4 s (2-core x86).
+    """
+    hi, lo = _log_cache[0]
+    if len(hi) < N:
+        n = np.arange(len(hi) + 1, N + 1, dtype=float)
+        k = np.round(np.log2(n))
+        m = n / 2 ** k  # exact, and m - 1, m + 1 too
+        z = (m - 1) / (m + 1)
+        P, P_lo = _two_product(z, m + 1)
+        a, a_lo = _atanh(z, ((m - 1 - P) - P_lo) / (m + 1), len(_ATANH))
+        K, K_lo = _two_product(k, _LOG2[0])
+        s = K + 2 * a  # |K| >= log 2 > |2a| for n >= 2, so the error is exact
+        s_lo = ((K - s) + 2 * a) + (K_lo + (k * _LOG2[1] + (2 * a_lo + k * _LOG2[2])))
+        new_hi = s + s_lo
+        hi, lo = np.concatenate([hi, new_hi]), np.concatenate([lo, s_lo - (new_hi - s)])
+        _log_cache[0] = (hi, lo)
+    return hi[:N], lo[:N]
 
 
 def _less_two_pi(terms: list, k: int):
@@ -340,14 +362,14 @@ def _theta_phase(t: float):
     quadratic, one Newton step from the float root: p keeps about 1e-32 of
     its own size however close a is to N.  log a = log N + 2 atanh(z),
     z = p/(2N + p) <= 1/(2N + 1), with log N from ``_log_pairs`` and nine
-    terms of the atanh series in double-double; the first omitted one,
-    2 z^19/19, is below 1e-32 of log a from T_RS on (N >= 33).  The main term
-    t log a - t/2 - pi/8 less k 2pi is a sum of exact products and error
-    terms, summed by ``_less_two_pi`` into theta_hi and its remainder, and
-    ``_theta_tail`` is added to the remainder.  From T_RS on the reduced main
-    term is within 2e-31 t of the exact one (1.3e-31 t measured), set by the
-    rounding of log N's low part; so N, p, a and theta_hi are the correctly
-    rounded values but for ties, and theta_lo is within an ulp of its own.
+    terms of ``_atanh``; the first omitted one, 2 z^19/19, is below 1e-32 of
+    log a from T_RS on (N >= 33).  t log a - t/2 - pi/8 less k 2pi is a sum
+    of exact products and error terms, summed by ``_less_two_pi`` into
+    theta_hi and its remainder, to which ``_theta_tail`` is added.  From T_RS
+    on it is within 2e-31 t of the exact one (1.7e-31 t measured): t times
+    log N's error (``_log_pairs``: 1.2e-31 at N <= 398) and the rounding of t
+    times log a's low part (5e-32 t).  So N, p, a and theta_hi are correctly
+    rounded but for ties, and theta_lo is within an ulp of its own.
     """
     # the float root is within 3e-16 of a relative, so this is floor(a) or one above
     N = math.floor(math.sqrt(t * _INV_TWO_PI[0]) * (1 + 1e-15))
@@ -367,16 +389,7 @@ def _theta_phase(t: float):
     z = p / v
     m, m_lo = _two_product(z, v)
     z_lo = ((p - m) - m_lo + p_lo - z * v_lo) / v
-    w, w_lo = _two_product(z, z)
-    w_lo += 2 * z * z_lo
-    s, s_lo = _ATANH[-1]
-    for c, c_lo in _ATANH[-2::-1]:  # s = c + z^2 s, with |z^2 s| < c
-        m, m_lo = _two_product(w, s)
-        m_lo += w * s_lo + w_lo * s
-        s = c + m
-        s_lo = ((c - s) + m) + m_lo + c_lo
-    m, m_lo = _two_product(z, s)
-    m_lo += z * s_lo + z_lo * s  # atanh(z) = m + m_lo
+    m, m_lo = _atanh(z, z_lo, 9)
     log_n, log_n_lo = (float(col[N - 1]) for col in _log_pairs(N))
     log_a = log_n + 2 * m
     log_a_lo = ((log_n - log_a) + 2 * m) + 2 * m_lo + log_n_lo

@@ -23,7 +23,8 @@ from critline.bound_engine import (
     w0_weight,
 )
 from critline.errors import DomainError, NearZeroOfZeta
-from critline.special_f import f_closed_form
+from critline.optimal_coeffs import run_pipeline
+from critline.special_f import f_closed_form, f_taylor
 from critline.zeta_oracle import log_abs_zeta_crit, zeta_real
 
 
@@ -280,3 +281,38 @@ def test_scan_is_one_weight_pass_and_one_rs_batch(monkeypatch, policy, points):
     reports = scan_margins(t_min, t_max, points, x_policy=policy, x_fixed=x_fixed)
     assert sum(r.t >= zeta_oracle.T_RS for r in reports) >= 1
     assert calls == {"f": 1, "rs": 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: archimedean_identity_check(math.nan),
+    lambda: archimedean_identity_check(math.inf),
+    lambda: gamma_moment_check(1, math.nan),
+    lambda: gamma_moment_check(1, math.inf),
+    lambda: w0_weight(2, math.inf),
+    lambda: gamma_moment_check(1.5, 10),
+    lambda: optimal_cutoff(math.inf),
+    lambda: optimal_cutoff(math.nan),
+    lambda: theorem2_curve(math.inf, CurvePolicy.exact()),
+    lambda: run_pipeline(2.5),
+    lambda: CurvePolicy.optimal(2.5),
+    lambda: scan_margins(1e3, 1e6, 2.5),
+], ids=["identity-nan", "identity-inf", "moment-nan", "moment-inf", "w0-inf", "moment-half-k",
+        "cutoff-inf", "cutoff-nan", "curve-inf", "pipeline-half-k", "policy-half-k",
+        "scan-half-points"])
+def test_bad_numbers_are_a_domain_error(call):
+    # each of these once gave a NaN, a silent 0.0, a scipy IntegrationWarning,
+    # a bare ZeroDivisionError or a bare TypeError
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integer_arguments_may_be_numpy_integers():
+    assert run_pipeline(np.int64(3)).C == run_pipeline(3).C
+    assert gamma_moment_check(np.int64(1), 10).closed == pytest.approx(
+        gamma_moment_check(1, 10).closed, rel=1e-15)
+    assert len(scan_margins(1e3, 1e4, np.int64(2))) == 2
+
+
+def test_exact_policy_takes_f_taylor_coefficients():
+    coeffs = CurvePolicy.exact().coeffs
+    assert coeffs[3::2] == tuple(f_taylor(k) * math.factorial(2 * k + 1) for k in range(1, 4))

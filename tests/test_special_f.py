@@ -5,6 +5,7 @@ import pytest
 
 from critline.errors import DomainError
 from critline.special_f import (
+    TWO_LOG2,
     FMethod,
     f_closed_form,
     f_eval,
@@ -12,7 +13,9 @@ from critline.special_f import (
     f_prime,
     f_quadrature,
     f_series,
+    f_taylor,
 )
+from critline.zeta_oracle import zeta_real
 
 
 def test_zero_is_exact():
@@ -49,13 +52,28 @@ def test_cross_method_at_edge():
 
 
 def test_domain_errors():
-    for bad in (-0.01, 0.991, 1.5):
+    for bad in (-0.01, 0.991, 1.5, math.nan):
+        for m in FMethod:
+            with pytest.raises(DomainError):
+                f_eval(bad, m)
+    for bad in ([0.5, math.nan], [math.nan, 0.5], [0.5, 1.5]):
         with pytest.raises(DomainError):
-            f_eval(bad)
+            f_closed_form(np.array(bad))
+    # the kernel sends an empty array for a cutoff below 2
+    assert f_closed_form(np.array([])).shape == (0,)
     with pytest.raises(DomainError):
         f_prime(0.51)
     with pytest.raises(DomainError):
         f_prime(-0.1)
+
+
+def test_taylor_coefficients_are_the_series_route():
+    # f_series and f_prime sum the same coefficients, times u^(2k+1) and (2k+1) u^2k
+    assert f_taylor(1) == 2 * 0.75 * zeta_real(3)
+    u = 0.3
+    u3 = u * (u * u)
+    assert f_series(u, terms=2) == math.fsum([TWO_LOG2 * u, f_taylor(1) * u3,
+                                              f_taylor(2) * (u3 * (u * u))])
 
 
 def test_envelope_and_monotonicity():

@@ -451,20 +451,81 @@ def test_double_double_constants_against_mpmath():
         assert zeta_oracle._PI == parts(mpmath.pi, 2)
         assert zeta_oracle._INV_TWO_PI == parts(1 / two_pi, 2)
         assert zeta_oracle._PI_8 == parts(mpmath.pi / 8, 2)
+        assert zeta_oracle._LOG2 == parts(mpmath.log(2), 3)
+        assert len(zeta_oracle._ATANH) == 22
         assert zeta_oracle._ATANH == tuple(parts(mpmath.mpf(1) / (2 * j + 1), 2)
                                            for j in range(len(zeta_oracle._ATANH)))
 
 
-def test_atanh_series_truncation_below_1e_32_of_log_a():
+def _atanh_terms(monkeypatch, call):
+    """The term counts that ``call`` passes to ``_atanh``."""
+    seen = []
+    atanh = zeta_oracle._atanh
+    monkeypatch.setattr(zeta_oracle, "_atanh",
+                        lambda z, z_lo, terms: seen.append(terms) or atanh(z, z_lo, terms))
+    call()
+    return set(seen)
+
+
+def _atanh_omitted(z, J):
+    """A bound on 2 atanh(z) less 2 times its first J terms: the first omitted
+    term over 1 - z^2."""
+    return 2 * z ** (2 * J + 1) / (2 * J + 1) / (1 - z * z)
+
+
+def test_atanh_series_truncation_below_1e_32_of_log_a(monkeypatch):
     # z = p/(2N + p) < 1/(2N + 1), largest at the least N, which T_RS has
-    J = len(zeta_oracle._ATANH)
+    J, = _atanh_terms(monkeypatch, lambda: zeta_oracle._theta_phase(T_RS))
+    assert J == 9
     with mpmath.workdps(50):
         a = mpmath.sqrt(T_RS / (2 * mpmath.pi))
         N = int(a)
         assert N == 33
-        z = mpmath.mpf(1) / (2 * N + 1)
-        omitted = 2 * z ** (2 * J + 1) / (2 * J + 1) / (1 - z * z)  # bounds every omitted term
-        assert omitted < 1e-32 * mpmath.log(a)
+        assert _atanh_omitted(mpmath.mpf(1) / (2 * N + 1), J) < 1e-32 * mpmath.log(a)
+
+
+def test_log_pairs_atanh_truncation_below_1e_35(monkeypatch):
+    # m in [1/sqrt 2, sqrt 2) puts |z| = |m - 1|/(m + 1) at most (sqrt 2 - 1)/(sqrt 2 + 1)
+    monkeypatch.setattr(zeta_oracle, "_log_cache", [(np.zeros(1), np.zeros(1))])
+    J, = _atanh_terms(monkeypatch, lambda: zeta_oracle._log_pairs(10))
+    assert J == len(zeta_oracle._ATANH)
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(2)
+        assert _atanh_omitted((r - 1) / (r + 1), J) < 1e-35
+
+
+def _log_pairs_bound(n):
+    """The bound ``_log_pairs`` states for hi + lo against log n."""
+    return 2e-32 * max(1.0, math.log(n))
+
+
+def test_log_pairs_against_mpmath(monkeypatch):
+    # every n inside the window, and a sample to 4e5 (t = 1e12) with the
+    # powers of two and their neighbours, where k steps and z is 0 or extreme
+    rng = np.random.default_rng(34)
+    ns = sorted({*range(1, 400), *rng.integers(400, 400_001, 1000).tolist(),
+                 *(2 ** k + d for k in range(1, 19) for d in (-1, 0, 1))})
+    monkeypatch.setattr(zeta_oracle, "_log_cache", [(np.zeros(1), np.zeros(1))])
+    hi, lo = zeta_oracle._log_pairs(max(ns))
+    assert hi[0] == lo[0] == 0.0
+    with mpmath.workdps(50):
+        for n in ns:
+            ref = mpmath.log(n)
+            assert hi[n - 1] == float(ref), n
+            err = abs(mpmath.mpf(float(hi[n - 1])) + float(lo[n - 1]) - ref)
+            assert err <= _log_pairs_bound(n), n
+
+
+def test_log_pairs_extended_in_steps_equals_one_build(monkeypatch):
+    monkeypatch.setattr(zeta_oracle, "_log_cache", [(np.zeros(1), np.zeros(1))])
+    zeta_oracle._log_pairs(100)
+    small = [v.copy() for v in zeta_oracle._log_pairs(50)]
+    hi, lo = zeta_oracle._log_pairs(5000)
+    assert len(hi) == len(lo) == 5000
+    monkeypatch.setattr(zeta_oracle, "_log_cache", [(np.zeros(1), np.zeros(1))])
+    one_hi, one_lo = zeta_oracle._log_pairs(5000)
+    assert hi.tolist() == one_hi.tolist() and lo.tolist() == one_lo.tolist()
+    assert small[0].tolist() == hi[:50].tolist() and small[1].tolist() == lo[:50].tolist()
 
 
 def _both_tiers():
