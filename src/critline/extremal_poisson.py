@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,9 +31,6 @@ from .errors import DomainError
 from .quadrature import cos_tail_start, integrate_on_edges, poisson_cos_tail
 
 SING_RADIUS = 1e-6
-#: graded panel count above which the quadrature cross-checks refuse (about
-#: 1.3e7 integrand nodes): numeric_ft at xi = 0.5 needs about 50 Delta panels
-MAX_COS_PANELS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -170,83 +168,119 @@ def pointwise_ordered(p: KernelParams) -> bool:
 # quadrature cross-checks of the closed forms
 # ---------------------------------------------------------------------------
 
-def _kernel_cos_quadrature(coefs, p: KernelParams) -> tuple[float, float]:
-    """2 * integral_0^inf [sum_i c_i cos(omega_i x)] beta/(beta^2+x^2) dx for
-    coefs = [(c_i, omega_i)]; returns (value, tail error bound).
+#: the largest coefficient sum, sum |c_i|, that the rounding refusal of
+#: :func:`_cos_combination` lets through
+_MAX_COEF_SUM = 1e-8 / (math.pi * 2.0 ** -52)
 
-    Each omega is 0 or positive, and at least one is positive.  [0, T] is cut
-    into order-12 Gauss-Legendre panels on a graded mesh, x -> x + min(max(beta,
-    x)/2, P) from x = 0: beta/2 panels cover the Poisson peak and grow by 1.5x
-    up to the oscillation panel P = 4/omega_max (0.64 of the fastest period),
-    which then runs to T (one ``integrate_on_edges`` call).  Past T each term is
-    :func:`~critline.quadrature.poisson_cos_tail`.  T is where the tail's
-    remainder bounds, summed and doubled, reach 1e-12 min(1, s), s the sum of
-    |c_i| over omega_i > 0 (relative when the coefficients are small, as for
-    the L1 distance at large beta*Delta), rounded up to a P panel's end: about
-    100 max(1, s)^(1/8)/omega_min.  That bound is returned.  The cost grows
-    like log(P/beta) + T/P at a fixed omega_max/omega_min.
 
-    Refusals (``DomainError``): coefficients so large that rounding alone,
-    sum |c_i| pi 2^-52, exceeds the 1e-8 that the cross-checks promise (terms
-    of size 1/D cancel down to the result; beta = 1e-6 at Delta = 1), and a
-    mesh above ``MAX_COS_PANELS`` panels, which bounds the cost and which a
-    positive omega near 0 reaches (T grows like 1/omega_min).
+def _kernel_cos_quadrature(omega: float, p: KernelParams, target: float) -> tuple[float, float]:
+    """I(omega) = 2 * integral_0^inf cos(omega x) beta/(beta^2+x^2) dx for one
+    omega >= 0; returns (value, tail error bound), the bound at most 2 target.
+
+    [0, T] is cut into order-12 Gauss-Legendre panels on a graded mesh, x -> x +
+    min(max(beta, x)/2, P) from x = 0: beta/2 panels cover the Poisson peak and
+    grow by 1.5x up to the oscillation panel P = 4/omega (0.64 of a period),
+    which then runs to T (one ``integrate_on_edges`` call).  Past T the
+    integral is :func:`~critline.quadrature.poisson_cos_tail`.  For omega > 0,
+    T is where its remainder bound, doubled, reaches 2 target, rounded up to a
+    P panel's end: about 100 (1e-12/target)^(1/8)/omega, so a call costs about
+    log(P/beta) graded and 25 (1e-12/target)^(1/8) uniform panels whatever
+    omega is.  omega = 0 has no oscillation panel: its graded mesh stops at
+    T = 100 beta, and the arctan tail past it is exact (bound 0).
+
+    Refuses (``DomainError``) a positive omega so small, below about 1e-305,
+    that T overflows.
     """
     beta = p.beta
-    omegas = [w for _, w in coefs if w > 0.0]
-    rounding = sum(abs(c) for c, _ in coefs) * math.pi * 2.0 ** -52
-    if rounding > 1e-8:
-        raise DomainError(f"beta={beta}, delta={p.delta} are ill-conditioned for the "
-                          f"quadrature: its rounding {rounding:.2g} exceeds 1e-8")
-    scale = sum(abs(c) for c, w in coefs if w > 0.0)
-    T = cos_tail_start(scale, min(omegas), 0.5e-12 * min(1.0, scale))
-    P = 4.0 / max(omegas)
-
+    if omega > 0:
+        T, P = cos_tail_start(1.0, omega, target), 4.0 / omega
+    else:
+        T, P = 100.0 * beta, math.inf
+    if not T < math.inf:
+        raise DomainError(f"omega={omega} is too small for the quadrature's tail")
     edges = [0.0]
     while edges[-1] < T and max(beta, edges[-1]) / 2 < P:
         edges.append(edges[-1] + max(beta, edges[-1]) / 2)
-    n_uniform = max(0, math.ceil((T - edges[-1]) / P))
-    if len(edges) - 1 + n_uniform > MAX_COS_PANELS:
-        raise DomainError(f"beta={beta}, delta={p.delta} need {len(edges) - 1 + n_uniform} "
-                          f"quadrature panels, above the cap of {MAX_COS_PANELS}")
+    n_uniform = math.ceil((T - edges[-1]) / P) if edges[-1] < T else 0
     edges = np.append(edges, edges[-1] + P * np.arange(1, n_uniform + 1))
     T = float(edges[-1])
 
-    def f(x):
-        env = beta / (beta * beta + x * x)
-        out = np.zeros_like(x)
-        for c, w in coefs:
-            out += c * np.cos(w * x)
-        out *= env
+    def f(x):  # cos(0 x) = 1 exactly, so omega = 0 integrates h itself
+        out = np.cos(omega * x)
+        out *= beta / (beta * beta + x * x)
         return out
 
-    main = float(integrate_on_edges(f, edges, 12))
-    tails = [poisson_cos_tail(c, beta, w, T) for c, w in coefs]
-    return 2.0 * (main + sum(v for v, _ in tails)), 2.0 * sum(b for _, b in tails)
+    tail, bound = poisson_cos_tail(1.0, beta, omega, T)
+    return 2.0 * (float(integrate_on_edges(f, edges, 12)) + tail), 2.0 * bound
+
+
+@lru_cache(maxsize=1)
+def _cos_integrals(p: KernelParams) -> tuple[float, dict]:
+    """The one-slot memo of the cross-checks: the kernel's tail target r and
+    its table {omega: I(omega)}, filled as frequencies are asked for.
+
+    r = 0.5e-12 min(1, s)/s, s = (A + 2)/D^+ (D^- when m^+'s constants are
+    refused) capped at ``_MAX_COEF_SUM``, is the largest coefficient sum of
+    any check on the kernel that the rounding refusal accepts, so every check
+    sum c_i I(omega_i) has a tail bound sum |c_i| 2r <= 1e-12 min(1, s), and
+    no I(omega) depends on which check asked for it first."""
+    try:
+        A, D = kernel_constants("+", p)
+    except DomainError:
+        A, D = kernel_constants("-", p)
+    s = min((A + 2) / D, _MAX_COEF_SUM)
+    return 0.5e-12 * min(1.0, s) / s, {}
+
+
+def _cos_combination(p: KernelParams, coefs) -> float:
+    """sum_i c_i I(omega_i) for coefs = [(c_i, omega_i)], each I(omega) from the
+    kernel's table (:func:`_cos_integrals`), integrated on its first use only.
+
+    Refuses (``DomainError``) coefficients so large that rounding alone,
+    sum |c_i| pi 2^-52, exceeds the 1e-8 that the cross-checks promise (terms
+    of size 1/D cancel down to the result; beta = 1e-6 at Delta = 1)."""
+    rounding = sum(abs(c) for c, _ in coefs) * math.pi * 2.0 ** -52
+    if rounding > 1e-8:
+        raise DomainError(f"beta={p.beta}, delta={p.delta} are ill-conditioned for the "
+                          f"quadrature: its rounding {rounding:.2g} exceeds 1e-8")
+    target, table = _cos_integrals(p)
+    total = 0.0
+    for c, w in coefs:
+        if w not in table:
+            table[w] = _kernel_cos_quadrature(w, p, target)[0]
+        total += c * table[w]
+    return total
 
 
 def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     """Fourier transform of m^{sign} at xi by direct quadrature (independent of
     the closed form :func:`ft_m`), accurate to ~1e-8 absolute.
 
-    m^{sign}(x) cos(2 pi xi x) splits into the cosine frequencies {xi, Delta+xi,
-    |Delta-xi|} times the Poisson kernel, for :func:`_kernel_cos_quadrature`
-    (tail bound at most 1e-12).  Its refusals (``DomainError``) are a 1/D whose
-    rounding exceeds 1e-8 and a mesh above ``MAX_COS_PANELS``: large Delta at
-    small xi (about 50 Delta panels at xi = 0.5), or xi or |Delta-xi| near 0.
+    m^{sign}(x) cos(2 pi xi x) = [A cos(2 pi xi x) - cos(2 pi (Delta+xi) x)
+    - cos(2 pi (Delta-xi) x)] h_beta(x)/D, so the transform is
+    (A I(2 pi xi) - I(2 pi (Delta+xi)) - I(2 pi |Delta-xi|))/D in the kernel's
+    cosine-Poisson integrals I (:func:`_kernel_cos_quadrature`), each computed
+    once per kernel to its kernel-wide tail target (:func:`_cos_integrals`):
+    tail bound at most 1e-12, and a new frequency costs one single-frequency
+    quadrature of a few dozen panels.  Refuses (``DomainError``) a non-finite xi,
+    a 1/D whose rounding exceeds 1e-8, and a positive frequency below about
+    1e-305.
     """
     A, D = kernel_constants(sign, p)
     xi = abs(float(xi))
+    if not xi < math.inf:
+        raise DomainError(f"xi must be finite, got {xi}")
     tp = 2 * math.pi
-    coefs = [(A / D, tp * xi),
-             (-1.0 / D, tp * (p.delta + xi)),
-             (-1.0 / D, tp * abs(p.delta - xi))]
-    return _kernel_cos_quadrature(coefs, p)[0]
+    return _cos_combination(p, [(A / D, tp * xi),
+                                (-1.0 / D, tp * (p.delta + xi)),
+                                (-1.0 / D, tp * abs(p.delta - xi))])
 
 
 def l1_numeric(sign: str, p: KernelParams) -> float:
-    """integral over R of |m^{sign} - h| (= +-(m - h) by one-sidedness), by the
-    same graded quadrature and tail; cross-checks :func:`l1_dist`."""
+    """integral over R of |m^{sign} - h|, cross-checking :func:`l1_dist`: by
+    one-sidedness |m - h| = +-[(A/D - 1) h - (2/D) cos(2 pi Delta x) h], so it
+    is +-[(A/D - 1) I(0) - (2/D) I(2 pi Delta)] in the kernel's table of
+    cosine-Poisson integrals, as for :func:`numeric_ft`."""
     A, D = kernel_constants(sign, p)
-    coefs = [(A / D - 1.0, 0.0), (-2.0 / D, 2 * math.pi * p.delta)]
-    return _sign_factor(sign) * _kernel_cos_quadrature(coefs, p)[0]
+    return _sign_factor(sign) * _cos_combination(
+        p, [(A / D - 1.0, 0.0), (-2.0 / D, 2 * math.pi * p.delta)])

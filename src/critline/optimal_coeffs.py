@@ -81,7 +81,6 @@ def b_coeff(m: int) -> ExactCoefficient:
     return _b_from_a(a_coeff(m), a_coeff(m + 1), m)
 
 
-@lru_cache(maxsize=None)
 def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     """Produce C_1..C_K exactly.
 
@@ -96,6 +95,10 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     a_m y^(m+1) and Q = sum_{m>=0} b_m y^m, that is a_m for m < K and b_m
     for m < K - 1.  Both Z and B come from one Lagrange-Buermann pass over
     the powers of h, with R' multiplied into its giant steps.
+
+    Each result is cached by the order alone, as a Python int, so a numpy
+    integer K and either value of ``extrapolated`` share it;
+    ``run_pipeline.cache_clear()`` empties the cache.
     """
     if not (isinstance(K, numbers.Integral) and K >= 1):
         raise DomainError(f"K must be an integer >= 1, got {K!r}")
@@ -103,6 +106,12 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
         raise OrderTooLarge(
             f"K={K} beyond the vetted range (<= {K_MAX_GOLDEN}); "
             "pass extrapolated=True to compute anyway")
+    return _pipeline(int(K))
+
+
+@lru_cache(maxsize=None)
+def _pipeline(K: int) -> PipelineResult:
+    """:func:`run_pipeline` for a checked int K."""
     a = [a_coeff(m) for m in range(K + 2)]
     b = [_b_from_a(a[m], a[m + 1], m) for m in range(K + 1)]
 
@@ -131,6 +140,9 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     Zser = TruncatedSeries(1, zc, m_log + 2)
     B = TruncatedSeries(1, C, K)
     return PipelineResult(order=K, a=tuple(a), b=tuple(b), w1=w1, Z=Zser, B=B, C=tuple(C))
+
+
+run_pipeline.cache_clear = _pipeline.cache_clear
 
 
 def format_report(result: PipelineResult, constants=None) -> str:

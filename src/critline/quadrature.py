@@ -59,11 +59,16 @@ def geometric_tail(f, start: float) -> float:
     """Integral of f over [start, 1e16] on geometric steps a -> 1.5a, each
     split into two order-16 Gauss-Legendre panels, all in one evaluation of f.
     Suited to smooth integrands decaying like log(x)/x^2, whose remainder past
-    1e16 is then below 1e-14 of the total."""
-    edges = [start]
-    while edges[-1] < 1e16:
-        b = min(edges[-1] * 1.5, 1e16)
-        edges += [(edges[-1] + b) / 2, b]
+    1e16 is then below 1e-14 of the total.  The step ends a, 1.5a, ... are one
+    ``cumprod``, the same floats as repeated multiplication, cut after the
+    first at or above 1e16, which is clamped to it."""
+    ends = np.full(math.ceil(math.log(1e16 / start, 1.5)) + 3 if start < 1e16 else 1, 1.5)
+    ends[0] = start
+    np.cumprod(ends, out=ends)
+    ends = ends[:int(np.argmax(ends >= 1e16)) + 1]
+    ends[1:] = np.minimum(ends[1:], 1e16)
+    edges = np.empty(2 * len(ends) - 1)
+    edges[::2], edges[1::2] = ends, (ends[:-1] + ends[1:]) / 2
     return float(integrate_on_edges(f, edges, 16))
 
 

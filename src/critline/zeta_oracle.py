@@ -107,23 +107,28 @@ def _em_tail(s, M: int, target: float):
     inv_m2 = 1 / (M * M)
     rising, d_rising = s, 1  # r_j and its s-derivative
     corr = d_corr = 0
+    tol = target / 10
     for j in range(1, _J_MAX + 1):
         corr += _C2J[j - 1] * rising
         d_corr += _C2J[j - 1] * d_rising
-        a, b = s + 2 * j - 1, s + 2 * j
+        b = s + 2 * j
+        a = b - 1  # s + 2j - 1, the same float
         rising, d_rising = rising * a * b * inv_m2, (d_rising * a * b + rising * (a + b)) * inv_m2
         omitted = abs(_C2J[j] * scale)
-        if (omitted * abs(rising) * abs(s + 2 * j + 1) / (sigma + 2 * j + 1) <= target / 10
-                and omitted * (abs(d_rising) + ln_m * abs(rising)) <= target / 10):
+        r_abs = abs(rising)
+        if (omitted * r_abs * abs(b + 1) / (sigma + 2 * j + 1) <= tol
+                and omitted * (abs(d_rising) + ln_m * r_abs) <= tol):
             return (t1 + half + scale * corr,
                     -ln_m * (t1 + half) - t1 / (s - 1) + scale * (d_corr - ln_m * corr))
     return None
 
 
-def _em_sum(s: complex, target: float, min_m: int, k: int) -> complex:
-    """The k-th derivative of zeta (k = 0, 1): the cutoff M starts at
-    max(ceil(|Im s|/4), 10, min_m) and doubles until the tail meets the
-    target, then the head sum_{n<M} (-log n)^k n^-s is added once."""
+def _em_sum(s: complex, target: float, min_m: int, orders: tuple[int, ...]) -> list[complex]:
+    """zeta^(k)(s) for each k in ``orders``, ascending from (0, 1), all from one
+    Euler-Maclaurin pass: the cutoff M starts at max(ceil(|Im s|/4), 10, min_m)
+    and doubles until ``_em_tail`` meets the target, and that one tail call
+    gives T and T'; the head's terms n^-s are exponentiated once, summed for
+    zeta and scaled in place by -log n for zeta'."""
     s = complex(s)
     _check_window(s)
     M = max(math.ceil(abs(s.imag) / 4), 10, min_m)
@@ -134,9 +139,12 @@ def _em_sum(s: complex, target: float, min_m: int, k: int) -> complex:
     ln = np.log(np.arange(1, M, dtype=float))
     head = ln * -s
     np.exp(head, out=head)  # in place: one complex buffer of M entries per call, not two
-    if k:
-        head *= -ln
-    return _csum(head) + tail[k]
+    out = []
+    for k in orders:
+        if k:
+            head *= -ln
+        out.append(_csum(head) + tail[k])
+    return out
 
 
 def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
@@ -155,7 +163,7 @@ def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
     ``hardy_z`` takes from ``riemann_siegel_z``;
     the two routes share none of their numerics, so each checks the other.
     """
-    return _em_sum(s, target, min_m, 0)
+    return _em_sum(s, target, min_m, (0,))[0]
 
 
 def zeta_deriv_em(s: complex) -> complex:
@@ -167,15 +175,24 @@ def zeta_deriv_em(s: complex) -> complex:
     ``zeta_em`` with each term times log n: on the line, 6.1e-12 at t = 50
     and 1.5e-8 at t = 1e6 - 0.3, against bounds of 1.0e-10 and 5.0e-5.
     """
-    return _em_sum(s, 1e-10, 0, 1)
+    return _em_sum(s, 1e-10, 0, (1,))[0]
 
 
+@lru_cache(maxsize=1)
 def zeta_logderiv(s: complex) -> complex:
-    """zeta'(s)/zeta(s), guarded away from zeros and the pole."""
-    z = zeta_em(s)
+    """zeta'(s)/zeta(s), guarded away from zeros and the pole.
+
+    zeta and zeta' come from one ``_em_sum`` pass at the target 1e-12: zeta
+    equals ``zeta_em(s)`` bit for bit, and zeta' is held to that target too,
+    tighter than ``zeta_deriv_em``'s 1e-10.  The last result is kept (one slot), so
+    the Guinand-Weil checks that take zeta'/zeta at the same s pay for one
+    pass; a refusal (``NearZeroOfZeta`` when |zeta| <= ZERO_GUARD) is not
+    kept and is raised again on every call.
+    """
+    z, dz = _em_sum(s, 1e-12, 0, (0, 1))
     if abs(z) <= ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta({s})| = {abs(z):.2e}")
-    return zeta_deriv_em(s) / z
+    return dz / z
 
 
 # ---------------------------------------------------------------------------

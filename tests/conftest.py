@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from critline import explicit_formula, prime_arith
+from critline import explicit_formula, extremal_poisson, prime_arith, zeta_oracle
 from critline.errors import DomainError
 from critline.prime_arith import lambda_sieve
 from critline.series_algebra import TruncatedSeries
@@ -50,10 +50,14 @@ def repo_root():
 
 @pytest.fixture(autouse=True)
 def _cold_gw_memos():
-    """Every test starts with empty Guinand-Weil memos, so that a test that
-    monkeypatches what a memoised core calls is not served an earlier result."""
+    """Every test starts with empty Guinand-Weil memos (the two sides' cores,
+    the kernels' cosine-Poisson integrals and zeta'/zeta), so that a test
+    that monkeypatches what a memoised core calls is not served an earlier
+    result."""
     explicit_formula._zero_side_numerator.cache_clear()
     explicit_formula._prime_side_numerators.cache_clear()
+    extremal_poisson._cos_integrals.cache_clear()
+    zeta_oracle.zeta_logderiv.cache_clear()
 
 
 @pytest.fixture

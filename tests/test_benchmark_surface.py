@@ -30,6 +30,13 @@ def test_traced_span_resolves_to_callable(span):
     assert callable(getattr(importlib.import_module(f"critline.{layer}"), fname, None)), span
 
 
+def test_setup_reads_the_pipeline_cache_clear():
+    # perfbench/workloads.py reads run_pipeline.cache_clear at set-up, before
+    # the tracer wraps run_pipeline, and the coeffs workload calls it per op
+    from critline import optimal_coeffs
+    assert callable(optimal_coeffs.run_pipeline.cache_clear)
+
+
 @pytest.mark.parametrize("span", sorted(tracing.COUNTERS))
 def test_trace_counter_takes_its_functions_arguments(span):
     # a counter is called with the traced call's arguments; a signature that

@@ -138,21 +138,20 @@ def test_l1_dist_rejects_a_degenerate_majorant():
     assert l1_dist("+", KernelParams(1e-9, 1e-9)) == pytest.approx(1e18, rel=1e-15)
 
 
-def test_quadrature_refuses_above_the_panel_cap():
-    # at xi = 0.5 the tail starts near 100/pi whatever Delta is, while the
-    # oscillation panel shrinks like 1/Delta: 5e6 graded panels at Delta = 1e5,
-    # refused before any node is evaluated
-    with pytest.raises(DomainError, match="panels"):
-        numeric_ft("+", KernelParams(1e-3, 1e5), 0.5)
-
-
-def test_quadrature_refuses_a_near_zero_frequency_by_the_panel_cap():
-    # |Delta - xi| = 1e-9: omega ~ 6e-9 puts the tail start T ~ 100/omega
-    # near 1e10, some 1e10 oscillation panels, refused before any node
+@pytest.mark.parametrize("beta,delta,xi", [
+    # at xi = 0.5 the fast frequencies 2 pi (Delta +- 1/2) get their own short
+    # panels, so the slow one's long tail no longer sets their panel count
+    (1e-3, 1e5, 0.5),
+    # |Delta - xi| = 1e-9: omega ~ 6e-9 has its tail start T ~ 100/omega near
+    # 1e10, and as many panels as any other frequency on its own mesh
+    (0.5, 1.0, 1.0 - 1e-9),
+])
+def test_quadrature_takes_what_the_panel_cap_refused(beta, delta, xi):
+    p = KernelParams(beta, delta)
     t0 = time.perf_counter()
-    with pytest.raises(DomainError, match="panels"):
-        numeric_ft("+", KernelParams(0.5, 1.0), 1.0 - 1e-9)
+    value = numeric_ft("+", p, xi)
     assert time.perf_counter() - t0 < 0.1
+    assert abs(value - ft_m("+", p, xi)) <= 1e-10
 
 
 def test_quadrature_takes_a_slow_frequency():
@@ -176,27 +175,72 @@ def test_quadrature_of_a_narrow_kernel(beta, tol):
     assert time.perf_counter() - t0 < 0.1
 
 
-def test_kernel_quadrature_tail_bound_at_criterion_4_grid(monkeypatch):
-    bounds = []
+def _quadrature_calls(monkeypatch):
+    """(omega, kernel, tail bound) of every ``_kernel_cos_quadrature`` call."""
+    calls = []
     quadrature = extremal_poisson._kernel_cos_quadrature
 
-    def recording(coefs, p):
-        val, bound = quadrature(coefs, p)
-        bounds.append(bound)
+    def recording(omega, p, target):
+        val, bound = quadrature(omega, p, target)
+        calls.append((omega, p, bound))
         return val, bound
 
     monkeypatch.setattr(extremal_poisson, "_kernel_cos_quadrature", recording)
+    return calls
+
+
+def _checks(p):
+    """Criterion 4's cross-checks on one kernel, as calls: the L1 distance and
+    the transform at 0, Delta/2, Delta and 3 Delta/2, for + then -."""
+    return [f for sign in "+-" for f in (
+        lambda sign=sign: l1_numeric(sign, p),
+        *(lambda sign=sign, frac=frac: numeric_ft(sign, p, frac * p.delta)
+          for frac in (0.0, 0.5, 1.0, 1.5)))]
+
+
+def _all_checks(p):
+    return [f() for f in _checks(p)]
+
+
+def test_kernel_quadrature_tail_bound_at_criterion_4_grid(monkeypatch):
+    calls = _quadrature_calls(monkeypatch)
     for p in PARAM_GRID:
-        for sign in "+-":
-            l1_numeric(sign, p)
-            for frac in (0.0, 0.5, 1.0, 1.5):
-                numeric_ft(sign, p, frac * p.delta)
-    assert len(bounds) == len(PARAM_GRID) * 2 * 5
-    assert max(bounds) <= 1e-12
+        _all_checks(p)
+    # the frequencies 0, pi Delta, ..., 5 pi Delta, each integrated once
+    assert len(calls) == len(PARAM_GRID) * 6
+    assert max(bound for *_, bound in calls) <= 1e-12
+
+
+def test_each_frequency_of_a_kernel_is_one_quadrature(monkeypatch):
+    calls = _quadrature_calls(monkeypatch)
+    p, tp = KernelParams(0.5, 1.0), 2 * math.pi
+    numeric_ft("+", p, 0.5)  # pi, 3 pi and pi again
+    numeric_ft("-", p, 1.5)  # 3 pi, 5 pi and pi: only 5 pi is new
+    l1_numeric("+", p)
+    assert [w for w, *_ in calls] == [tp * 0.5, tp * 1.5, tp * 2.5, 0.0, tp]
+    before = len(calls)
+    _all_checks(p)  # of criterion 4's frequencies only 4 pi, from xi = Delta, is new
+    assert [w for w, *_ in calls[before:]] == [tp * 2]
+    _all_checks(p)
+    assert len(calls) == before + 1
+    assert {q for _, q, _ in calls} == {p}
+
+
+def test_cross_checks_do_not_depend_on_the_order_of_requests():
+    p = KernelParams(0.4, 1.9)
+    forward = _all_checks(p)
+    extremal_poisson._cos_integrals.cache_clear()
+    assert [f() for f in reversed(_checks(p))] == forward[::-1]
+    extremal_poisson._cos_integrals.cache_clear()
+    assert numeric_ft("-", p, 1.5 * p.delta) == forward[9]
+    assert l1_numeric("-", p) == forward[5]
+    # a kernel asked for in between empties the one-slot memo; the values stay
+    _all_checks(KernelParams(0.5, 1.0))
+    assert _all_checks(p) == forward
 
 
 def test_each_cross_check_is_one_core_call(monkeypatch):
-    # the graded and uniform panels of the mesh are integrated together
+    # the graded and uniform panels of one frequency's mesh are integrated together
     core = extremal_poisson.integrate_on_edges
     calls = []
 
@@ -206,10 +250,22 @@ def test_each_cross_check_is_one_core_call(monkeypatch):
 
     monkeypatch.setattr(extremal_poisson, "integrate_on_edges", recording)
     p = KernelParams(0.5, 1.0)
-    for run in (lambda: numeric_ft("+", p, 0.5), lambda: l1_numeric("-", p)):
-        calls.clear()
-        run()
-        assert len(calls) == 1
+    numeric_ft("+", p, 0.5)  # pi and 3 pi
+    assert len(calls) == 2
+    l1_numeric("-", p)  # 0 and 2 pi
+    assert len(calls) == 4
+    numeric_ft("-", p, 0.5)
+    assert len(calls) == 4
+
+
+def test_cross_checks_refuse_a_nonfinite_xi_and_a_vanishing_frequency():
+    p = KernelParams(0.5, 1.0)
+    for xi in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            numeric_ft("+", p, xi)
+    # a positive frequency so small that the tail start overflows
+    with pytest.raises(DomainError, match="too small"):
+        numeric_ft("+", p, 1e-310)
 
 
 @pytest.mark.parametrize("beta,delta", [

@@ -61,6 +61,17 @@ def test_pipeline_golden_and_statement():
     assert series_matches_text(r.Z, GOLDEN_Z)
 
 
+def test_pipeline_cache_takes_numpy_integers():
+    # one cached result per order, whatever integer type and extrapolated flag
+    import numpy as np
+    run_pipeline.cache_clear()
+    result = run_pipeline(3)
+    assert run_pipeline(np.int64(3)) is result
+    assert run_pipeline(np.int32(3), extrapolated=True) is result
+    run_pipeline.cache_clear()
+    assert run_pipeline(np.int64(3)) is not result
+
+
 def test_pipeline_result_structure():
     r = run_pipeline(5)
     assert len(r.a) == 7 and len(r.b) == 6
@@ -148,7 +159,7 @@ REFERENCE_PAIRS_K11 = 1136
 
 def test_pipeline_product_count(dot_pairs):
     assert dot_pairs(_reference_pipeline, 11) == REFERENCE_PAIRS_K11
-    assert dot_pairs(run_pipeline.__wrapped__, 11, True) <= 0.75 * REFERENCE_PAIRS_K11
+    assert dot_pairs(optimal_coeffs._pipeline.__wrapped__, 11) <= 0.75 * REFERENCE_PAIRS_K11
 
 
 @pytest.mark.parametrize("K", [1, 7, 11])
@@ -156,7 +167,7 @@ def test_pipeline_builds_each_a_once(K, monkeypatch):
     # b_m is formed from the pipeline's a list, not from fresh a_coeff calls
     calls = []
     monkeypatch.setattr(optimal_coeffs, "a_coeff", lambda m: calls.append(m) or a_coeff(m))
-    run_pipeline.__wrapped__(K, True)
+    optimal_coeffs._pipeline.__wrapped__(K)
     assert sorted(calls) == list(range(K + 2))
 
 

@@ -52,6 +52,20 @@ def test_geometric_tail_evaluates_f_once():
     assert len(calls) == 1 and calls[0] % 32 == 0  # two order-16 panels per 1.5x step
 
 
+@pytest.mark.parametrize("start", [10.0, 1e4 + 0.3, 1e16 / 1.5, 1e16 / 1.5 ** 2, 9.9e15, 1e16, 2e16])
+def test_geometric_tail_edges_are_the_stepwise_ones(start):
+    # the cumprod edges are the floats of a -> min(1.5 a, 1e16) step by step
+    edges = [start]
+    while edges[-1] < 1e16:
+        b = min(edges[-1] * 1.5, 1e16)
+        edges += [(edges[-1] + b) / 2, b]
+    got, want = [], []
+    geometric_tail(lambda x: got.append(x.copy()) or x, start)
+    integrate_on_edges(lambda x: want.append(x.copy()) or x, edges, 16)
+    assert len(got) == len(want) == (start < 1e16)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_integrate_on_edges_along_a_complex_segment():
     # int e^{-s} ds from a to b along the straight path is e^{-a} - e^{-b}
     a, b = 1 + 2j, 3 + 5j

@@ -240,6 +240,49 @@ def test_logderiv_guards():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def test_logderiv_is_one_pass_with_zeta_em_bit_for_bit():
+    for s in (complex(0.75, 50.0), complex(1.5, 1e3), complex(0.5, -700.0), complex(2.0, 0.0)):
+        z, dz = zeta_oracle._em_sum(s, 1e-12, 0, (0, 1))
+        assert z == zeta_em(s)
+        assert zeta_logderiv(s) == dz / z
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+def test_logderiv_against_mpmath_off_the_line(beta):
+    for t in (50.0, 500.0, 1000.0):
+        s = mpmath.mpc(0.5 + beta, t)
+        ref = complex(mpmath.zeta(s, derivative=1) / mpmath.zeta(s))
+        assert abs(zeta_logderiv(complex(0.5 + beta, t)) - ref) <= 1e-10 * max(1, abs(ref)), t
+
+
+def test_logderiv_keeps_its_last_pass(monkeypatch):
+    calls = []
+    tail = zeta_oracle._em_tail
+
+    def recording(s, M, target):
+        out = tail(s, M, target)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(zeta_oracle, "_em_tail", recording)
+    s = complex(1.0, 300.0)
+    first = zeta_logderiv(s)
+    assert calls == [True]  # M = 75 meets the target at once: one tail call
+    assert zeta_logderiv(s) == first and len(calls) == 1
+    zeta_logderiv(complex(1.0, 301.0))
+    assert len(calls) == 2
+
+
+def test_logderiv_refuses_a_zero_on_every_call():
+    # the memo keeps results, not refusals
+    for _ in range(3):
+        with pytest.raises(NearZeroOfZeta):
+            zeta_logderiv(complex(0.5, GAMMA1))
+    zeta_logderiv(complex(1.0, 100.0))
+    with pytest.raises(NearZeroOfZeta):
+        zeta_logderiv(complex(0.5, GAMMA1))
+
+
 def test_log_abs_crit():
     v = log_abs_zeta_crit(100.0)
     # frozen golden from a verified high-precision run
