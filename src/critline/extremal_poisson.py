@@ -31,17 +31,24 @@ from .errors import DomainError
 from .quadrature import cos_tail_start, integrate_on_edges, poisson_cos_tail
 
 SING_RADIUS = 1e-6
+#: the smallest beta taken: beta^2 stays a normal float, so h_beta and the
+#: kernels' numerators keep full precision near x = 0
+BETA_MIN = 1e-150
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Poisson parameter beta and type parameter Delta (type 2 pi Delta)."""
+    """Poisson parameter beta and type parameter Delta (type 2 pi Delta);
+    refuses (``DomainError``) a beta below ``BETA_MIN``."""
     beta: float
     delta: float
 
     def __post_init__(self):
         if not (0 < self.beta < math.inf and 0 < self.delta < math.inf):
             raise DomainError("beta and delta must be positive and finite")
+        if self.beta < BETA_MIN:
+            raise DomainError(f"beta={self.beta} is below {BETA_MIN:g}, where beta^2 is "
+                              "no longer a normal float")
 
     @property
     def x(self) -> float:

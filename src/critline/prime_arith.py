@@ -52,10 +52,6 @@ class LambdaTable:
         hi = self.limit if up_to is None else math.floor(up_to)
         return self.support[: np.searchsorted(self.support, hi, side="right")]
 
-    def log_p(self, ns: np.ndarray) -> np.ndarray:
-        """Lambda over an array of prime-power indices."""
-        return np.log(self.prime[ns].astype(float))
-
 
 def lambda_sieve(x: int) -> LambdaTable:
     """Exact table by Eratosthenes plus explicit prime-power marking, for

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -474,12 +476,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.valuation, self.order, self.coeffs))
 
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise equality up to min(orders)."""
-        hi = min(self.order, other.order)
-        lo = min(self.valuation, other.valuation)
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
-
     def __repr__(self):
         from .pari_text import format_series
         return f"TruncatedSeries({format_series(self)})"
@@ -526,23 +522,101 @@ def ps_scale(a: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries(a.valuation, [c * x for x in a.coeffs], a.order)
 
 
+def _single_key(window):
+    """(key, den, numerators over den) when every nonzero coefficient of the
+    window is one monomial and all share one key, else None; the scan stops
+    at the first coefficient of several monomials or with a second key."""
+    key = None
+    for c in window:
+        k = c._keys
+        if k is key or not k:
+            continue
+        if key is not None or len(k) != 1:
+            return None
+        key = k
+    if key is None:
+        return None
+    den = math.lcm(*[c._den for c in window])
+    return key[0], den, [c._nums[0] * (den // c._den) if c._keys else 0 for c in window]
+
+
+def _kronecker(aw, bw):
+    """The n = len(aw) = len(bw) coefficients sum_{i<=k} aw[i] bw[k-i], k < n,
+    as _dot forms them, when each window lies on one monomial (_single_key),
+    else None.
+
+    The numerators over each window's lcm denominator pack into one int at
+    B-bit spacing, B = bits(max|alpha|) + bits(max|beta|) + bits(n) + 2, so
+    that every |c_k| < 2^(B-1) and one integer product carries all the
+    Cauchy sums as balanced B-bit digits; each c_k / (Da Db) is then reduced
+    by one gcd.  The degree bound of c_k is _dot's, the largest
+    aw[i]._deg + bw[k-i]._deg, refused past EXPONENT_MAX at the first k."""
+    a = _single_key(aw)
+    b = None if a is None else _single_key(bw)
+    if b is None:
+        return None
+    (ka, da, alpha), (kb, db, beta) = a, b
+    n = len(alpha)
+    ga, gb = [c._deg for c in aw], [c._deg for c in bw]
+    if min(ga) != max(ga):
+        ga, gb = gb, ga
+    if min(ga) == max(ga):  # one factor's bound is constant: a running max
+        degs = [ga[0] + g for g in accumulate(gb, max)]
+    else:
+        degs = [max(map(add, ga[:k + 1], gb[k::-1])) for k in range(n)]
+    if max(degs) > EXPONENT_MAX:
+        _check_degree(next(g for g in degs if g > EXPONENT_MAX))
+    B = (max(map(abs, alpha)).bit_length() + max(map(abs, beta)).bit_length()
+         + n.bit_length() + 2)
+    pa = pb = 0
+    for x, y in zip(reversed(alpha), reversed(beta)):
+        pa = (pa << B) + x
+        pb = (pb << B) + y
+    # half added to each of the n low digits makes it c_k + half, in [0, 2^B)
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    prod = pa * pb + sum(half << (B * k) for k in range(n))
+    keys = (ka + kb,)
+    keys = _INTERNED.setdefault(keys, keys)
+    den = da * db
+    out = []
+    for k, g in enumerate(degs):
+        c = ((prod >> (B * k)) & mask) - half
+        if c:
+            d = math.gcd(den, c)
+            out.append(_make(keys, _compact((c // d,)), den // d, g))
+        else:
+            out.append(EC_ZERO)
+    return out
+
+
 def _cauchy(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """The Cauchy product of a and b through z^order, at most the order
-    ps_mul gives them: one _dot per coefficient kept."""
+    ps_mul gives them.
+
+    Only the first n = order - v + 1 coefficients of each factor reach the
+    result.  When each of these windows lies on one monomial, as over pure
+    rationals, the n coefficients come from one integer product
+    (:func:`_kronecker`), a few big-int operations in all; otherwise each is
+    one _dot over its k + 1 pairs, about n^2/2 coefficient products."""
     if order > min(a.order + b.valuation, b.order + a.valuation):
         raise DomainError("cannot extend a truncated series")
     v = a.valuation + b.valuation
     if v > order or a.is_zero() or b.is_zero():
         return TruncatedSeries.zero(order)
-    ac, bc = a.coeffs, b.coeffs
-    nb = len(bc)
-    out = [_dot([(ac[i], bc[k - i]) for i in range(max(0, k - nb + 1), min(k + 1, len(ac)))])
-           for k in range(order - v + 1)]
+    n = order - v + 1
+    ac, bc = a.coeffs[:n], b.coeffs[:n]
+    out = _kronecker(ac, bc)
+    if out is None:
+        out = [_dot([(ac[i], bc[k - i]) for i in range(k + 1)]) for k in range(n)]
     return TruncatedSeries(v, out, order)
 
 
 def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product; order = min(a.order + b.valuation, b.order + a.valuation)."""
+    """Cauchy product; order = min(a.order + b.valuation, b.order + a.valuation).
+
+    Through :func:`_cauchy`: one integer product when each factor's
+    coefficients lie on one monomial, as over Q, else one _dot per output
+    coefficient, about n^2/2 coefficient products for n of them."""
     if a.valuation + b.valuation < -1:
         raise DomainError(
             "product of two Laurent heads falls below z^-1, outside the "
@@ -611,7 +685,10 @@ def ps_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     i >= 1 and c_i != 0 knows it only through inner.order + (i - 1) v; the
     result's order N is the smaller of the two (cap if there is no such
     term).  Horner's rule acc_i = c_i + inner * acc_(i+1), with acc_i cut at
-    z^(N - i v), takes about N^3/(6 v) coefficient products (364 at N = 12).
+    z^(N - i v), takes about N/v series products.  Each is one integer
+    product when inner and acc_(i+1) each lie on one monomial, as over Q
+    (:func:`_cauchy`); otherwise they come to about N^3/(6 v) coefficient
+    products (364 at N = 12).
     """
     if inner.valuation < 1 or inner.is_zero():
         raise PositiveValuationRequired(
@@ -651,7 +728,10 @@ def _lagrange(h: TruncatedSeries, n: int, dH: TruncatedSeries | None = None):
     of [w^k] H(z(w)) for k = 1..min(n, dH.order + 1), empty without dH.
     Baby steps h^1..h^m, m = isqrt(n), come from ps_mul, and giant steps
     h^(jm) split each h^k as h^(jm) h^(k-jm); dH is multiplied into each
-    giant, so each coefficient of either list is one dot product.
+    giant, so each coefficient of either list is one dot product.  The
+    baby, giant and dH products are series products (:func:`_cauchy`), one
+    integer product each over one monomial, as over Q; the per-k dots go
+    through _dot, at most k coefficient products each.
     """
     nH = 0 if dH is None else min(n, dH.order + 1)
     m = math.isqrt(n)
@@ -686,8 +766,11 @@ def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
     With h = z/a(z), known through z^(n-1) for a of order n, the inverse has
     [z^k] a^{-1} = [z^(k-1)] h^k / k, read off the powers of h by _lagrange;
     with h itself that is about (m + n/m) n^2/2 coefficient products,
-    m = isqrt(n) (461 at n = 12).  The result has valuation 1 and order
-    a.order.
+    m = isqrt(n) (461 at n = 12).  Over one monomial, as over Q, the baby
+    and giant powers, fewer than m + n/m series products, are one integer
+    product each (:func:`_cauchy`), and what is left for _dot is h's
+    recurrence and the per-k dots, about n^2 coefficient products (149 at
+    n = 12).  The result has valuation 1 and order a.order.
     """
     if a.valuation != 1:
         raise PositiveValuationRequired(

@@ -33,6 +33,12 @@ def ps_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(v, [a.coefficient(k) for k in range(v, order + 1)], order)
 
 
+def agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """a and b have the same coefficients through the smaller of their orders."""
+    order = min(a.order, b.order)
+    return ps_truncate(a, order) == ps_truncate(b, order)
+
+
 @pytest.fixture(scope="session")
 def zeros():
     return load_zeros(ZEROS_PATH)
@@ -75,16 +81,25 @@ def sieve_calls(monkeypatch):
 
 @pytest.fixture
 def dot_pairs(monkeypatch):
-    """pairs(call, *args): the coefficient pairs call(*args) hands to _dot."""
+    """pairs(call, *args): the coefficient pairs call(*args) hands to _dot,
+    plus, for each product taken as one integer product, the n(n + 1)/2 pairs
+    of its n output coefficients that the _dot route would have handed."""
     from critline import series_algebra
     count = [0]
-    dot = series_algebra._dot
+    dot, kronecker = series_algebra._dot, series_algebra._kronecker
 
     def counting(pairs):
         count[0] += len(pairs)
         return dot(pairs)
 
+    def counting_kronecker(aw, bw):
+        out = kronecker(aw, bw)
+        if out is not None:
+            count[0] += len(out) * (len(out) + 1) // 2
+        return out
+
     monkeypatch.setattr(series_algebra, "_dot", counting)
+    monkeypatch.setattr(series_algebra, "_kronecker", counting_kronecker)
 
     def pairs(call, *args):
         count[0] = 0

@@ -215,6 +215,13 @@ def test_extremal_refuses_tiny_beta_at_once(capsys):
     assert "DomainError" in err and "ill-conditioned" in err
 
 
+@pytest.mark.parametrize("beta", ["1e-300", "1e-160"])
+def test_extremal_refuses_a_beta_below_the_normal_squares(capsys, beta):
+    code, out, err = run_cli(capsys, "extremal", "--beta", beta, "--delta", "1e-5")
+    assert code == 1 and out == ""
+    assert "DomainError" in err and "normal float" in err and "Traceback" not in err
+
+
 def test_extremal_at_a_slow_oscillation(capsys):
     # omega = 2 pi 0.05 was refused while the tail rule asked for omega >= 0.5
     code, out, _ = run_cli(capsys, "extremal", "--beta", "0.5", "--delta", "0.05")
@@ -263,6 +270,7 @@ def test_computation_error_exits_one(capsys, tmp_path):
     ["extremal", "--beta", "1e-6", "--delta", "1"],  # quadrature ill-conditioned
     ["verify-ef", "--t", "100", "--beta", "0.5", "--delta", "1",
      "--zeros", "{tmp}/not-utf8.txt"],  # a zero table with a byte that is not UTF-8
+    ["extremal", "--beta", "1e-300", "--delta", "1e-5"],  # beta^2 underflows
 ])
 def test_bad_input_exits_without_traceback(args, tmp_path):
     (tmp_path / "not-utf8.txt").write_bytes(b"14.134725141735\n21.02203963\xff\n")

@@ -27,7 +27,7 @@ def ref_dirichlet_term(t, x, table):
     ln = np.log(nsf)
     logx = math.log(x)
     weights = f_closed_form((logx - ln) / logx) / logx
-    return fsum(table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln) * weights)
+    return fsum(np.log(table.prime[ns].astype(float)) / np.sqrt(nsf) * np.cos(t * ln) * weights)
 
 
 def ref_prime_term(sign, p, t, table):
@@ -35,14 +35,14 @@ def ref_prime_term(sign, p, t, table):
     ns = table.prime_powers(p.x)
     nsf = ns.astype(float)
     ln = np.log(nsf)
-    base = table.log_p(ns) / np.sqrt(nsf) * np.cos(t * ln)
+    base = np.log(table.prime[ns].astype(float)) / np.sqrt(nsf) * np.cos(t * ln)
     return fsum(base * ft_numerator(p, ln / (2 * math.pi))) / math.pi / kernel_constants(sign, p)[1]
 
 
 def ref_bracket_sides(t, x, beta, table):
     ns = table.prime_powers(x)
     nsf = ns.astype(float)
-    S = fsum(table.log_p(ns) / np.sqrt(nsf) * np.cos(t * np.log(nsf))
+    S = fsum(np.log(table.prime[ns].astype(float)) / np.sqrt(nsf) * np.cos(t * np.log(nsf))
              * np.sinh(beta * np.log(x / nsf)))
     em1 = math.expm1(beta * math.log(x))  # x^beta - 1 without cancellation
     logt = math.log(t)
@@ -52,7 +52,7 @@ def ref_bracket_sides(t, x, beta, table):
 
 def ref_weighted_psi(x, table):
     ns = table.prime_powers(x)
-    return fsum(table.log_p(ns) / np.sqrt(ns.astype(float)))
+    return fsum(np.log(table.prime[ns].astype(float)) / np.sqrt(ns.astype(float)))
 
 
 def _grid(n=25, seed=4417):

@@ -388,7 +388,7 @@ def _per_sign_breakdown(sign, p, t, z, table):
     side = _zero_sum(lambda x: eval_m(sign, p, x), (A + 2) / D, p.beta, t, z)
     ns = table.prime_powers(p.x)
     ln = np.log(ns.astype(float))
-    base = table.log_p(ns) / np.sqrt(ns.astype(float)) * np.cos(t * ln)
+    base = np.log(table.prime[ns].astype(float)) / np.sqrt(ns.astype(float)) * np.cos(t * ln)
     prime = math.fsum(base * ft_m(sign, p, ln / (2 * math.pi))) / math.pi
     boundary = 2 * eval_m(sign, p, complex(t, 0.5)).real
     ft_zero = ft_m(sign, p, 0.0) * math.log(math.pi) / (2 * math.pi)

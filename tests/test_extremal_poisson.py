@@ -42,6 +42,21 @@ def test_params_validation():
     assert abs(KernelParams(1.0, 1.0).x - math.exp(2 * math.pi)) < 1e-9
 
 
+@pytest.mark.parametrize("beta", [1e-300, 1e-160])
+def test_params_refuse_a_beta_whose_square_leaves_the_normal_floats(beta):
+    # 1e-300: the quadratures divided by zero; 1e-160: l1_numeric("-") read
+    # 3.1415550 against pi
+    with pytest.raises(DomainError, match="normal float"):
+        KernelParams(beta, 1e-5)
+
+
+def test_l1_numeric_at_the_smallest_beta():
+    p = KernelParams(1e-150, 1e-5)
+    assert l1_dist("-", p) == pytest.approx(math.pi, rel=1e-15)
+    assert abs(l1_numeric("-", p) - math.pi) <= 1e-8
+    assert abs(numeric_ft("-", p, 0.5e-5) - ft_m("-", p, 0.5e-5)) <= 1e-8
+
+
 def test_minorant_nonnegative_random():
     rng = np.random.default_rng(123)
     x = rng.uniform(-200, 200, 10 ** 4)

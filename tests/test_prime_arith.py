@@ -16,7 +16,7 @@ from critline.summation import exact_sum
 def chebyshev_psi(x: int, table=None) -> float:
     """sum_{n<=x} Lambda(n)."""
     table = covering_table(x, table)
-    return exact_sum(table.log_p(table.prime_powers(x)))
+    return exact_sum(np.log(table.prime[table.prime_powers(x)].astype(float)))
 
 
 def _is_prime(n):

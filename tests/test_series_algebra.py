@@ -37,7 +37,7 @@ from critline.series_algebra import (
     ps_revert,
     ps_scale,
 )
-from conftest import ps_truncate
+from conftest import agree, ps_truncate
 
 EC = ExactCoefficient
 TS = TruncatedSeries
@@ -452,7 +452,7 @@ def test_log_multiplicative():
                                    for _ in range(6)], 6)
         lhs = ps_log(ps_mul(a, b))
         rhs = ps_add(ps_log(a), ps_log(b))
-        assert lhs.agrees_with(rhs)
+        assert agree(lhs, rhs)
 
 
 def test_log_pipeline_series():
@@ -480,7 +480,7 @@ def test_compose_polynomial():
 def test_compose_identity():
     a = series(0, [3, L, Z(5), 2], 3)
     out = ps_compose(a, TS.identity(order=3))
-    assert out.agrees_with(a)
+    assert agree(out, a)
 
 
 def test_compose_requires_positive_valuation():
@@ -492,7 +492,7 @@ def test_compose_requires_positive_valuation():
 
 
 def test_revert_identity():
-    assert ps_revert(TS.identity(order=5)).agrees_with(TS.identity(order=5))
+    assert agree(ps_revert(TS.identity(order=5)), TS.identity(order=5))
 
 
 def test_revert_catalan_signs():
@@ -596,8 +596,8 @@ def test_truncation_monotonicity_random_ops():
         hi = lo + [rational(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(4)]
         lo[0] = hi[0] = rational(rng.randint(1, 5))
         a8, a12 = series(0, lo, 8), series(0, hi, 12)
-        assert ps_recip(a12).agrees_with(ps_recip(a8))
-        assert ps_mul(a12, a12).agrees_with(ps_mul(a8, a8))
+        assert agree(ps_recip(a12), ps_recip(a8))
+        assert agree(ps_mul(a12, a12), ps_mul(a8, a8))
 
 
 def test_scale_and_sub():
@@ -809,6 +809,115 @@ def test_dot_on_two_keys_takes_the_dict_route():
     assert got == L * Fraction(2, 3) + rational(5, 2) + Z(3) * L
     # the same value as the sum of the one-pair dots, which take the one-sum route
     assert got == sum((_dot([p]) for p in pairs), EC_ZERO)
+
+
+# --- _cauchy: the integer route against _dot --------------------------------------
+
+
+def _dot_cauchy(a, b, order):
+    """_cauchy's product with every coefficient one _dot over its index pairs."""
+    v = a.valuation + b.valuation
+    if v > order or a.is_zero() or b.is_zero():
+        return TS.zero(order)
+    return TS(v, [_dot([(a.coeffs[i], b.coeffs[k - i]) for i in range(k + 1)])
+                  for k in range(order - v + 1)], order)
+
+
+def _assert_same_fields(got, want):
+    assert (got.valuation, got.order) == (want.valuation, want.order)
+    assert len(got.coeffs) == len(want.coeffs)
+    for x, y in zip(got.coeffs, want.coeffs):
+        assert x._keys is y._keys
+        assert type(x._nums) is type(y._nums) and list(x._nums) == list(y._nums)
+        assert x._den == y._den and x._deg == y._deg
+
+
+def _ps_mul_order(a, b):
+    return min(a.order + b.valuation, b.order + a.valuation)
+
+
+@st.composite
+def _one_key_series(draw, eL, e3, valuation, order):
+    """Coefficients q L^eL Z3^e3 or zero; a factor L^p L^-p (key 0, degree
+    bound 2p) makes the degree bounds of the nonzero ones differ."""
+    coeffs = []
+    for _ in range(order - valuation + 1):
+        if draw(st.integers(0, 3)) == 0:
+            coeffs.append(EC_ZERO)
+            continue
+        p = draw(st.sampled_from([0, 0, 1, 4]))
+        coeffs.append(_monomial(eL, e3, draw(_q)) * (L ** p * EC.log2_power(-p)))
+    return TS(valuation, coeffs, order)
+
+
+@st.composite
+def _one_key_pairs(draw):
+    eL, e3 = draw(st.integers(-3, 3)), draw(st.integers(0, 2))
+    va = draw(st.integers(-1, 1))
+    vb = draw(st.integers(max(-1, -1 - va), 1))  # ps_mul's floor: va + vb >= -1
+    na = draw(st.integers(max(va, 0), 14))
+    nb = draw(st.integers(max(vb, 0), 14).filter(lambda n: n != na))
+    # the second factor's key may differ from the first's
+    eLb, e3b = draw(st.sampled_from([(eL, e3), (0, 0), (-eL, 1)]))
+    return (draw(_one_key_series(eL, e3, va, na)), draw(_one_key_series(eLb, e3b, vb, nb)))
+
+
+@PROPERTY
+@given(_one_key_pairs())
+def test_integer_route_equals_the_dot_route(ab):
+    a, b = ab
+    order = _ps_mul_order(a, b)
+    got = series_algebra._cauchy(a, b, order)
+    _assert_same_fields(got, _dot_cauchy(a, b, order))
+    n = order - a.valuation - b.valuation + 1
+    if n > 0 and not (a.is_zero() or b.is_zero()):
+        assert series_algebra._kronecker(a.coeffs[:n], b.coeffs[:n]) is not None
+
+
+def test_integer_route_stores_a_tuple_beyond_int64():
+    a, b = series(0, [2 ** 40, 1, rational(1, 3)]), series(0, [2 ** 40, 3, 0])
+    got = series_algebra._cauchy(a, b, 2)
+    assert type(got.coeffs[0]._nums) is tuple and got.coeffs[0] == 2 ** 80
+    assert got.coeffs[1]._nums.typecode == "q" and got.coeffs[1] == 2 ** 42
+    _assert_same_fields(got, _dot_cauchy(a, b, 2))
+
+
+@pytest.mark.parametrize("a", [
+    series(0, [rational(1, 2), L + 1, rational(3)]),  # one coefficient on two keys
+    series(0, [L, rational(2), Z(3)]),                # one key per coefficient, two keys
+])
+def test_integer_route_falls_back_to_dot(a):
+    b = series(-1, [rational(2, 3), L, rational(-5), rational(1, 7)])
+    assert series_algebra._kronecker(a.coeffs, b.coeffs[:3]) is None
+    for x, y in ((a, b), (b, a)):
+        order = _ps_mul_order(x, y)
+        _assert_same_fields(series_algebra._cauchy(x, y, order), _dot_cauchy(x, y, order))
+
+
+def _wide_L(deg):
+    """L with degree bound deg (odd): L^p L^(1-p), p = (deg + 1)/2."""
+    p = (deg + 1) // 2
+    return L ** p * EC.log2_power(1 - p)
+
+
+def test_integer_route_refuses_where_dot_does():
+    # degree bounds (MAX, 1) times (3, 5): z^0 reaches MAX + 3 first and z^1
+    # MAX + 5, so both routes name MAX + 3
+    a = series(0, [_wide_L(EXPONENT_MAX), L])
+    b = series(0, [_wide_L(3), _wide_L(5)])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DomainError) as want:
+            _dot_cauchy(x, y, 1)
+        with pytest.raises(DomainError) as got:
+            series_algebra._cauchy(x, y, 1)
+        assert str(got.value) == str(want.value) and str(EXPONENT_MAX + 3) in str(got.value)
+    # z^1 is L (-L) + L L = 0, and is refused all the same
+    a = series(0, [L, _wide_L(EXPONENT_MAX)])
+    b = series(0, [L, -L])
+    with pytest.raises(DomainError, match=str(EXPONENT_MAX + 1)):
+        series_algebra._cauchy(a, b, 1)
+    with pytest.raises(DomainError, match=str(EXPONENT_MAX + 1)):
+        _dot_cauchy(a, b, 1)
 
 
 def test_compose_order_rule_cases():
