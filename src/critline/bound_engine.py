@@ -60,7 +60,10 @@ def dirichlet_weight(n, log_n, log_x):
 def dirichlet_term(t, x: float, table: LambdaTable | None = None):
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x; ``t``
     may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`.
-    A non-finite t or x is refused; a finite x < 2 gives 0."""
+    A non-finite, complex or more than 1-D t, or a non-finite x, is refused;
+    a finite x < 2 gives 0."""
+    if np.iscomplexobj(t) or np.ndim(t) > 1:
+        raise DomainError("t must be a real float or a 1-D array of them")
     if not (math.isfinite(x) and np.isfinite(t).all()):
         raise DomainError("t and x must be finite")
     if x < 2:
@@ -285,8 +288,8 @@ def scan_margins(t_min: float, t_max: float, points: int,
         def x_of(t):
             return math.log(t) ** 2
     elif x_policy == "fixed":
-        if x_fixed is None or x_fixed < 2:
-            raise DomainError("fixed x policy needs x >= 2")
+        if not (isinstance(x_fixed, numbers.Real) and 2 <= x_fixed < math.inf):  # NaN fails too
+            raise DomainError(f"fixed x policy needs a finite real x >= 2, got {x_fixed!r}")
 
         def x_of(t):
             return x_fixed

@@ -214,8 +214,9 @@ def test_scan_small(zeros):
 def test_scan_validation():
     with pytest.raises(DomainError):
         scan_margins(5.0, 100.0, 3)
-    with pytest.raises(DomainError):
-        scan_margins(1e3, 1e4, 2, x_policy="fixed")
+    for x_fixed in (None, 1.5, 100 + 0j, "50"):
+        with pytest.raises(DomainError):
+            scan_margins(1e3, 1e4, 2, x_policy="fixed", x_fixed=x_fixed)
 
 
 def test_optimal_cutoff_policy():

@@ -386,6 +386,29 @@ def test_riemann_siegel_array_equals_the_scalar_loop():
     assert riemann_siegel_z(np.array([])).shape == (0,)
 
 
+def _corrections_per_point(N, p, a):
+    """The corrections of one point as they were formed one point at a time:
+    C_k(p) as one dot product of the powers (p - 1/2)^j, then Horner in 1/a."""
+    c = ((p - 0.5) ** np.arange(len(_correction_polys()))) @ _correction_polys()
+    tail = np.polynomial.polynomial.polyval(1 / a, c) / math.sqrt(a)
+    return tail if N % 2 else -tail
+
+
+def test_batched_corrections_match_the_per_point_form():
+    # the grid's points, and p at both ends of [0, 1) and at 1/2
+    phases = [zeta_oracle._theta_phase(t)[:3] for t in _rs_grid().tolist()]
+    phases += [(N, p, N + p) for N in (33, 34, 398) for p in (0.0, 0.5, 1 - 2.0 ** -53)]
+    N, p, a = (np.array(v) for v in zip(*phases))
+    got = zeta_oracle._rs_corrections(N, p, a)
+    polys = np.abs(_correction_polys())
+    eps = np.finfo(float).eps
+    for Ni, pi, ai, gi in zip(N.tolist(), p.tolist(), a.tolist(), got.tolist()):
+        # both forms sum the same 101 x 8 terms, in other orders: each is within
+        # (101 + 8) eps of their absolute sum
+        size = (abs(pi - 0.5) ** np.arange(len(polys)) @ polys) @ ai ** -np.arange(8.0)
+        assert abs(gi - _corrections_per_point(Ni, pi, ai)) <= 2 * 109 * eps * size / math.sqrt(ai)
+
+
 # A 40-digit decimal _theta_phase: the reference that the float
 # double-double one is held to.
 _DEC = decimal.Context(prec=40)
@@ -625,6 +648,8 @@ _BAD_INPUTS = {
     "theorem1_rhs(x)": lambda v: bound_engine.theorem1_rhs(100.0, v),
     "scan_margins(t_min)": lambda v: bound_engine.scan_margins(v, 1e3, 3),
     "scan_margins(t_max)": lambda v: bound_engine.scan_margins(1e3, v, 3),
+    "scan_margins(x_fixed)": lambda v: bound_engine.scan_margins(1e3, 1e4, 3, x_policy="fixed",
+                                                                 x_fixed=v),
     "lemma3_bracket(t)": lambda v: explicit_formula.lemma3_bracket(v, 10.0, 0.5),
     "lemma3_bracket(x)": lambda v: explicit_formula.lemma3_bracket(100.0, v, 0.5),
     "lemma3_bracket(beta)": lambda v: explicit_formula.lemma3_bracket(100.0, 10.0, v),
@@ -652,6 +677,41 @@ def test_nan_and_inf_are_refused_typed(entry, value):
         warnings.simplefilter("error")  # refused up front, before any numpy warning
         with pytest.raises(CritlineError):
             _BAD_INPUTS[entry](value)
+
+
+#: the entry points that take "a float or a 1-D array" of real t
+_ARRAY_ENTRIES = {
+    "riemann_siegel_z": riemann_siegel_z,
+    "hardy_z": hardy_z,
+    "log_abs_zeta_crit": log_abs_zeta_crit,
+    "dirichlet_term": lambda t: bound_engine.dirichlet_term(t, 100.0),
+}
+
+
+@pytest.mark.parametrize("t", [1e4 + 0j, np.array([1e4 + 0j, 2e4]), np.array([[1e4, 2e4]]),
+                               np.full((1, 1, 1), 1e4)], ids=["complex", "complex-array",
+                                                               "2-D", "3-D"])
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRIES))
+def test_complex_and_multidimensional_t_are_refused_typed(entry, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning: refused before any cast
+        with pytest.raises(DomainError, match="real float or a 1-D array"):
+            _ARRAY_ENTRIES[entry](t)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(target=math.inf), DomainError), (dict(target=math.nan), DomainError),
+    (dict(target=0.0), DomainError), (dict(target=-1e-12), DomainError),
+    (dict(min_m=math.inf), DomainError), (dict(min_m=math.nan), DomainError),
+    (dict(min_m=100.5), DomainError), (dict(min_m=2 ** 25 + 1), WindowExceeded),
+    (dict(min_m=2 ** 26), WindowExceeded)])
+def test_zeta_em_refuses_bad_target_and_min_m_before_any_sum(monkeypatch, kwargs, error):
+    def no_sum(*args):
+        raise AssertionError("refused only after the Euler-Maclaurin pass began")
+
+    monkeypatch.setattr(zeta_oracle, "_em_sum", no_sum)  # nothing is allocated
+    with pytest.raises(error):
+        zeta_em(complex(0.5, 100.0), **kwargs)
 
 
 def test_zero_side_refuses_t_below_10():
