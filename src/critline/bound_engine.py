@@ -22,12 +22,12 @@ import numpy as np
 from scipy import integrate, optimize
 
 from . import optimal_coeffs
-from .errors import DomainError, NearZeroOfZeta
+from .errors import DomainError, NearZeroOfZeta, _real_in
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
 from .special_f import f_closed_form, f_taylor
 from .zeros_table import ZeroTable
-from .zeta_oracle import constant_env, log_abs_zeta_crit
+from .zeta_oracle import _points, constant_env, log_abs_zeta_crit
 
 MARGIN_GUARD_RADIUS = 1e-2  # min distance to a tabulated ordinate: the one such refusal
 
@@ -60,14 +60,10 @@ def dirichlet_weight(n, log_n, log_x):
 def dirichlet_term(t, x: float, table: LambdaTable | None = None):
     """Re sum_{n<=x} Lambda(n) n^{-1/2-it} F(log(x/n)/log x) / log x; ``t``
     may be a 1-D array, as in :func:`~critline.prime_arith.dirichlet_cos_sum`.
-    A non-finite, complex or more than 1-D t, or a non-finite x, is refused;
-    a finite x < 2 gives 0."""
-    if np.iscomplexobj(t) or np.ndim(t) > 1:
-        raise DomainError("t must be a real float or a 1-D array of them")
-    if not (math.isfinite(x) and np.isfinite(t).all()):
-        raise DomainError("t and x must be finite")
-    if x < 2:
-        return 0.0 if np.ndim(t) == 0 else np.zeros(len(t))
+    A t or x that is not finite and real (``_points``, ``_real_in``) is
+    refused; a finite x < 2 gives 0, the sum over no prime powers."""
+    _points(t)
+    x = _real_in("x", x)
     return dirichlet_cos_sum(covering_table(x, table), x, t, dirichlet_weight)
 
 
@@ -84,10 +80,7 @@ def theorem1_rhs(t: float, x: float, table: LambdaTable | None = None,
     Margins are only meaningful away from zeros: a loaded table rejects t
     within 1e-2 of an ordinate, and the oracle refuses |zeta| < 1e-8.
     """
-    if not 10 <= t < math.inf:  # NaN fails every such range check
-        raise DomainError("t must be finite and >= 10")
-    if not 2 <= x < math.inf:
-        raise DomainError("x must be finite and >= 2")
+    t, x = _real_in("t", t, 10), _real_in("x", x, 2)
     d = _ordinate_distance(t, zeros)
     if d < MARGIN_GUARD_RADIUS:
         raise NearZeroOfZeta(f"t={t} within {d:.2e} of a tabulated ordinate")
@@ -124,8 +117,8 @@ def w0_weight(n: int, x: float) -> float:
 
     Differs from F(log(x/n)/log x)/log x by O(1/(n log n)).
     """
-    if not 2 <= n <= x < math.inf:
-        raise DomainError("need 2 <= n <= x, x finite")
+    x = _real_in("x", x, 2)
+    n = _real_in("n", n, 2, x)
     r = math.log(x / n)
 
     def integrand(u):
@@ -138,8 +131,7 @@ def w0_weight(n: int, x: float) -> float:
 
 def archimedean_identity_check(x: float) -> float:
     """Residual of integral_0^inf du/(x^u+1) = log 2/log x (|residual| <= 1e-10)."""
-    if not 2 <= x < math.inf:  # NaN fails it too
-        raise DomainError("x must be finite and >= 2")
+    x = _real_in("x", x, 2)
     logx = math.log(x)
     U = 60.0 / logx  # x^-U = e^-60; tail of the integrand below 1e-26
 
@@ -163,8 +155,7 @@ def gamma_moment_check(k: int, x: float) -> MomentCheck:
     2^{2k+1} (2k)! / (log x)^{2k+1}."""
     if not (isinstance(k, numbers.Integral) and k >= 0):
         raise DomainError(f"k must be an integer >= 0, got {k!r}")
-    if not 2 <= x < math.inf:
-        raise DomainError("x must be finite and >= 2")
+    x = _real_in("x", x, 2)
     logx = math.log(x)
 
     def integrand(u):
@@ -197,9 +188,9 @@ def _pipeline_numeric(K: int) -> tuple[tuple, tuple]:
 
 def _w_of(t: float) -> float:
     """w = 1/log log t, the variable of the curves and of the cutoff series."""
-    loglog = math.log(math.log(t)) if 1 < t < math.inf else 0.0  # NaN gives 0.0 too
-    if loglog <= 0:
-        raise DomainError("need finite t with log log t > 0")
+    loglog = math.log(math.log(_real_in("t", t, math.e, ends="()")))
+    if loglog <= 0:  # t within rounding of e
+        raise DomainError(f"need log log t > 0, got t = {t}")
     return 1.0 / loglog
 
 
@@ -240,15 +231,14 @@ def curve_series_value(w: float, policy: CurvePolicy) -> float:
     Separated from :func:`theorem2_curve` so asymptotic comparisons can run
     at small w directly (the corresponding t overflows floats).
     """
-    if w <= 0:
-        raise DomainError("need w > 0")
+    w = _real_in("w", w, 0, ends="()")
     return fsum(ck * w ** k for k, ck in enumerate(policy.coeffs, 1))
 
 
 def theorem2_curve(t: float, policy: CurvePolicy) -> float:
     """Bound-curve value at t for the chosen x(t) policy (log t times the
     w-series at w = 1/log log t)."""
-    return math.log(t) * curve_series_value(_w_of(t), policy)
+    return curve_series_value(_w_of(t), policy) * math.log(t)  # _w_of refuses a bad t first
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +259,9 @@ def scan_margins(t_min: float, t_max: float, points: int,
                  x_policy: str = "logsq", x_fixed: float | None = None) -> list:
     """BoundReports at log-spaced t; the workhorse behind the scan CLI.
 
-    x policies: ``logsq`` (x = log^2 t), ``fixed``, or ``optimal`` (the
-    stationary-point cutoff from the coefficient pipeline).  Sample points
+    x policies: ``logsq`` (x = log^2 t), ``fixed`` (x = ``x_fixed``, which
+    no other policy takes), or ``optimal`` (the stationary-point cutoff from
+    the coefficient pipeline).  Sample points
     falling within 1e-2 of a tabulated ordinate are nudged up by 2e-2
     (deterministically) so margins stay meaningful.
 
@@ -281,22 +272,18 @@ def scan_margins(t_min: float, t_max: float, points: int,
     point or, below T_RS (about 7.06e3), an Euler-Maclaurin sum of |t|/4
     terms: in a 50-point scan of 1e3..1e6, 14 points are below T_RS.
     """
-    if not (isinstance(points, numbers.Integral) and points >= 1
-            and 10 <= t_min <= t_max < math.inf):
-        raise DomainError("need finite t_max >= t_min >= 10 and an integer points >= 1")
-    if x_policy == "logsq":
-        def x_of(t):
-            return math.log(t) ** 2
-    elif x_policy == "fixed":
-        if not (isinstance(x_fixed, numbers.Real) and 2 <= x_fixed < math.inf):  # NaN fails too
-            raise DomainError(f"fixed x policy needs a finite real x >= 2, got {x_fixed!r}")
-
-        def x_of(t):
-            return x_fixed
-    elif x_policy == "optimal":
-        def x_of(t):
-            return optimal_cutoff(t)
-    else:
+    t_min = _real_in("t_min", t_min, 10)
+    t_max = _real_in("t_max", t_max, t_min)
+    if not (isinstance(points, numbers.Integral) and points >= 1):
+        raise DomainError(f"points must be an integer >= 1, got {points!r}")
+    if x_policy == "fixed":
+        x_fixed = _real_in("x_fixed", x_fixed, 2)
+    elif x_fixed is not None:
+        raise DomainError(f"x_fixed={x_fixed!r} is taken by the fixed x policy only, "
+                          f"not by {x_policy!r}")
+    x_of = {"logsq": lambda t: math.log(t) ** 2, "fixed": lambda t: x_fixed,
+            "optimal": optimal_cutoff}.get(x_policy)
+    if x_of is None:
         raise DomainError(f"unknown x policy {x_policy!r}")
     ts = []
     for t in np.geomspace(t_min, t_max, points):

@@ -103,6 +103,8 @@ def parse_args(argv) -> argparse.Namespace:
                              f"(no vetted reference beyond {k_max})")
     if ns.command == "scan" and ns.points < 1:
         raise UsageError("--points must be >= 1")
+    if ns.command == "scan" and (ns.x is not None) != (ns.x_policy == "fixed"):
+        raise UsageError("--x is the cutoff of --x-policy fixed: give both or neither")
     if ns.command == "zeros" and ns.height <= FIRST_ZERO:
         raise UsageError(f"--height must exceed the first ordinate {FIRST_ZERO:.6f}")
     return ns

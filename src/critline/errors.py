@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all critline modules."""
+"""Exception hierarchy shared by all critline modules, and the one rule for
+a real argument (``_real_in``)."""
+
+import math
+import numbers
 
 
 class CritlineError(Exception):
@@ -40,6 +44,27 @@ class DomainError(CritlineError):
     """Argument outside the supported domain of a function, or of the exact
     series ring: an exponent or zeta index beyond its packed field, a series
     head below z^-1, a coefficient past the truncation order."""
+
+
+def _real_in(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+             ends: str = "[]") -> float:
+    """``value`` as a float, if it is a finite real number in the interval from
+    lo to hi, each end closed or open as ``ends`` ("[]", "(]", "[)" or "()")
+    says; an infinite end is always open.  Anything else, complex, None, a
+    string, NaN or an int beyond float range included, is a ``DomainError``
+    that names the argument and its interval."""
+    shown = None
+    try:  # a float first: the common case, on which isinstance alone costs about 1 us
+        v = value if type(value) is float else (
+            float(value) if isinstance(value, numbers.Real) else math.nan)
+    except OverflowError:  # an int beyond float range, whose repr may be refused too
+        v, shown = math.nan, "an int beyond float range"
+    if (math.isfinite(v) and (lo <= v if ends[0] == "[" else lo < v)
+            and (v <= hi if ends[1] == "]" else v < hi)):
+        return v
+    low = f" and {'>=' if ends[0] == '[' else '>'} {lo:g}" if lo > -math.inf else ""
+    high = f" and {'<=' if ends[1] == ']' else '<'} {hi:g}" if hi < math.inf else ""
+    raise DomainError(f"{name} must be finite{low}{high}, got {shown or repr(value)}")
 
 
 class CrossCheckFailed(CritlineError):

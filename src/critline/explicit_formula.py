@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import exp1
 
-from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
+from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight, _real_in
 from .extremal_poisson import (
     KernelParams,
     eval_m,
@@ -101,8 +101,7 @@ def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> Z
     the envelope against the zero density (1/2pi) log(u/2pi); t must be
     finite and >= 10, and the table must reach 10t.
     """
-    if not 10 <= t < math.inf:  # NaN fails every such range check
-        raise DomainError("t must be finite and >= 10")
+    t = _real_in("t", t, 10)
     if z.max_height < 10 * t:
         raise InsufficientHeight(
             f"table height {z.max_height:.1f} below 10t = {10 * t:.1f}")
@@ -128,7 +127,7 @@ def gw_zero_side(sign: str, p: KernelParams, t: float, z: ZeroTable) -> ZeroSide
     """sum over tabulated ordinates (both signs) of m^{sign}(t - gamma), with
     a density-integral bound on the omitted tail."""
     _, D = kernel_constants(sign, p)
-    side = _zero_side_numerator(p, t, z)
+    side = _zero_side_numerator(p, _real_in("t", t, 10), z)  # a checked float keys the memo
     return ZeroSideSum(sum=side.sum / D, tail_bound=side.tail_bound / D)
 
 
@@ -176,13 +175,6 @@ def _archimedean(sign: str, p: KernelParams, t: float) -> float:
 
     tail_smooth = geometric_tail(smooth, window)
     return (main + tail_smooth) / (2 * math.pi)
-
-
-def _archimedean_closed(sign: str, p: KernelParams, t: float) -> float:
-    """(1/2pi) int m(t-y) Re psi(1/4+iy/2) dy in closed form, at a cost
-    independent of t: :func:`_archimedean_numerator` / D."""
-    _, D = kernel_constants(sign, p)
-    return _archimedean_numerator(p, t) / D
 
 
 def _archimedean_numerator(p: KernelParams, t: float) -> float:
@@ -299,8 +291,7 @@ def _prime_term(sign: str, p: KernelParams, t: float, lambdas: LambdaTable | Non
 def gw_prime_side(sign: str, p: KernelParams, t: float,
                   lambdas: LambdaTable | None = None) -> GWBreakdown:
     """Right-hand side of the identity at t (zero_side/tail filled by verify_gw)."""
-    if not 10 <= t < math.inf:
-        raise DomainError("t must be finite and >= 10")
+    t = _real_in("t", t, 10)
     _, D = kernel_constants(sign, p)
     boundary, ft_zero, arch = (v / D for v in _prime_side_numerators(p, t, lambdas)[:3])
     prime = _prime_term(sign, p, t, lambdas)
@@ -339,8 +330,7 @@ def partial_fraction_residual(beta: float, t: float, z: ZeroTable) -> ResidualRe
 
     Expected O(1/t) plus the reported zero-sum tail.
     """
-    if not 0 < beta <= 1:
-        raise DomainError("beta must lie in (0, 1]")
+    beta = _real_in("beta", beta, 0, 1, "(]")
     side = _zero_sum(lambda x: beta / (beta ** 2 + x ** 2), 1.0, beta, t, z)
     re_ld = zeta_logderiv(complex(0.5 + beta, t)).real
     return ResidualReport(residual=re_ld + 0.5 * math.log(t / (2 * math.pi)) - side.sum,
@@ -364,12 +354,9 @@ def lemma3_bracket(t: float, x: float, beta: float,
     with S = Re sum_{n<=x} Lambda(n) n^{-1/2-it} sinh(beta log(x/n)).  The
     unquantified O-terms are the caller's slack.
     """
+    t, x, beta = _real_in("t", t, 10), _real_in("x", x, 2), _real_in("beta", beta, hi=1)
     if beta < BETA_FLOOR:
         raise DegenerateBeta(f"beta={beta} below {BETA_FLOOR}: x^beta - 1 degenerates")
-    if not beta <= 1:  # NaN fails this and the checks below
-        raise DomainError("beta must lie in (0, 1]")
-    if not (10 <= t < math.inf and 2 <= x < math.inf):
-        raise DomainError("need finite t >= 10 and x >= 2")
     S = dirichlet_cos_sum(covering_table(x, lambdas), x, t,
                           lambda n, ln, log_x: _sinh_weight(n, x, beta))
     em1 = _xb_minus_one(x, beta)

@@ -27,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _real_in
 from .quadrature import cos_tail_start, integrate_on_edges, poisson_cos_tail
+from .zeta_oracle import _points
 
 SING_RADIUS = 1e-6
 #: the smallest beta taken: beta^2 stays a normal float, so h_beta and the
@@ -44,8 +45,8 @@ class KernelParams:
     delta: float
 
     def __post_init__(self):
-        if not (0 < self.beta < math.inf and 0 < self.delta < math.inf):
-            raise DomainError("beta and delta must be positive and finite")
+        _real_in("beta", self.beta, 0, ends="()")
+        _real_in("delta", self.delta, 0, ends="()")
         if self.beta < BETA_MIN:
             raise DomainError(f"beta={self.beta} is below {BETA_MIN:g}, where beta^2 is "
                               "no longer a normal float")
@@ -94,10 +95,11 @@ def kernel_constants(sign: str, p: KernelParams) -> tuple[float, float]:
 
 
 def poisson_h(p: KernelParams, x):
-    """The Poisson kernel beta/(beta^2 + x^2); vectorized."""
-    x = np.asarray(x, dtype=float)
-    out = p.beta / (p.beta ** 2 + x * x)
-    return float(out) if out.ndim == 0 else out
+    """The Poisson kernel beta/(beta^2 + x^2) at a real float or 1-D array x
+    (``_points``)."""
+    xs = _points(x, name="x")
+    out = p.beta / (p.beta ** 2 + xs * xs)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def m_numerator(p: KernelParams, z):
@@ -138,8 +140,9 @@ def ft_numerator(p: KernelParams, xi):
     """D mhat^{+-}(xi), the same for both signs: even, continuous, zero outside
     [-Delta, Delta], and 2 pi sinh(2 pi beta (Delta-|xi|)) inside."""
     xi = np.asarray(xi, dtype=float)
-    a = 2 * math.pi * p.beta * (p.delta - np.abs(xi))
-    out = np.where(np.abs(xi) <= p.delta, 2 * math.pi * np.sinh(a), 0.0)
+    # clamped at 0 out of band, where sinh(0) = 0 is the transform and sinh(a) could overflow
+    a = 2 * math.pi * p.beta * np.maximum(p.delta - np.abs(xi), 0.0)
+    out = 2 * math.pi * np.sinh(a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -274,9 +277,7 @@ def numeric_ft(sign: str, p: KernelParams, xi: float) -> float:
     1e-305.
     """
     A, D = kernel_constants(sign, p)
-    xi = abs(float(xi))
-    if not xi < math.inf:
-        raise DomainError(f"xi must be finite, got {xi}")
+    xi = abs(_real_in("xi", xi))
     tp = 2 * math.pi
     return _cos_combination(p, [(A / D, tp * xi),
                                 (-1.0 / D, tp * (p.delta + xi)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LimitTooLarge
+from .errors import DomainError, LimitTooLarge, _real_in
 from .summation import exact_sum
 
 SIEVE_CAP = 10 ** 8
@@ -100,11 +100,10 @@ def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:
     """``table`` if it holds every n <= x, else a fresh sieve to max(2, floor(x)).
 
     The limit is compared with floor(x), not with x: a table built to floor(x)
-    covers a fractional x.  A non-finite x is refused before any sieve.
+    covers a fractional x.  An x that is not a finite real is refused before
+    any sieve.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"cutoff x must be finite, got {x}")
-    n = math.floor(x)
+    n = math.floor(_real_in("x", x))
     if table is None or table.limit < n:
         table = lambda_sieve(max(2, n))
     return table

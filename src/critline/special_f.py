@@ -18,8 +18,8 @@ from math import fsum
 import numpy as np
 from scipy import integrate
 
-from .errors import CrossCheckFailed, DomainError
-from .zeta_oracle import digamma, zeta_real
+from .errors import CrossCheckFailed, DomainError, _real_in
+from .zeta_oracle import _points, digamma, zeta_real
 
 U_MAX = 0.99
 TWO_LOG2 = 2 * math.log(2)
@@ -31,11 +31,6 @@ class FMethod(enum.Enum):
     SERIES = "series"
 
 
-def _check_domain(u: float, hi: float = U_MAX):
-    if not 0 <= u <= hi:
-        raise DomainError(f"u={u} outside [0, {hi}]")
-
-
 def f_quadrature(u: float) -> float:
     """Adaptive Gauss-Kronrod integration of sinh(2uy)/cosh^2(y) on [0, Y].
 
@@ -43,7 +38,7 @@ def f_quadrature(u: float) -> float:
     integral_Y^inf <= 4 e^{-2(1-u)Y} / (2(1-u)) smaller than 1e-12 on the
     whole domain (the exponent is >= 36 for u near 1, >= 60 for small u).
     """
-    _check_domain(u)
+    u = _real_in("u", u, 0, U_MAX)
     if u == 0.0:
         return 0.0
     Y = max(30.0, 18.0 / (1.0 - u))
@@ -63,20 +58,17 @@ def f_quadrature(u: float) -> float:
 def f_closed_form(u):
     """pi u / sin(pi u) - u (psi((u+1)/2) - psi(u/2)) + 1; vectorized.
 
-    u = 0 is a removable point and returns exactly 0.
+    u = 0 is a removable point and returns exactly 0.  ``u`` is a real float
+    or a 1-D array (``_points``).
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and not (arr.min() >= 0 and arr.max() <= U_MAX):  # NaN fails it too
-        raise DomainError(f"u outside [0, {U_MAX}]")
+    arr = _points(u, 0, U_MAX, name="u")
     out = np.zeros_like(arr)
     pos = arr > 0
     if np.any(pos):
         up = arr[pos]
         out[pos] = (np.pi * up / np.sin(np.pi * up)
                     - up * (digamma((up + 1) / 2).real - digamma(up / 2).real) + 1.0)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def f_taylor(k: int) -> float:
@@ -98,7 +90,7 @@ def _series_terms(u: float, tol: float) -> int:
 def f_series(u: float, terms: int | None = None) -> float:
     """Power series with the term count chosen from the geometric tail bound
     (<= 1e-12) unless ``terms`` is forced."""
-    _check_domain(u)
+    u = _real_in("u", u, 0, U_MAX)
     if u == 0.0:
         return 0.0
     K = _series_terms(u, 1e-12) if terms is None else terms
@@ -133,7 +125,7 @@ def f_prime(u: float) -> float:
     terms is below 2 zeta(3) x^{K+1} ((2K+3) + 2x/(1-x))/(1-x) with x = u^2,
     kept under 1e-13.
     """
-    _check_domain(u, hi=0.5)
+    u = _real_in("u", u, 0, 0.5)
     if u == 0.0:
         return TWO_LOG2
     x = u * u

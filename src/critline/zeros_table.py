@@ -25,11 +25,11 @@ from scipy.special import lambertw
 
 from .errors import (
     CrossCheckFailed,
-    DomainError,
     HeightExceeded,
     NotAscending,
     ParseError,
     SuspiciousFirstZero,
+    _real_in,
 )
 from .zeta_oracle import IM_WINDOW, hardy_z, theta, zeta_em
 
@@ -197,7 +197,8 @@ class CountCheck:
 
 
 def zero_count_check(table: ZeroTable, T: float) -> CountCheck:
-    """Counted vs predicted zeros up to T; the gap should be O(log T)."""
+    """Counted vs predicted zeros up to T >= 10; the gap should be O(log T)."""
+    T = _real_in("T", T, 10)
     if T > table.max_height:
         raise HeightExceeded(f"T={T} above table height {table.max_height}")
     counted = table.count_below(T)
@@ -274,8 +275,7 @@ def search_zeros(height: float) -> tuple[np.ndarray, GramSamples]:
     g_-1 = 9.667.  Each sign change is refined by ``brentq`` to 1e-11.  A
     block that does not fill raises CrossCheckFailed.
     """
-    if not 10 < height <= IM_WINDOW:
-        raise DomainError(f"height must lie in (10, {IM_WINDOW:g}], got {height}")
+    height = _real_in("height", height, 10, IM_WINDOW, "(]")
     gram = sample_gram(0, int(theta(height) // math.pi) + 1)
     while not gram.good[-1]:  # g_N is bad: its block runs on
         more = sample_gram(len(gram.z), len(gram.z))

@@ -34,6 +34,7 @@ from .errors import (
     PoleAtNonpositiveInteger,
     PoleAtOne,
     WindowExceeded,
+    _real_in,
 )
 from .summation import exact_sum
 
@@ -167,8 +168,7 @@ def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
     ``hardy_z`` takes from ``riemann_siegel_z``;
     the two routes share none of their numerics, so each checks the other.
     """
-    if not 0 < target < math.inf:  # NaN fails it too
-        raise DomainError(f"target must be finite and > 0, got {target}")
+    _real_in("target", target, 0, ends="()")
     if not isinstance(min_m, numbers.Integral):
         raise DomainError(f"min_m must be an integer, got {min_m!r}")
     if min_m > _M_MAX:
@@ -433,13 +433,19 @@ def _theta_phase(t: float):
             return N, p, math.fsum([N, p, p_lo]), th_hi, th_lo + _theta_tail(t)
 
 
-def _points(t) -> np.ndarray:
-    """``t``, a real float or 1-D array, as a 1-D float array; complex input
-    and arrays of more dimensions are refused."""
+def _points(t, lo: float = -math.inf, hi: float = math.inf, name: str = "t") -> np.ndarray:
+    """``t``, a real float or 1-D array, as a 1-D float array: the rule of
+    ``errors._real_in`` for arrays.  Complex or non-numeric input and arrays
+    of more dimensions are a ``DomainError``, and so is any point that is not
+    finite or lies outside [lo, hi]."""
     arr = np.asarray(t)
-    if arr.dtype.kind == "c" or arr.ndim > 1:
-        raise DomainError("t must be a real float or a 1-D array of them")
-    return arr.astype(float, copy=False).reshape(-1)
+    if arr.dtype.kind not in "biuf" or arr.ndim > 1:
+        raise DomainError(f"{name} must be a real float or a 1-D array of them")
+    arr = arr.astype(float, copy=False).reshape(-1)
+    # the interval is convex: the rule at the least and the greatest point (or NaN) decides
+    for v in arr.tolist() if len(arr) <= 2 else [float(arr.min()), float(arr.max())]:
+        _real_in(name, v, lo, hi)
+    return arr
 
 
 #: points per pass of ``riemann_siegel_z``, so that its flat arrays stay small
@@ -464,22 +470,20 @@ def riemann_siegel_z(t):
     t = 200, where the truncation dominates.
 
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
-    array whose entries equal the float calls bit for bit; complex t, or an
-    array of more dimensions, is a ``DomainError``.  Every t is checked
-    before any is evaluated.  Then each slice of ``_RS_SLICE`` points is one
-    pass: ``_theta_phase`` per point; the phases and the terms of every
-    point's main sum over a flat array of sum N entries, each point's sum
-    correctly rounded over its own part; and the corrections of every point
-    at once, from one cumulative product of powers and two contractions.  A
-    float call is a batch of one, about 0.08 ms at 1e5 and 0.10 ms at 1e6
-    on a 2-core x86 machine; in a batch of 200 a point at 1e5 costs about
-    0.03 ms, of which ``_theta_phase`` is 0.011 ms and the corrections
-    0.0014 ms.
+    array whose entries equal the float calls bit for bit; a t that is not
+    real (``_points``), or below 200, is a ``DomainError``.  Every t is
+    checked before any is evaluated.  Then each slice of ``_RS_SLICE``
+    points is one pass: ``_theta_phase`` per point; the phases and the terms
+    of every point's main sum over a flat array of sum N entries, each
+    point's sum correctly rounded over its own part; and the corrections of
+    every point at once, from one cumulative product of powers and two
+    contractions.  A float call is a batch of one, about 0.08 ms at 1e5 and
+    0.10 ms at 1e6 on a 2-core x86 machine; in a batch of 200 a point at 1e5
+    costs about 0.03 ms, of which ``_theta_phase`` is 0.011 ms and the
+    corrections 0.0014 ms.
     """
-    ts = _points(t)
+    ts = _points(t, 200)  # where Gabcke's remainder bound holds
     for ti in ts.tolist():
-        if not ti >= 200:  # NaN fails it too
-            raise DomainError(f"Riemann-Siegel remainder bound needs t >= 200, got {ti}")
         _check_window(complex(0.5, ti))
     if len(ts) > _RS_SLICE:
         return np.concatenate([riemann_siegel_z(ts[i:i + _RS_SLICE])
@@ -538,12 +542,10 @@ def hardy_z(t):
     go to ``riemann_siegel_z`` as one batch (about 0.018 ms a point at 7e3),
     and the others to ``zeta_em`` one by one (0.06 ms at 1e3 to 0.12 ms a
     point just below T_RS).  A batch is refused whole, before any point is
-    evaluated, if any t is below 10, NaN or above the window, or if t is
-    complex or has more than one dimension.
+    evaluated, if any t is below 10, not finite or above the window, or if t
+    is not real or has more than one dimension (``_points``).
     """
-    ts = _points(t).tolist()  # lists, not masks: a float call stays cheap
-    if not all(ti >= 10 for ti in ts):  # NaN fails it too
-        raise DomainError("supported for t >= 10")
+    ts = _points(t, 10).tolist()  # lists, not masks: a float call stays cheap
     high = [ti for ti in ts if ti >= T_RS]  # RS first: its window check precedes any EM sum
     rs = iter(riemann_siegel_z(np.array(high)).tolist() if high else ())
     z = [next(rs) if ti >= T_RS else (cmath.exp(1j * theta(ti)) * zeta_em(complex(0.5, ti))).real
@@ -558,9 +560,8 @@ def log_abs_zeta_crit(t):
     The distance to a tabulated ordinate is the caller's rule
     (``bound_engine``), not the oracle's.  ``t`` is a float or a 1-D array,
     one ``hardy_z`` batch, and gives the same: an array equal to the float
-    calls bit for bit; complex t, or an array of more dimensions, is a
-    ``DomainError``.  A batch is refused whole, for the first t that a
-    loop over it would refuse at a zero.
+    calls bit for bit, and ``hardy_z``'s refusals.  A batch is refused
+    whole, for the first t that a loop over it would refuse at a zero.
     """
     ts = _points(t)
     a = np.abs(hardy_z(ts))

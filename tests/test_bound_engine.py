@@ -219,6 +219,14 @@ def test_scan_validation():
             scan_margins(1e3, 1e4, 2, x_policy="fixed", x_fixed=x_fixed)
 
 
+@pytest.mark.parametrize("x_fixed", [5.0, math.nan])
+@pytest.mark.parametrize("policy", ["logsq", "optimal"])
+def test_scan_refuses_a_fixed_x_under_another_policy(policy, x_fixed):
+    # such a call once scanned at the policy's own x (47.7 and 84.8 under logsq)
+    with pytest.raises(DomainError, match="fixed x policy only"):
+        scan_margins(1e3, 1e4, 2, x_policy=policy, x_fixed=x_fixed)
+
+
 def test_optimal_cutoff_policy():
     from critline.bound_engine import optimal_cutoff
     # same scale as log^2 t but shifted down by the stationary-point series

@@ -137,6 +137,16 @@ def test_scan_fixed_x_policy(tmp_path, capsys):
     assert all(float(r.split(",")[1]) == 50.0 for r in rows)
 
 
+@pytest.mark.parametrize("flags", [["--x", "50"], ["--x-policy", "logsq", "--x", "50"],
+                                   ["--x-policy", "optimal", "--x", "50"], ["--x-policy", "fixed"]])
+def test_scan_x_goes_with_the_fixed_policy_only(capsys, flags):
+    argv = ["scan", "--t-min", "1e3", "--t-max", "2e3", "--points", "2", *flags]
+    with pytest.raises(UsageError, match="--x-policy fixed"):
+        parse_args(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("usage error")
+
+
 def test_extremal_subcommand(capsys):
     code, out, _ = run_cli(capsys, "extremal", "--beta", "0.5", "--delta", "1")
     assert code == 0

@@ -13,7 +13,7 @@ from critline import explicit_formula
 from critline.errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight
 from critline.explicit_formula import (
     _archimedean,
-    _archimedean_closed,
+    _archimedean_numerator,
     _prime_term,
     _zero_sum,
     gw_prime_side,
@@ -25,6 +25,12 @@ from critline.explicit_formula import (
 from critline.extremal_poisson import KernelParams, eval_m, ft_m, kernel_constants
 from critline.prime_arith import lambda_sieve
 from critline.zeros_table import ZeroTable
+
+
+def _archimedean_closed(sign, p, t):
+    """The closed-form archimedean term of m^{sign}, as ``gw_prime_side`` forms
+    it: the numerator shared by both signs over the D of this one."""
+    return _archimedean_numerator(p, t) / kernel_constants(sign, p)[1]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from critline.extremal_poisson import (
     KernelParams,
     eval_m,
     ft_m,
+    ft_numerator,
     kernel_constants,
     l1_dist,
     l1_numeric,
@@ -363,3 +364,15 @@ def test_eval_m_at_a_tiny_beta_delta_against_mpmath(sign):
 def test_bad_sign_rejected(fn):
     with pytest.raises(DomainError):
         fn("*", KernelParams(0.5, 1.0), 0.3)
+
+
+def test_ft_out_of_band_is_zero_without_evaluating_a_large_sinh():
+    # sinh(2 pi beta (Delta - |xi|)) at xi = 200 overflowed, a RuntimeWarning
+    # that this suite turns into an error, before the band test dropped it
+    p = KernelParams(1.0, 1.0)
+    assert ft_m("+", p, 200.0) == 0.0
+    assert ft_numerator(p, np.array([-1e300, -200.0, 1.5, 200.0])).tolist() == [0.0] * 4
+    # in band the clamp changes no bit
+    xi = np.linspace(-1.0, 1.0, 17)
+    ref = 2 * math.pi * np.sinh(2 * math.pi * p.beta * (p.delta - np.abs(xi)))
+    assert ft_numerator(p, xi).tolist() == ref.tolist()
