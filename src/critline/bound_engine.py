@@ -13,7 +13,6 @@ reported as ``error_scale`` instead of being folded into the bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
@@ -22,12 +21,12 @@ import numpy as np
 from scipy import integrate, optimize
 
 from . import optimal_coeffs
-from .errors import DomainError, NearZeroOfZeta, _real_in
+from .errors import DomainError, NearZeroOfZeta, _int_in, _points, _real_in
 from .prime_arith import LambdaTable, covering_table, dirichlet_cos_sum
 from .series_algebra import coeff_eval
 from .special_f import f_closed_form, f_taylor
 from .zeros_table import ZeroTable
-from .zeta_oracle import _points, constant_env, log_abs_zeta_crit
+from .zeta_oracle import constant_env, log_abs_zeta_crit
 
 MARGIN_GUARD_RADIUS = 1e-2  # min distance to a tabulated ordinate: the one such refusal
 
@@ -153,8 +152,7 @@ class MomentCheck:
 def gamma_moment_check(k: int, x: float) -> MomentCheck:
     """integral_0^inf u^{2k} x^{-u/2} du against the closed form
     2^{2k+1} (2k)! / (log x)^{2k+1}."""
-    if not (isinstance(k, numbers.Integral) and k >= 0):
-        raise DomainError(f"k must be an integer >= 0, got {k!r}")
+    k = _int_in("k", k, 0)
     x = _real_in("x", x, 2)
     logx = math.log(x)
 
@@ -219,9 +217,7 @@ class CurvePolicy:
     @classmethod
     def optimal(cls, K: int):
         """C_1..C_K with pipeline constants, for K within the vetted range."""
-        if not 1 <= K <= optimal_coeffs.K_MAX_GOLDEN:
-            raise DomainError(f"optimal policy needs 1 <= K <= {optimal_coeffs.K_MAX_GOLDEN}")
-        return cls(_pipeline_numeric(K)[1])
+        return cls(_pipeline_numeric(_int_in("K", K, 1, optimal_coeffs.K_MAX_GOLDEN))[1])
 
 
 def curve_series_value(w: float, policy: CurvePolicy) -> float:
@@ -274,8 +270,7 @@ def scan_margins(t_min: float, t_max: float, points: int,
     """
     t_min = _real_in("t_min", t_min, 10)
     t_max = _real_in("t_max", t_max, t_min)
-    if not (isinstance(points, numbers.Integral) and points >= 1):
-        raise DomainError(f"points must be an integer >= 1, got {points!r}")
+    points = _int_in("points", points, 1)
     if x_policy == "fixed":
         x_fixed = _real_in("x_fixed", x_fixed, 2)
     elif x_fixed is not None:

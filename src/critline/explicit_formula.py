@@ -49,6 +49,7 @@ from scipy.special import exp1
 from .errors import CrossCheckFailed, DegenerateBeta, DomainError, InsufficientHeight, _real_in
 from .extremal_poisson import (
     KernelParams,
+    _m_real,
     eval_m,
     ft_numerator,
     kernel_constants,
@@ -120,7 +121,7 @@ def _zero_sum(kernel, envelope: float, beta: float, t: float, z: ZeroTable) -> Z
 def _zero_side_numerator(p: KernelParams, t: float, z: ZeroTable) -> ZeroSideSum:
     """D times :func:`gw_zero_side`, the same for both signs: the numerator D m
     summed over the zeros, and the tail bound of its envelope A + 2."""
-    return _zero_sum(lambda x: m_numerator(p, x), numerator_constant(p) + 2, p.beta, t, z)
+    return _zero_sum(lambda x: _m_real(p, x), numerator_constant(p) + 2, p.beta, t, z)
 
 
 def gw_zero_side(sign: str, p: KernelParams, t: float, z: ZeroTable) -> ZeroSideSum:

@@ -27,9 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _real_in
+from .errors import DomainError, _points, _real_in, _shaped
 from .quadrature import cos_tail_start, integrate_on_edges, poisson_cos_tail
-from .zeta_oracle import _points
 
 SING_RADIUS = 1e-6
 #: the smallest beta taken: beta^2 stays a normal float, so h_beta and the
@@ -98,12 +97,11 @@ def poisson_h(p: KernelParams, x):
     """The Poisson kernel beta/(beta^2 + x^2) at a real float or 1-D array x
     (``_points``)."""
     xs = _points(x, name="x")
-    out = p.beta / (p.beta ** 2 + xs * xs)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _shaped(x, p.beta / (p.beta ** 2 + xs * xs))
 
 
 def m_numerator(p: KernelParams, z):
-    """D m^{+-}(z), the same for both signs, for real arrays/scalars or a complex scalar.
+    """D m^{+-}(z), the same for both signs, for a real float or 1-D array or a complex scalar.
 
     Real arguments use the closed form, its numerator A - 2 cos(2 pi Delta x)
     written as 4 (sinh^2(pi beta Delta) + sin^2(pi Delta x)) so that no tiny
@@ -111,12 +109,9 @@ def m_numerator(p: KernelParams, z):
     to the limit branch: the numerator is replaced by its local expansion
     through second order, and the zero of beta^2+z^2 is cancelled explicitly.
     """
-    beta, delta = p.beta, p.delta
     if not isinstance(z, complex):
-        x = np.asarray(z, dtype=float)
-        num = 4 * (math.sinh(math.pi * beta * delta) ** 2 + np.sin(math.pi * delta * x) ** 2)
-        out = beta / (beta * beta + x * x) * num
-        return float(out) if out.ndim == 0 else out
+        return _shaped(z, _m_real(p, _points(z, name="z")))
+    beta, delta = p.beta, p.delta
     for pole in (1j * beta, -1j * beta):
         w = z - pole
         if abs(w) < SING_RADIUS:
@@ -130,20 +125,24 @@ def m_numerator(p: KernelParams, z):
     return beta / (beta * beta + z * z) * (A - 2 * cmath.cos(2 * math.pi * delta * z))
 
 
+def _m_real(p: KernelParams, x: np.ndarray) -> np.ndarray:
+    """``m_numerator`` unchecked, at an ndarray of finite real x (the zero sums' t -+ gamma)."""
+    num = 4 * (math.sinh(math.pi * p.beta * p.delta) ** 2 + np.sin(math.pi * p.delta * x) ** 2)
+    return p.beta / (p.beta * p.beta + x * x) * num
+
+
 def eval_m(sign: str, p: KernelParams, z):
-    """m^{sign}(z) = :func:`m_numerator` / D, for real arrays/scalars or a complex scalar."""
+    """m^{sign}(z) = :func:`m_numerator` / D, for a real float or 1-D array or a complex scalar."""
     _, D = kernel_constants(sign, p)
     return m_numerator(p, z) / D
 
 
 def ft_numerator(p: KernelParams, xi):
-    """D mhat^{+-}(xi), the same for both signs: even, continuous, zero outside
-    [-Delta, Delta], and 2 pi sinh(2 pi beta (Delta-|xi|)) inside."""
-    xi = np.asarray(xi, dtype=float)
+    """D mhat^{+-}(xi), the same for both signs, for a real float or 1-D array xi: even,
+    continuous, zero outside [-Delta, Delta], and 2 pi sinh(2 pi beta (Delta-|xi|)) inside."""
     # clamped at 0 out of band, where sinh(0) = 0 is the transform and sinh(a) could overflow
-    a = 2 * math.pi * p.beta * np.maximum(p.delta - np.abs(xi), 0.0)
-    out = 2 * math.pi * np.sinh(a)
-    return float(out) if out.ndim == 0 else out
+    a = 2 * math.pi * p.beta * np.maximum(p.delta - np.abs(_points(xi, name="xi")), 0.0)
+    return _shaped(xi, 2 * math.pi * np.sinh(a))
 
 
 def ft_m(sign: str, p: KernelParams, xi):

@@ -17,12 +17,11 @@ C_k come out as closed-form ring elements.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CrossCheckFailed, DomainError, OrderTooLarge
+from .errors import CrossCheckFailed, OrderTooLarge, _int_in
 from .series_algebra import (
     EC_ZERO,
     ExactCoefficient,
@@ -59,8 +58,7 @@ class PipelineResult:
 def a_coeff(m: int) -> ExactCoefficient:
     """Dirichlet-sum expansion coefficients: a_1 = 8L, a_m = 8(2^{m-1}-1) m! Z_m
     for odd m > 1, zero for even m (and a_0 = 0)."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    m = _int_in("m", m, 0)
     if m == 0 or m % 2 == 0:
         return EC_ZERO
     if m == 1:
@@ -76,8 +74,7 @@ def _b_from_a(a_m: ExactCoefficient, a_next: ExactCoefficient, m: int) -> ExactC
 
 def b_coeff(m: int) -> ExactCoefficient:
     """Stationarity-series coefficients b_m = (a_{m+1}/2 - (m+1) a_m) / L."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    m = _int_in("m", m, 0)
     return _b_from_a(a_coeff(m), a_coeff(m + 1), m)
 
 
@@ -100,13 +97,12 @@ def run_pipeline(K: int, extrapolated: bool = False) -> PipelineResult:
     integer K and either value of ``extrapolated`` share it;
     ``run_pipeline.cache_clear()`` empties the cache.
     """
-    if not (isinstance(K, numbers.Integral) and K >= 1):
-        raise DomainError(f"K must be an integer >= 1, got {K!r}")
+    K = _int_in("K", K, 1)
     if K > K_MAX_GOLDEN and not extrapolated:
         raise OrderTooLarge(
             f"K={K} beyond the vetted range (<= {K_MAX_GOLDEN}); "
             "pass extrapolated=True to compute anyway")
-    return _pipeline(int(K))
+    return _pipeline(K)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """Von Mangoldt sieve and the one Dirichlet-polynomial kernel.
 
-The table stores each prime power n = p^m as the exact pair (p, m); log p is
+The table stores the prime p of each prime power n = p^m exactly; log p is
 taken in floating point only at use sites.  :func:`covering_table` is the one
 rule for whether a table reaches a cutoff x, and :func:`dirichlet_cos_sum` is
 the one place that forms Lambda(n)/sqrt(n) cos(t log n).  The bound's
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LimitTooLarge, _real_in
+from .errors import LimitTooLarge, _int_in, _real_in
 from .summation import exact_sum
 
 SIEVE_CAP = 10 ** 8
@@ -29,23 +28,15 @@ SIEVE_CAP = 10 ** 8
 
 @dataclass(frozen=True, eq=False)
 class LambdaTable:
-    """Exact von Mangoldt table up to ``limit``: prime[n], power[n] with
-    n = prime[n]**power[n] at prime powers and prime[n] == 0 elsewhere; the sieve
-    lists those n ascending in ``support``, with log n and Lambda(n)/sqrt(n).
+    """Exact von Mangoldt table up to ``limit``: prime[n] = p at each prime
+    power n = p^m and prime[n] == 0 elsewhere; the sieve lists those n
+    ascending in ``support``, with log n and Lambda(n)/sqrt(n) = log p/sqrt(n).
     Compared and hashed by identity, so that a table can key a memo."""
     limit: int
     prime: np.ndarray
-    power: np.ndarray
     support: np.ndarray
     log_n: np.ndarray
     amp: np.ndarray
-
-    def lam(self, n: int) -> float:
-        """Lambda(n) = log p if n = p^m else 0."""
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"n={n} outside table limit {self.limit}")
-        p = int(self.prime[n])
-        return math.log(p) if p else 0.0
 
     def prime_powers(self, up_to: float | None = None) -> np.ndarray:
         """Indices n <= up_to with Lambda(n) != 0, ascending: a read-only view of ``support``."""
@@ -56,14 +47,7 @@ class LambdaTable:
 def lambda_sieve(x: int) -> LambdaTable:
     """Exact table by Eratosthenes plus explicit prime-power marking, for
     2 <= x <= SIEVE_CAP; an integral float is taken as its int."""
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    try:
-        x = operator.index(x)
-    except TypeError:  # non-integral, NaN, infinite or not a number
-        raise DomainError(f"x must be an integer, got {x!r}") from None
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    x = _int_in("x", int(x) if isinstance(x, float) and x.is_integer() else x, 2)
     if x > SIEVE_CAP:
         try:
             size = f"x={float(x):.12g}"
@@ -78,22 +62,20 @@ def lambda_sieve(x: int) -> LambdaTable:
         if is_prime[p]:
             is_prime[p * p:: p] = False
     prime = np.zeros(x + 1, dtype=np.int64)
-    power = np.zeros(x + 1, dtype=np.int16)
     primes = np.nonzero(is_prime)[0]
     prime[primes] = primes
-    power[primes] = 1
     higher = []  # the p^m with m >= 2
     for p in primes[primes <= math.isqrt(x)]:
-        v, m = int(p) * int(p), 2
+        v = int(p) * int(p)
         while v <= x:
-            prime[v], power[v] = p, m
+            prime[v] = p
             higher.append(v)
-            v, m = v * int(p), m + 1
+            v *= int(p)
     support = np.sort(np.concatenate([primes, np.array(higher, dtype=primes.dtype)]), kind="stable")
     nsf = support.astype(float)
     log_n, amp = np.log(nsf), np.log(prime[support].astype(float)) / np.sqrt(nsf)
     support.flags.writeable = log_n.flags.writeable = amp.flags.writeable = False
-    return LambdaTable(limit=x, prime=prime, power=power, support=support, log_n=log_n, amp=amp)
+    return LambdaTable(limit=x, prime=prime, support=support, log_n=log_n, amp=amp)
 
 
 def covering_table(x: float, table: LambdaTable | None = None) -> LambdaTable:

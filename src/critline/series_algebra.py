@@ -29,6 +29,7 @@ from .errors import (
     NonInvertibleLinearCoefficient,
     PositiveValuationRequired,
     UnsupportedConstantTerm,
+    _int_in,
 )
 
 # A monomial L^eL * Z3^e3 * Z5^e5 * ... packs into one int, its key: eL
@@ -224,11 +225,13 @@ class ExactCoefficient:
 
     @classmethod
     def log2_power(cls, exponent=1, q=1) -> "ExactCoefficient":
+        exponent = _int_in("exponent", exponent, -EXPONENT_MAX, EXPONENT_MAX)
         return cls({(exponent, ()): Fraction(q)})
 
     @classmethod
     def zeta_odd(cls, index, exponent=1, q=1) -> "ExactCoefficient":
-        return cls({(0, ((index, exponent),)): Fraction(q)})
+        index = _int_in("index", index, 3, ZETA_INDEX_MAX)  # the ring refuses an even one
+        return cls({(0, ((index, _int_in("exponent", exponent, 0)),)): Fraction(q)})
 
     # -- structure ------------------------------------------------------------
 
@@ -329,8 +332,7 @@ class ExactCoefficient:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("only non-negative integer powers")
+        n = _int_in("n", n, 0)
         _check_degree(self._deg * n)
         out = EC_ONE
         base = self
@@ -439,16 +441,18 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncatedSeries":
+        order = _int_in("order", order, 0)
         return cls(0, [_coerce_coeff(c)] + [EC_ZERO] * order, order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
+        order = _int_in("order", order, -1)
         return cls(order, [EC_ZERO], order)
 
     @classmethod
     def monomial(cls, exponent: int, c, order: int) -> "TruncatedSeries":
-        if exponent > order:
-            raise DomainError("monomial exponent beyond requested order")
+        exponent = _int_in("exponent", exponent, -math.inf)  # the series checks v >= -1
+        order = _int_in("order", order, exponent)
         return cls(exponent, [_coerce_coeff(c)] + [EC_ZERO] * (order - exponent), order)
 
     @classmethod

@@ -18,8 +18,8 @@ from math import fsum
 import numpy as np
 from scipy import integrate
 
-from .errors import CrossCheckFailed, DomainError, _real_in
-from .zeta_oracle import _points, digamma, zeta_real
+from .errors import CrossCheckFailed, DomainError, _int_in, _points, _real_in, _shaped
+from .zeta_oracle import digamma, zeta_real
 
 U_MAX = 0.99
 TWO_LOG2 = 2 * math.log(2)
@@ -68,11 +68,15 @@ def f_closed_form(u):
         up = arr[pos]
         out[pos] = (np.pi * up / np.sin(np.pi * up)
                     - up * (digamma((up + 1) / 2).real - digamma(up / 2).real) + 1.0)
-    return float(out[0]) if np.ndim(u) == 0 else out
+    return _shaped(u, out)
 
 
 def f_taylor(k: int) -> float:
     """2 (1 - 4^-k) zeta(2k+1), the coefficient of u^(2k+1) in F, k >= 1."""
+    return _taylor(_int_in("k", k, 1))
+
+
+def _taylor(k: int) -> float:  # f_taylor unchecked, for the series loops
     return 2 * (1 - 0.25 ** k) * zeta_real(2 * k + 1)
 
 
@@ -99,7 +103,7 @@ def f_series(u: float, terms: int | None = None) -> float:
     upow = u
     for k in range(1, K + 1):
         upow *= u2
-        vals.append(f_taylor(k) * upow)
+        vals.append(_taylor(k) * upow)
     return fsum(vals)
 
 
@@ -137,10 +141,11 @@ def f_prime(u: float) -> float:
     xpow = 1.0
     for k in range(1, K + 1):
         xpow *= x
-        vals.append(f_taylor(k) * (2 * k + 1) * xpow)
+        vals.append(_taylor(k) * (2 * k + 1) * xpow)
     return fsum(vals)
 
 
 def f_pole_bound(u: float) -> float:
     """The elementary envelope 2u/(1-u^2) dominating F on [0, 1)."""
+    u = _real_in("u", u, 0, 1, "[)")
     return 2 * u / (1 - u * u)

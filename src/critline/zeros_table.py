@@ -29,7 +29,10 @@ from .errors import (
     NotAscending,
     ParseError,
     SuspiciousFirstZero,
+    _int_in,
+    _points,
     _real_in,
+    _shaped,
 )
 from .zeta_oracle import IM_WINDOW, hardy_z, theta, zeta_em
 
@@ -168,8 +171,8 @@ def default_zeros_path() -> str | None:
 
 
 def zero_count_predicted(T):
-    """The smooth zero count theta(T)/pi + 1 (T >= 10), for a float or an
-    ndarray of heights: N(T) less its S(T) term, on the oracle's ``theta``."""
+    """The smooth zero count theta(T)/pi + 1 (T >= 10), for a float or a 1-D
+    array of heights: N(T) less its S(T) term, on the oracle's ``theta``."""
     return theta(T) / math.pi + 1
 
 
@@ -214,14 +217,14 @@ MAX_DOUBLINGS = 12  # of the sample density in a Gram block
 
 
 def gram_point(n):
-    """The Gram point g_n, theta(g_n) = n pi, for an int n >= 0 or an ndarray
-    of them: Newton on ``theta`` with theta'(t) ~ log(t/2pi)/2, from the
-    Lambert-W solution of the main term, t/2 log(t/2pi e) = (n + 1/8) pi."""
-    m = np.asarray(n, dtype=float) + 0.125
-    g = 2 * np.pi * m / lambertw(m / np.e).real
+    """The Gram point g_n, theta(g_n) = n pi, for a real n >= 0 or a 1-D array
+    of them (``_points``): Newton on ``theta`` with theta'(t) ~ log(t/2pi)/2,
+    from the Lambert-W solution of the main term, t/2 log(t/2pi e) = (n + 1/8) pi."""
+    m = _points(n, 0, name="n") + 0.125
+    g = 2 * np.pi * m / lambertw(m / np.e).real  # 17.85 at n = 0: theta's t >= 10 holds
     for _ in range(4):  # each step gains a factor below 1e-3 from g_0 on
         g = g - (theta(g) - np.pi * (m - 0.125)) / (0.5 * np.log(g / (2 * np.pi)))
-    return g
+    return _shaped(n, g)
 
 
 @dataclass(frozen=True)
@@ -239,8 +242,8 @@ class GramSamples:
 
 
 def sample_gram(first: int, last: int) -> GramSamples:
-    """Z at g_first .. g_last, one ``hardy_z`` batch."""
-    g = gram_point(np.arange(first, last + 1))
+    """Z at g_first .. g_last (none if last < first), one ``hardy_z`` batch; first >= 0."""
+    g = gram_point(np.arange(_int_in("first", first, 0), _int_in("last", last, -math.inf) + 1))
     return GramSamples(first, g, hardy_z(g))
 
 

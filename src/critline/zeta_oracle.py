@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +33,10 @@ from .errors import (
     PoleAtNonpositiveInteger,
     PoleAtOne,
     WindowExceeded,
+    _int_in,
+    _points,
     _real_in,
+    _shaped,
 )
 from .summation import exact_sum
 
@@ -169,8 +171,7 @@ def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
     the two routes share none of their numerics, so each checks the other.
     """
     _real_in("target", target, 0, ends="()")
-    if not isinstance(min_m, numbers.Integral):
-        raise DomainError(f"min_m must be an integer, got {min_m!r}")
+    min_m = _int_in("min_m", min_m, -math.inf)
     if min_m > _M_MAX:
         raise WindowExceeded(f"min_m = {min_m} is above the largest cutoff {_M_MAX}")
     return _em_sum(s, target, min_m, (0,))[0]
@@ -217,7 +218,7 @@ def _theta_tail(t):
 
 
 def theta(t):
-    """The Riemann-Siegel theta function for t >= 10, a float or an ndarray.
+    """The Riemann-Siegel theta function for a float or 1-D array t >= 10 (``_points``).
 
     theta(t) = t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3)
     + 31/(80640t^5) + 127/(430080t^7).  The series' terms are all positive,
@@ -228,6 +229,11 @@ def theta(t):
     ``riemann_siegel_z`` forms that term in double-double instead
     (``_theta_phase``).
     """
+    return _shaped(t, _theta(_points(t, 10)))
+
+
+def _theta(t):
+    """``theta``'s formula, unchecked, for a float or an ndarray of t >= 10."""
     return t / 2 * np.log(t / (2 * np.pi)) - t / 2 - np.pi / 8 + _theta_tail(t)
 
 
@@ -433,21 +439,6 @@ def _theta_phase(t: float):
             return N, p, math.fsum([N, p, p_lo]), th_hi, th_lo + _theta_tail(t)
 
 
-def _points(t, lo: float = -math.inf, hi: float = math.inf, name: str = "t") -> np.ndarray:
-    """``t``, a real float or 1-D array, as a 1-D float array: the rule of
-    ``errors._real_in`` for arrays.  Complex or non-numeric input and arrays
-    of more dimensions are a ``DomainError``, and so is any point that is not
-    finite or lies outside [lo, hi]."""
-    arr = np.asarray(t)
-    if arr.dtype.kind not in "biuf" or arr.ndim > 1:
-        raise DomainError(f"{name} must be a real float or a 1-D array of them")
-    arr = arr.astype(float, copy=False).reshape(-1)
-    # the interval is convex: the rule at the least and the greatest point (or NaN) decides
-    for v in arr.tolist() if len(arr) <= 2 else [float(arr.min()), float(arr.max())]:
-        _real_in(name, v, lo, hi)
-    return arr
-
-
 #: points per pass of ``riemann_siegel_z``, so that its flat arrays stay small
 _RS_SLICE = 256
 
@@ -483,8 +474,8 @@ def riemann_siegel_z(t):
     corrections 0.0014 ms.
     """
     ts = _points(t, 200)  # where Gabcke's remainder bound holds
-    for ti in ts.tolist():
-        _check_window(complex(0.5, ti))
+    if len(ts):  # _points refused NaN and infinities: only the top can leave the window
+        _check_window(complex(0.5, float(ts.max())))
     if len(ts) > _RS_SLICE:
         return np.concatenate([riemann_siegel_z(ts[i:i + _RS_SLICE])
                                for i in range(0, len(ts), _RS_SLICE)])
@@ -505,8 +496,7 @@ def riemann_siegel_z(t):
     terms = np.cos(phase) / np.sqrt(n0 + 1.0)
 
     main = [2 * exact_sum(terms[end - N:end]) for N, end in zip(Ns.tolist(), ends.tolist())]
-    out = np.array(main) + _rs_corrections(Ns, np.array(ps), np.array(As))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _shaped(t, np.array(main) + _rs_corrections(Ns, np.array(ps), np.array(As)))
 
 
 def _rs_corrections(N: np.ndarray, p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -548,9 +538,9 @@ def hardy_z(t):
     ts = _points(t, 10).tolist()  # lists, not masks: a float call stays cheap
     high = [ti for ti in ts if ti >= T_RS]  # RS first: its window check precedes any EM sum
     rs = iter(riemann_siegel_z(np.array(high)).tolist() if high else ())
-    z = [next(rs) if ti >= T_RS else (cmath.exp(1j * theta(ti)) * zeta_em(complex(0.5, ti))).real
+    z = [next(rs) if ti >= T_RS else (cmath.exp(1j * _theta(ti)) * zeta_em(complex(0.5, ti))).real
          for ti in ts]
-    return z[0] if np.ndim(t) == 0 else np.array(z)
+    return _shaped(t, z)
 
 
 def log_abs_zeta_crit(t):
@@ -568,8 +558,7 @@ def log_abs_zeta_crit(t):
     for ti, ai in zip(ts.tolist(), a.tolist()):
         if ai <= ZERO_GUARD:
             raise NearZeroOfZeta(f"|zeta(1/2+{ti}i)| = {ai:.2e}")
-    out = np.array([math.log(ai) for ai in a.tolist()])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _shaped(t, [math.log(ai) for ai in a.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +568,12 @@ def log_abs_zeta_crit(t):
 def digamma(z):
     """psi(z) for real or complex scalars and ndarrays, by ``scipy.special.psi``.
 
-    Real input stays real, on scipy's real psi; complex input uses scipy's
-    complex psi.  A scalar in gives a scalar out.  Poles at the non-positive
-    integers raise instead of returning inf or nan.
+    Real input stays real on scipy's real psi, complex input takes its complex
+    psi, a scalar gives a scalar, and input that is not numeric is a ``DomainError``.
+    Poles at the non-positive integers raise instead of returning inf or nan.
     """
+    if np.asarray(z).dtype.kind not in "biufc":
+        raise DomainError("z must be a real or complex number or an array of them")
     arr = np.asarray(z) if np.iscomplexobj(z) else np.asarray(z, dtype=float)
     nonpositive = arr[arr.real <= 0]
     if np.any(nonpositive == np.round(nonpositive.real)):
@@ -592,33 +583,31 @@ def digamma(z):
 
 
 def re_digamma_quarter(y):
-    """Re psi(1/4 + i y/2) for real y (vectorized); even in y."""
-    y = np.asarray(y, dtype=float)
-    return digamma(0.25 + 0.5j * y).real
+    """Re psi(1/4 + i y/2), even in y, for a real float or a 1-D array y (``_points``)."""
+    return _shaped(y, digamma(0.25 + 0.5j * _points(y, name="y")).real)
 
 
 # ---------------------------------------------------------------------------
 # numeric bindings for the symbolic ring
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not find the value of np.int64(3)
 def zeta_real(m: int) -> float:
     """zeta(m) for integer m >= 2, accurate to ~1e-16 relative.
 
     The large base cutoff keeps the Euler-Maclaurin correction terms tiny, so
     rounding stays at machine level (bindings must be good to 1e-15).
     """
-    if m < 2:
-        raise DomainError(f"zeta_real needs m >= 2, got {m}")
+    m = _int_in("m", m, 2)
     if m > 60:
         return 1.0 + 2.0 ** -m + 3.0 ** -m
     return zeta_em(complex(m, 0), target=1e-14, min_m=256).real
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def constant_env(max_odd: int = 7):
     """Bindings {L, Z3, Z5, ...} for coeff_eval, all sourced from this module."""
     env = {"L": math.log(2)}
-    for k in range(3, max_odd + 1, 2):
+    for k in range(3, _int_in("max_odd", max_odd, -math.inf) + 1, 2):
         env[f"Z{k}"] = zeta_real(k)
     return env

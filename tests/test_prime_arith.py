@@ -23,13 +23,25 @@ def _is_prime(n):
     return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
+def _lam(table, n):
+    """Lambda(n) read off the table's prime, 0 where n is no prime power."""
+    p = int(table.prime[n])
+    return math.log(p) if p else 0.0
+
+
 def test_lambda_values(lam_small):
-    assert lam_small.lam(9) == math.log(3)
-    assert lam_small.lam(12) == 0.0
-    assert lam_small.lam(1) == 0.0
-    assert lam_small.lam(2) == math.log(2)
-    assert lam_small.lam(8) == math.log(2)
-    assert lam_small.lam(9973) == math.log(9973)  # largest prime below 1e4
+    assert _lam(lam_small, 9) == math.log(3)
+    assert _lam(lam_small, 12) == 0.0
+    assert _lam(lam_small, 1) == 0.0
+    assert _lam(lam_small, 2) == math.log(2)
+    assert _lam(lam_small, 8) == math.log(2)
+    assert _lam(lam_small, 9973) == math.log(9973)  # largest prime below 1e4
+
+
+def test_amp_is_lambda_over_sqrt_n(lam_small):
+    n = lam_small.support
+    assert np.array_equal(lam_small.amp, np.log(lam_small.prime[n].astype(float)) / np.sqrt(n))
+    assert np.array_equal(lam_small.amp[:4], np.log([2.0, 3.0, 2.0, 5.0]) / np.sqrt([2, 3, 4, 5]))
 
 
 def test_prime_power_count_matches_bruteforce(lam_small):
@@ -63,9 +75,9 @@ def test_tables_compare_by_identity():
     assert (a == b) is False and a == a
 
 
-def test_table_stores_exact_pairs(lam_small):
-    assert lam_small.prime[243] == 3 and lam_small.power[243] == 5
-    assert lam_small.prime[64] == 2 and lam_small.power[64] == 6
+def test_table_stores_the_exact_prime(lam_small):
+    assert lam_small.prime[243] == 3  # 3^5
+    assert lam_small.prime[64] == 2  # 2^6
     assert lam_small.prime[100] == 0
 
 
@@ -124,21 +136,14 @@ def test_sieve_refuses_what_is_not_an_integer(x):
 def test_sieve_takes_an_integral_float_as_its_int():
     a, b = lambda_sieve(1000.0), lambda_sieve(1000)
     assert a.limit == 1000 and type(a.limit) is int
-    for name in ("prime", "power", "support", "log_n", "amp"):
+    for name in ("prime", "support", "log_n", "amp"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert lambda_sieve(np.float64(30.0)).limit == 30 and lambda_sieve(np.int64(30)).limit == 30
-
-
-def test_lam_out_of_range(lam_small):
-    with pytest.raises(IndexError):
-        lam_small.lam(0)
-    with pytest.raises(IndexError):
-        lam_small.lam(10 ** 4 + 1)
 
 
 def test_dirichlet_cos_sum_matches_direct(lam_small):
     t, x = 37.5, 50.0
     direct = math.fsum(
-        lam_small.lam(n) / math.sqrt(n) * math.cos(t * math.log(n))
+        _lam(lam_small, n) / math.sqrt(n) * math.cos(t * math.log(n))
         for n in range(2, int(x) + 1))
     assert abs(dirichlet_cos_sum(lam_small, x, t) - direct) < 1e-12
