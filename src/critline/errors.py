@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all critline modules, and the argument rules: ``_real_in``
-for a real number, ``_int_in`` for an integer, ``_points`` for a real float or 1-D array."""
+for a real number, ``_int_in`` for an integer, ``_rational_in`` for a rational number,
+``_points`` for a real float or 1-D array."""
 
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +82,19 @@ def _int_in(name: str, value, lo: float, hi: float = math.inf) -> int:
     big = isinstance(value, int) and value.bit_length() > 9999  # repr stops at 4300 digits
     raise DomainError(f"{name} must be an integer{low}{high}, got "
                       f"{'an int of over 3000 digits' if big else repr(value)}")
+
+
+def _rational_in(name: str, value) -> int | Fraction:
+    """``value`` as an int or a Fraction, if it is a rational number (``numbers.Rational``,
+    numpy's integers included); anything else, a float, a string or None included, is a
+    ``DomainError`` that names the argument.  An int or a Fraction is tested first."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(value.numerator, value.denominator)
+    raise DomainError(f"{name} must be a rational number (an int or a Fraction), got {value!r}")
 
 
 def _points(t, lo: float = -math.inf, hi: float = math.inf, name: str = "t") -> np.ndarray:

@@ -7,13 +7,13 @@ the one place that forms Lambda(n)/sqrt(n) cos(t log n).  The bound's
 Dirichlet term, both prime-side forms of the explicit formula and the
 log-derivative bracket supply only their weights; :func:`weighted_psi` is the
 kernel at t = 0.  These polynomials cancel heavily, so every sum is the
-correctly rounded one, :func:`~critline.summation.exact_sum`, equal to
+correctly rounded one, :func:`~critline.summation.exact_sum` or, for many
+short rows at once, :func:`~critline.summation.exact_sums`, equal to
 ``math.fsum`` bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitTooLarge, _int_in, _real_in
-from .summation import exact_sum
+from .summation import CUTOFF, exact_sum, exact_sums, passes
 
 SIEVE_CAP = 10 ** 8
 
@@ -112,14 +112,22 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     t is summed over its own cutoff's stretch, bit-identical to a call at
     that float x.  A cutoff with no prime powers (x < 2) has zero sums and
     no log: a float one passes NaN as log x.
+
+    A row of at most ``CUTOFF`` terms, in a call of more than one t, is
+    formed with the others in flat passes of up to ``PASS_ENTRIES`` terms
+    and summed by ``exact_sums``: in a 50-point logsq scan (rows of about
+    40 terms) a row costs about 11 us, where a loop over the rows costs
+    about 18 us a row (2-core x86).  A longer row, such as the 18,120 terms
+    of x = 2e5, and a lone row are formed from slices of the table and
+    summed by ``exact_sum``.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     per_point = np.ndim(x) > 0
     cut_of = np.asarray(x, dtype=float).tolist() if per_point else [x] * len(ts)
     cuts = sorted(set(cut_of)) if per_point else [x]
-    ks = [len(table.prime_powers(c)) for c in cuts]
-    stretch = {c: (end - k, end) for c, k, end in zip(cuts, ks, itertools.accumulate(ks))}
-    log_cuts = [math.log(c) if k else math.nan for c, k in zip(cuts, ks)]
+    ks = np.searchsorted(table.support, np.floor(cuts), side="right")  # as in prime_powers
+    los = np.cumsum(ks) - ks  # where each cutoff's stretch of the weights starts
+    log_cuts = [math.log(c) if k else math.nan for c, k in zip(cuts, ks.tolist())]
     if weight is None:
         w = None
     elif not per_point:
@@ -128,12 +136,25 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
         at = np.concatenate([np.arange(k) for k in ks])  # the table index of each entry
         w = weight(table.support[at].astype(float), table.log_n[at], np.repeat(log_cuts, ks))
     sums = np.empty((len(ts),) + np.shape(w)[:-1])
-    for i, (ti, c) in enumerate(zip(ts, cut_of, strict=True)):
-        lo, hi = stretch[c]
-        vals = table.amp[:hi - lo] * np.cos(ti * table.log_n[:hi - lo])
+    cut_i = np.searchsorted(cuts, cut_of)  # each point's cutoff, in the ascending cuts
+    k_of, lo_of = ks[cut_i], los[cut_i]
+    batched = (k_of <= CUTOFF) & (len(ts) > 1)
+    for i in np.flatnonzero(~batched).tolist():  # a lone or long row: slices of the table
+        k, lo = k_of[i], lo_of[i]
+        vals = table.amp[:k] * np.cos(ts[i] * table.log_n[:k])
         if w is not None:
-            vals = vals * w[..., lo:hi]
+            vals = vals * w[..., lo:lo + k]
         sums[i] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
+    short = np.flatnonzero(batched)
+    for a, b in passes(k_of[short].tolist()):  # the short rows, as flat passes
+        rows, k = short[a:b], k_of[short[a:b]]
+        ends = np.cumsum(k)
+        n0 = np.arange(ends[-1]) - np.repeat(ends - k, k)  # the table index of each entry
+        vals = table.amp[n0] * np.cos(np.repeat(ts[rows], k) * table.log_n[n0])
+        if w is not None:
+            vals = vals * w[..., np.repeat(lo_of[rows], k) + n0]
+        sums[rows] = exact_sums(vals, ends) if vals.ndim == 1 else \
+            np.transpose([exact_sums(v, ends) for v in vals])
     out = sums[0] if np.ndim(t) == 0 else sums
     return float(out) if out.ndim == 0 else out
 

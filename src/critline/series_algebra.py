@@ -30,6 +30,7 @@ from .errors import (
     PositiveValuationRequired,
     UnsupportedConstantTerm,
     _int_in,
+    _rational_in,
 )
 
 # A monomial L^eL * Z3^e3 * Z5^e5 * ... packs into one int, its key: eL
@@ -196,15 +197,16 @@ class ExactCoefficient:
             q = _as_fraction(q)
             if not q:
                 continue
+            # ints before packing: a numpy index would shift its exponent out of an int64 key
+            eL = _int_in("exponent", eL, -EXPONENT_MAX, EXPONENT_MAX)
             zc = {}
             for k, e in zpart:
+                e = _int_in("exponent", e, 0)
                 if not e:
                     continue
-                if k < 3 or k % 2 == 0 or k > ZETA_INDEX_MAX:
-                    raise DomainError(
-                        f"zeta symbol index must be odd, 3 <= k <= {ZETA_INDEX_MAX}, got {k}")
-                if e < 0:
-                    raise DomainError("zeta symbols admit no negative powers")
+                k = _int_in("index", k, 3, ZETA_INDEX_MAX)
+                if k % 2 == 0:
+                    raise DomainError(f"index must be odd, got {k}")
                 zc[k] = zc.get(k, 0) + e
             deg = _check_degree(max(deg, abs(eL), *zc.values()))
             key = _pack(eL, zc.items())
@@ -218,6 +220,7 @@ class ExactCoefficient:
 
     @classmethod
     def rational(cls, num, den=1) -> "ExactCoefficient":
+        num, den = _rational_in("num", num), _rational_in("den", den)
         if not den:
             raise DomainError(f"rational {num}/{den} has a zero denominator")
         q = Fraction(num, den)
@@ -226,12 +229,13 @@ class ExactCoefficient:
     @classmethod
     def log2_power(cls, exponent=1, q=1) -> "ExactCoefficient":
         exponent = _int_in("exponent", exponent, -EXPONENT_MAX, EXPONENT_MAX)
-        return cls({(exponent, ()): Fraction(q)})
+        return cls({(exponent, ()): Fraction(_rational_in("q", q))})
 
     @classmethod
     def zeta_odd(cls, index, exponent=1, q=1) -> "ExactCoefficient":
         index = _int_in("index", index, 3, ZETA_INDEX_MAX)  # the ring refuses an even one
-        return cls({(0, ((index, _int_in("exponent", exponent, 0)),)): Fraction(q)})
+        exponent = _int_in("exponent", exponent, 0)
+        return cls({(0, ((index, exponent),)): Fraction(_rational_in("q", q))})
 
     # -- structure ------------------------------------------------------------
 
@@ -417,6 +421,9 @@ class TruncatedSeries:
     __slots__ = ("valuation", "order", "coeffs")
 
     def __init__(self, valuation: int, coeffs: Iterable, order: int | None = None):
+        if type(valuation) is not int or not (order is None or type(order) is int):
+            valuation = _int_in("valuation", valuation, -math.inf)  # its range is checked below
+            order = None if order is None else _int_in("order", order, -math.inf)
         coeffs = [_coerce_coeff(c) for c in coeffs]
         if order is None:
             order = valuation + len(coeffs) - 1

@@ -20,6 +20,16 @@ res to its nearer neighbour (a quarter ulp at a power of two, where the gap
 below is half an ulp).  Otherwise the levels go on, and their sums and the
 last nonzero remainders, whose exact total is the array's, go to ``fsum``,
 so the rounding is fsum's.  Either way the result is fsum's.
+
+:func:`exact_sums` does the same for each segment of one flat array: the
+segments take their first level and its test together, in about 25 numpy
+operations, eight of them over the whole array, which cost about 30 to 60 us
+a call (2-core x86, the range of repeated runs), plus about 0.2 us a segment
+and 0.003 us an entry.
+``exact_sum`` per segment costs about 2 us plus 0.03 to 0.05 us an entry, so
+the batch pays from a dozen or so segments: 50 rows of 250 terms take about
+0.1 ms instead of 0.6 ms.  A correctly rounded sum is unique, so every
+segment's sum is still fsum's.
 """
 
 from __future__ import annotations
@@ -34,6 +44,9 @@ import numpy as np
 #: 11 us, so the two meet near 400 entries (2-core x86); up to 512 the
 #: difference is below 3 us a sum
 CUTOFF = 512
+#: entries of one flat pass over many segments (``passes``): 512 KiB of complex terms.
+#: Passes of 2^13 to 2^16 entries ran about as fast; longer ones slow down
+PASS_ENTRIES = 2 ** 15
 _HUGE = 2.0 ** 900  # below this, sigma and the partial sums stay finite
 _TINY = 2.0 ** -900  # above this, the bound of rho is a normal float
 
@@ -78,3 +91,65 @@ def _rounded_to_nearest(tau: float, r: np.ndarray, e: int) -> float | None:
     half_gap = math.ulp(res) / (4 if abs(math.frexp(res)[0]) == 0.5 else 2)
     # fl(|d| + bound) < half_gap, a float, implies the exact sum is below it
     return res if abs(d) + bound < half_gap else None
+
+
+def exact_sums(values, ends) -> np.ndarray:
+    """The correctly rounded sum of each segment ``values[ends[i-1]:ends[i]]`` (ends[-1] = 0)
+    of a 1-D float array, each equal to ``math.fsum`` of its segment.
+
+    Every segment takes its first level together with the others
+    (``_first_levels``).  A segment that its test does not prove, or that
+    holds zeros only, inf, nan or values near overflow, goes on to
+    ``exact_sum`` alone, and so does a lone segment, for which the vectorised
+    level costs more than ``exact_sum``.  An empty segment sums to 0.0.
+    """
+    if len(ends) == 1:
+        return np.array([exact_sum(values[:ends[0]])])
+    p = np.asarray(values, dtype=float)
+    ends = np.asarray(ends, dtype=np.intp)
+    n = ends.copy()
+    n[1:] -= ends[:-1]
+    out = np.zeros(len(ends))
+    full = np.flatnonzero(n)  # fsum([]) is 0.0
+    if len(full):
+        out[full] = _first_levels(p[:ends[-1]], n[full])
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        out[i] = exact_sum(p[ends[i] - n[i]:ends[i]])
+    return out
+
+
+def _first_levels(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The sums of the consecutive segments of p, of lengths n >= 1, from one
+    first level of each, in whole-array passes: sigma from each segment's
+    max|p| and length as in ``exact_sum``, tau and rho by ``np.add.reduceat``
+    and the test of ``_rounded_to_nearest``; nan where the test cannot prove
+    the sum, or the segment holds zeros only, inf, nan or values near overflow."""
+    starts = np.cumsum(n) - n
+    top = np.maximum.reduceat(np.abs(p), starts)
+    ok = (top > _TINY) & (top < _HUGE)
+    if not ok.all():  # no bit of those segments enters the level
+        p = np.where(np.repeat(ok, n), p, 0.0)
+        top = np.where(ok, top, 1.0)
+    e = np.frexp(top)[1] + np.frexp(n + 1.0)[1]  # frexp's exponent of n + 1 is its bit length
+    sigma = np.repeat(np.ldexp(1.0, e), n)
+    q = (sigma + p) - sigma
+    tau = np.add.reduceat(q, starts)
+    rho = np.add.reduceat(p - q, starts)
+    res = tau + rho
+    z = res - tau
+    d = (tau - (res - z)) + (rho - z)
+    bound = np.ldexp(n * n / (2.0 ** 53 - n), e - 53)
+    half_gap = np.abs(np.spacing(res)) / np.where(np.abs(np.frexp(res)[0]) == 0.5, 4, 2)
+    return np.where(ok & (np.abs(d) + bound < half_gap), res, np.nan)
+
+
+def passes(lengths) -> list[tuple[int, int]]:
+    """Ranges [i, j) of consecutive segments, in order, each of at most ``PASS_ENTRIES``
+    entries in all unless it is one longer segment, so that a flat pass stays small."""
+    out, i, total = [], 0, 0
+    for j, k in enumerate(lengths):
+        if total + k > PASS_ENTRIES and j > i:
+            out.append((i, j))
+            i, total = j, 0
+        total += k
+    return out + [(i, len(lengths))] if len(lengths) > i else out

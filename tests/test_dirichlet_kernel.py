@@ -13,7 +13,7 @@ from math import fsum
 import numpy as np
 import pytest
 
-from critline import prime_arith
+from critline import prime_arith, summation
 from critline.bound_engine import dirichlet_term, scan_margins
 from critline.explicit_formula import _prime_term, lemma3_bracket
 from critline.extremal_poisson import KernelParams, ft_numerator, kernel_constants
@@ -155,3 +155,24 @@ def test_per_point_cutoffs_equal_float_cutoffs(lam_small):
         one = prime_arith.dirichlet_cos_sum(lam_small, x, t, rows)
         assert both[i].tolist() == one.tolist(), (t, x)
         assert plain[i] == prime_arith.dirichlet_cos_sum(lam_small, x, t), (t, x)
+
+
+def test_many_short_rows_equal_float_calls(lam_small, monkeypatch):
+    # 400 points with their own cutoffs: rows of no terms (x < 2), short rows batched
+    # in flat passes, and rows longer than the cutoff of a batch, with two weight rows
+    rng = np.random.default_rng(400)
+    ts = rng.uniform(0.0, 1e5, 400)
+    xs = np.concatenate([rng.uniform(0.0, 2.0, 20), rng.uniform(2.0, 3000.0, 360),
+                         rng.uniform(3800.0, 9000.0, 20)])
+    rng.shuffle(xs)
+
+    def rows(n, ln, log_x):
+        return np.array([np.sqrt(n), (log_x - ln) / log_x])
+
+    both, plain = (prime_arith.dirichlet_cos_sum(lam_small, xs, ts, w) for w in (rows, None))
+    for i, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
+        assert both[i].tolist() == prime_arith.dirichlet_cos_sum(lam_small, x, t, rows).tolist()
+        assert plain[i] == prime_arith.dirichlet_cos_sum(lam_small, x, t)
+    assert plain[xs < 2].tolist() == [0.0] * 20
+    monkeypatch.setattr(summation, "PASS_ENTRIES", 1000)
+    assert prime_arith.dirichlet_cos_sum(lam_small, xs, ts, rows).tolist() == both.tolist()

@@ -1,12 +1,13 @@
 """Every public entry point that takes a real number refuses anything else
 with a ``CritlineError``: complex, a string, None and NaN alike, never a
 ``TypeError``, a ``ValueError`` or a value.  So does every one that takes an
-integer (``_int_in``) or a real float or 1-D array (``_points``), with a
-``DomainError`` that names the argument."""
+integer (``_int_in``), a rational number (``_rational_in``) or a real float or 1-D
+array (``_points``), with a ``DomainError`` that names the argument."""
 
 import ast
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,36 @@ def test_a_numpy_integer_keeps_its_zeta_symbol():
     assert _EC.zeta_odd(np.int64(5)) == _EC.zeta_odd(5) == sa.Z(5)
 
 
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+def test_a_numpy_index_in_a_mapping_keeps_its_zeta_symbol(int_type):
+    five, two = int_type(5), int_type(2)
+    assert _EC({(0, ((five, 1),)): 1}) == sa.Z(5)
+    assert _EC({(two, ((int_type(3), 1), (five, two))): 1}) == sa.L ** 2 * sa.Z(3) * sa.Z(5) ** 2
+    for key in [(0, ((int_type(4), 1),)), (0, ((five, int_type(-1)),)), (2.0, ())]:
+        with pytest.raises(DomainError, match="^(index|exponent) must be"):
+            _EC({key: 1})
+
+
+@pytest.mark.parametrize("valuation, order, name", [(2.0, 2.0, "valuation"), (2, 2.5, "order"),
+                                                    ("0", None, "valuation"), (0, "1", "order")])
+def test_a_series_valuation_or_order_that_is_not_an_integer_is_a_domain_error(
+        valuation, order, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        _TS(valuation, [sa.EC_ONE, sa.EC_ONE], order)
+    series = _TS(np.int64(1), [sa.EC_ONE, sa.EC_ONE], np.int32(2))
+    assert type(series.valuation) is int and type(series.order) is int
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: _EC.rational(v), "num"), (lambda v: _EC.rational(1, v), "den"),
+    (lambda v: _EC.log2_power(1, v), "q"), (lambda v: _EC.zeta_odd(3, 1, v), "q")])
+def test_a_rational_argument_that_is_not_one_is_a_domain_error(call, name):
+    assert call(Fraction(2, 3)) == call(Fraction(2, 3)) and call(np.int64(3)) == call(3)
+    for bad in ["3", "2/3", 0.5, 1.0, None, complex(1)]:
+        with pytest.raises(DomainError, match=f"^{name} must be a rational number"):
+            call(bad)
+
+
 def test_a_cached_integer_does_not_answer_for_a_float():
     zo.zeta_real(np.int64(9))
     zo.constant_env(np.int64(9))
@@ -278,7 +309,7 @@ def test_riemann_siegel_checks_the_window_at_its_highest_point():
 
 # --- one place for the rules -------------------------------------------------------
 
-_RULES = {"_real_in", "_int_in", "_points", "_shaped"}
+_RULES = {"_real_in", "_int_in", "_rational_in", "_points", "_shaped"}
 
 
 def test_only_errors_imports_numbers_or_defines_a_rule():

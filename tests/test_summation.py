@@ -1,15 +1,17 @@
-"""exact_sum is math.fsum, bit for bit, on arrays drawn to break it."""
+"""exact_sum is math.fsum, bit for bit, on arrays drawn to break it, and exact_sums
+is fsum of each segment of a flat array."""
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critline import bound_engine, summation
-from critline.summation import CUTOFF, exact_sum
-from critline.zeta_oracle import zeta_em
+from critline import bound_engine, prime_arith, summation
+from critline.summation import CUTOFF, exact_sum, exact_sums
+from critline.zeta_oracle import hardy_z, zeta_em
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -170,3 +172,94 @@ def test_kernel_rows_and_em_heads_end_at_the_first_level(monkeypatch):
     bound_engine.dirichlet_term(np.geomspace(1.02e3, 0.98e4, 50), 2e5)
     for t in np.geomspace(2100.0, 7050.0, 20).tolist():
         zeta_em(complex(0.5, t))
+    # and the segmented sums of a logsq scan: 50 kernel rows, 36 Riemann-Siegel sums
+    # and 14 heads, of 255 to 1765 terms, each batch one pass
+    ts = np.geomspace(1.02e3, 0.98e6, 50)
+    prime_arith.dirichlet_cos_sum(prime_arith.lambda_sieve(200), np.log(ts) ** 2, ts,
+                                  bound_engine.dirichlet_weight)
+    hardy_z(ts)
+
+
+# --- exact_sums: many segments of one flat array ----------------------------------
+
+
+def sums_outcome(values, ends):
+    """The bits of each of exact_sums' results, or the type and message of what it raised."""
+    try:
+        return [struct.pack("<d", v) for v in exact_sums(values, ends).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_segments_fsum(values, lengths):
+    """exact_sums over segments of these lengths is fsum of each, or raises as the
+    first segment whose fsum raises."""
+    values = np.asarray(values, dtype=float)
+    ends = np.cumsum(np.asarray(lengths, dtype=np.intp))
+    want = [outcome(lambda v: math.fsum(v.tolist()), values[end - k:end])
+            for end, k in zip(ends.tolist(), lengths)]
+    raised = [w for w in want if isinstance(w, tuple)]
+    assert sums_outcome(values, ends) == (raised[0] if raised else want)
+
+
+def segment_values(rng, lengths, kind):
+    """One flat array for segments of these lengths, drawn to break a segmented sum."""
+    parts = []
+    for k in lengths:
+        if kind == "cancel":  # p and -p shuffled, and one small rest
+            v = mixed(rng, k // 2, -20, 20)
+            part = np.concatenate([v, -v, mixed(rng, k % 2, -40, -20)])
+            rng.shuffle(part)
+        elif kind == "zeros":
+            part = rng.choice(np.array([0.0, -0.0, 5e-324, -5e-324, 1.0]), k)
+        elif kind == "specials":  # one inf, nan or value near overflow in a third of them
+            part = mixed(rng, k, -20, 20)
+            if k and rng.random() < 0.3:
+                part[rng.integers(k)] = rng.choice([math.inf, -math.inf, math.nan, 1e305, -1e305])
+        else:  # magnitudes from 1e-20 to 1e20
+            part = mixed(rng, k, -20, 20)
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+#: segment lengths: empty, lone entries, both sides of the cutoff and beyond it
+segment_lengths = st.lists(st.sampled_from([0, 1, 2, CUTOFF, CUTOFF + 1])
+                           | st.integers(0, 60) | st.integers(CUTOFF + 1, 3 * CUTOFF),
+                           max_size=24)
+kinds = st.sampled_from(["mixed", "cancel", "zeros", "specials"])
+
+
+@PROPERTY
+@given(segment_lengths, seeds, kinds)
+def test_segmented_sums_are_fsum_of_each_segment(lengths, seed, kind):
+    assert_segments_fsum(segment_values(np.random.default_rng(seed), lengths, kind), lengths)
+
+
+@PROPERTY
+@given(st.integers(0, 3 * CUTOFF), seeds, kinds)
+def test_a_lone_segment_is_fsum(n, seed, kind):
+    assert_segments_fsum(segment_values(np.random.default_rng(seed), [n], kind), [n])
+
+
+@pytest.mark.parametrize("kind", ["mixed", "cancel", "zeros", "specials"])
+def test_fifty_thousand_seeded_segments_are_fsum(kind):
+    # kernel-row and Riemann-Siegel lengths, with an empty segment and a long one among them
+    rng = np.random.default_rng(101)
+    for _ in range(24):  # 13,008 segments a kind
+        lengths = rng.integers(1, 60, 500).tolist() + [0, CUTOFF + 7] \
+            + rng.integers(60, 400, 40).tolist()
+        rng.shuffle(lengths)
+        assert_segments_fsum(segment_values(rng, lengths, kind), lengths)
+
+
+def test_segments_cover_the_rounding_cases_of_exact_sum():
+    # the arrays drawn for exact_sum above, end to end as segments of one array
+    rng = np.random.default_rng(7)
+    tie = [1.0, 2.0 ** -53, 2.0 ** -106]
+    arrays = [tie, tie[:2], [-0.0], [], [2.0 ** -1074] * 3, [1e308, 1e308, -1e308],
+              first_level(CUTOFF + 40, 20, 1.0, [2.0 ** -53], rng), mixed(rng, 90, -300, 300)]
+    assert_segments_fsum(np.concatenate(arrays[:-3] + arrays[-2:]),
+                         [len(a) for a in arrays[:-3] + arrays[-2:]])
+    assert_segments_fsum(np.concatenate(arrays), [len(a) for a in arrays])  # fsum's overflow
+    # inf - inf is fsum's ValueError, raised for the first segment that holds it
+    assert_segments_fsum([1.0, 2.0, math.inf, -math.inf, 3.0, 1e308, 1e308], [2, 2, 1, 2])

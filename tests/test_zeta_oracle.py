@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,8 @@ from critline.errors import (
     PoleAtOne,
     WindowExceeded,
 )
-from critline import bound_engine, explicit_formula, extremal_poisson, prime_arith, zeta_oracle
+from critline import (bound_engine, explicit_formula, extremal_poisson, prime_arith, summation,
+                      zeta_oracle)
 from critline.zeros_table import ZeroTable
 from critline.zeta_oracle import (
     _C2J,
@@ -242,7 +244,7 @@ def test_logderiv_guards():
 
 def test_logderiv_is_one_pass_with_zeta_em_bit_for_bit():
     for s in (complex(0.75, 50.0), complex(1.5, 1e3), complex(0.5, -700.0), complex(2.0, 0.0)):
-        z, dz = zeta_oracle._em_sum(s, 1e-12, 0, (0, 1))
+        [(z, dz)] = zeta_oracle._em_sum([s], 1e-12, 0, (0, 1))
         assert z == zeta_em(s)
         assert zeta_logderiv(s) == dz / z
 
@@ -625,13 +627,39 @@ def test_batches_across_slice_boundaries_equal_the_scalar_loop(monkeypatch, f):
     assert f(ts).tolist() == [f(t) for t in ts.tolist()]
 
 
+def test_a_batch_across_both_tiers_and_many_passes_equals_the_float_loop(monkeypatch):
+    # 219 points below T_RS, whose 2.0e5 head terms fill seven passes, and 381 above it
+    # in two slices; with passes and slices of one entry, every point is its own
+    ts = np.random.default_rng(600).uniform(10.0, 2e4, 600)
+    loop = [hardy_z(t) for t in ts.tolist()]
+    assert 2 * 256 > (ts >= T_RS).sum() > 256 and sum(ts[ts < T_RS] / 4) > 3 * 2 ** 16
+    assert hardy_z(ts).tolist() == loop
+    monkeypatch.setattr(zeta_oracle, "_RS_SLICE", 1)
+    monkeypatch.setattr(summation, "PASS_ENTRIES", 1)
+    assert hardy_z(ts).tolist() == loop
+
+
+def test_a_large_batch_keeps_its_flat_passes_small():
+    # 2000 points below T_RS hold about 2.2e6 head terms: one flat pass would peak at
+    # about 137 MiB, and passes of PASS_ENTRIES peak at about 2.7 MiB (measured)
+    ts = np.random.default_rng(2000).uniform(2e3, 7e3, 2000)
+    hardy_z(ts[:2])  # the log tables and caches, before the trace starts
+    tracemalloc.start()
+    try:
+        hardy_z(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 @pytest.mark.parametrize("n", [4097, 25_000])
 def test_csum_is_correctly_rounded_at_any_length(n):
     rng = np.random.default_rng(n)
     # terms of mixed size and sign, where a pairwise sum would round
     arr = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) \
         + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    total = zeta_oracle._csum(arr)
+    [total] = zeta_oracle._csums(arr, [n])
     assert total.real == math.fsum(arr.real.tolist())
     assert total.imag == math.fsum(arr.imag.tolist())
 
