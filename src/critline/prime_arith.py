@@ -14,6 +14,7 @@ short rows at once, :func:`~critline.summation.exact_sums`, equal to
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -125,9 +126,10 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     per_point = np.ndim(x) > 0
     cut_of = np.asarray(x, dtype=float).tolist() if per_point else [x] * len(ts)
     cuts = sorted(set(cut_of)) if per_point else [x]
-    ks = np.searchsorted(table.support, np.floor(cuts), side="right")  # as in prime_powers
-    los = np.cumsum(ks) - ks  # where each cutoff's stretch of the weights starts
-    log_cuts = [math.log(c) if k else math.nan for c, k in zip(cuts, ks.tolist())]
+    # as in prime_powers: integer cutoffs, so that the int64 support is searched uncast
+    ks = np.searchsorted(table.support, [math.floor(c) for c in cuts], side="right").tolist()
+    stretch = {c: (end - k, k) for c, k, end in zip(cuts, ks, itertools.accumulate(ks))}
+    log_cuts = [math.log(c) if k else math.nan for c, k in zip(cuts, ks)]
     if weight is None:
         w = None
     elif not per_point:
@@ -136,23 +138,24 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
         at = np.concatenate([np.arange(k) for k in ks])  # the table index of each entry
         w = weight(table.support[at].astype(float), table.log_n[at], np.repeat(log_cuts, ks))
     sums = np.empty((len(ts),) + np.shape(w)[:-1])
-    cut_i = np.searchsorted(cuts, cut_of)  # each point's cutoff, in the ascending cuts
-    k_of, lo_of = ks[cut_i], los[cut_i]
-    batched = (k_of <= CUTOFF) & (len(ts) > 1)
-    for i in np.flatnonzero(~batched).tolist():  # a lone or long row: slices of the table
-        k, lo = k_of[i], lo_of[i]
-        vals = table.amp[:k] * np.cos(ts[i] * table.log_n[:k])
+    short = []  # the rows of at most CUTOFF terms, in a call of more than one t
+    for i, (ti, c) in enumerate(zip(ts, cut_of, strict=True)):
+        lo, k = stretch[c]
+        if k <= CUTOFF and len(ts) > 1:
+            short.append(i)
+            continue
+        vals = table.amp[:k] * np.cos(ti * table.log_n[:k])  # a lone or long row: table slices
         if w is not None:
             vals = vals * w[..., lo:lo + k]
         sums[i] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
-    short = np.flatnonzero(batched)
-    for a, b in passes(k_of[short].tolist()):  # the short rows, as flat passes
-        rows, k = short[a:b], k_of[short[a:b]]
+    for a, b in passes([stretch[cut_of[i]][1] for i in short]):  # the short rows, as flat passes
+        rows = short[a:b]
+        lo, k = np.array([stretch[cut_of[i]] for i in rows]).T
         ends = np.cumsum(k)
         n0 = np.arange(ends[-1]) - np.repeat(ends - k, k)  # the table index of each entry
         vals = table.amp[n0] * np.cos(np.repeat(ts[rows], k) * table.log_n[n0])
         if w is not None:
-            vals = vals * w[..., np.repeat(lo_of[rows], k) + n0]
+            vals = vals * w[..., np.repeat(lo, k) + n0]
         sums[rows] = exact_sums(vals, ends) if vals.ndim == 1 else \
             np.transpose([exact_sums(v, ends) for v in vals])
     out = sums[0] if np.ndim(t) == 0 else sums

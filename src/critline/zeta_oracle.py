@@ -157,6 +157,16 @@ def _em_sum(ss, target: float, min_m: int, orders: tuple[int, ...]) -> list[tupl
                 raise WindowExceeded("Euler-Maclaurin failed to converge in the window")
         Ms.append(M)
         tails.append(tail)
+    if len(ss) == 1:  # a batch of one: its head is one log row, summed by exact_sum
+        ln = np.log(np.arange(1, Ms[0], dtype=float))
+        head = ln * -ss[0]
+        np.exp(head, out=head)  # in place: one complex buffer of M entries per call, not two
+        out = []
+        for k in orders:
+            if k:
+                head *= -ln
+            out.append(complex(exact_sum(head.real), exact_sum(head.imag)) + tails[0][k])
+        return [tuple(out)]
     out = []
     for i, j in passes([M - 1 for M in Ms]):
         if j - i == 1:  # a lone head is a slice of its log row: no gather
