@@ -75,8 +75,6 @@ _M_MAX = 2 ** 25  # the largest Euler-Maclaurin cutoff
 def _csums(arr: np.ndarray, ends) -> list[complex]:
     """The sums of the segments of a complex array that end at ``ends`` (``exact_sums``),
     real and imaginary parts apart, each correctly rounded, equal to ``math.fsum``."""
-    if len(ends) == 1:  # what exact_sums does, less its array
-        return [complex(exact_sum(arr.real[:ends[0]]), exact_sum(arr.imag[:ends[0]]))]
     return list(map(complex, exact_sums(arr.real, ends).tolist(),
                     exact_sums(arr.imag, ends).tolist()))
 
