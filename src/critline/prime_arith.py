@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LimitTooLarge, _int_in, _real_in
-from .summation import CUTOFF, exact_sum, exact_sums, passes
+from .errors import DomainError, LimitTooLarge, _int_in, _real_in
+from .summation import exact_sum, exact_sums, passes
 
 SIEVE_CAP = 10 ** 8
 
@@ -114,17 +114,19 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
     that float x.  A cutoff with no prime powers (x < 2) has zero sums and
     no log: a float one passes NaN as log x.
 
-    A row of at most ``CUTOFF`` terms, in a call of more than one t, is
-    formed with the others in flat passes of up to ``PASS_ENTRIES`` terms
-    and summed by ``exact_sums``: in a 50-point logsq scan (rows of about
-    40 terms) a row costs about 11 us, where a loop over the rows costs
-    about 18 us a row (2-core x86).  A longer row, such as the 18,120 terms
-    of x = 2e5, and a lone row are formed from slices of the table and
-    summed by ``exact_sum``.
+    The rows are formed in flat passes of consecutive rows, of up to
+    ``PASS_ENTRIES`` terms (``passes``), and summed by ``exact_sums``: in a
+    50-point logsq scan (rows of about 40 terms) a row costs about 11 us,
+    where a loop over the rows costs about 18 us a row (2-core x86).  A row
+    that is a pass by itself, the row of a float t or one too long to share
+    a pass, such as the 18,120 terms of x = 2e5, is formed from slices of
+    the table and summed by ``exact_sum``.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     per_point = np.ndim(x) > 0
     cut_of = np.asarray(x, dtype=float).tolist() if per_point else [x] * len(ts)
+    if len(cut_of) != len(ts):
+        raise DomainError(f"x holds {len(cut_of)} cutoffs for {len(ts)} values of t")
     cuts = sorted(set(cut_of)) if per_point else [x]
     # as in prime_powers: integer cutoffs, so that the int64 support is searched uncast
     ks = np.searchsorted(table.support, [math.floor(c) for c in cuts], side="right").tolist()
@@ -138,25 +140,19 @@ def dirichlet_cos_sum(table: LambdaTable, x: float, t,
         at = np.concatenate([np.arange(k) for k in ks])  # the table index of each entry
         w = weight(table.support[at].astype(float), table.log_n[at], np.repeat(log_cuts, ks))
     sums = np.empty((len(ts),) + np.shape(w)[:-1])
-    short = []  # the rows of at most CUTOFF terms, in a call of more than one t
-    for i, (ti, c) in enumerate(zip(ts, cut_of, strict=True)):
-        lo, k = stretch[c]
-        if k <= CUTOFF and len(ts) > 1:
-            short.append(i)
+    rows = [stretch[c] for c in cut_of]  # each t's (lo, k)
+    lo, k = zip(*rows) if rows else ((), ())
+    for a, b, ends, n0 in passes(k):
+        if b - a == 1:  # a float t's row, or one too long to share a pass: table slices
+            vals = table.amp[:k[a]] * np.cos(ts[a] * table.log_n[:k[a]])
+            if w is not None:
+                vals = vals * w[..., lo[a]:lo[a] + k[a]]
+            sums[a] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
             continue
-        vals = table.amp[:k] * np.cos(ti * table.log_n[:k])  # a lone or long row: table slices
+        vals = table.amp[n0] * np.cos(np.repeat(ts[a:b], k[a:b]) * table.log_n[n0])
         if w is not None:
-            vals = vals * w[..., lo:lo + k]
-        sums[i] = exact_sum(vals) if vals.ndim == 1 else [exact_sum(v) for v in vals]
-    for a, b in passes([stretch[cut_of[i]][1] for i in short]):  # the short rows, as flat passes
-        rows = short[a:b]
-        lo, k = np.array([stretch[cut_of[i]] for i in rows]).T
-        ends = np.cumsum(k)
-        n0 = np.arange(ends[-1]) - np.repeat(ends - k, k)  # the table index of each entry
-        vals = table.amp[n0] * np.cos(np.repeat(ts[rows], k) * table.log_n[n0])
-        if w is not None:
-            vals = vals * w[..., np.repeat(lo, k) + n0]
-        sums[rows] = exact_sums(vals, ends) if vals.ndim == 1 else \
+            vals = vals * w[..., np.repeat(lo[a:b], k[a:b]) + n0]
+        sums[a:b] = exact_sums(vals, ends) if vals.ndim == 1 else \
             np.transpose([exact_sums(v, ends) for v in vals])
     out = sums[0] if np.ndim(t) == 0 else sums
     return float(out) if out.ndim == 0 else out

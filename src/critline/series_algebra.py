@@ -82,14 +82,6 @@ def _check_degree(deg: int) -> int:
     return deg
 
 
-def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    raise TypeError(f"expected int or Fraction, got {type(q).__name__}")
-
-
 def _compact(nums):
     """The numerators as an int64 array when they fit, a fifth of the memory
     of a tuple of ints, else as a tuple; either way a function of the values,
@@ -194,10 +186,9 @@ class ExactCoefficient:
         acc = {}
         deg = 0
         for (eL, zpart), q in (terms or {}).items():
-            q = _as_fraction(q)
-            if not q:
-                continue
-            # ints before packing: a numpy index would shift its exponent out of an int64 key
+            q = _rational_in("q", q)  # an int or a Fraction: both have numerator and denominator
+            # the key as ints before packing, under a zero q too: a numpy index would
+            # shift its exponent out of an int64 key
             eL = _int_in("exponent", eL, -EXPONENT_MAX, EXPONENT_MAX)
             zc = {}
             for k, e in zpart:
@@ -208,6 +199,8 @@ class ExactCoefficient:
                 if k % 2 == 0:
                     raise DomainError(f"index must be odd, got {k}")
                 zc[k] = zc.get(k, 0) + e
+            if not q:
+                continue
             deg = _check_degree(max(deg, abs(eL), *zc.values()))
             key = _pack(eL, zc.items())
             acc[key] = acc.get(key, 0) + q
@@ -228,14 +221,13 @@ class ExactCoefficient:
 
     @classmethod
     def log2_power(cls, exponent=1, q=1) -> "ExactCoefficient":
-        exponent = _int_in("exponent", exponent, -EXPONENT_MAX, EXPONENT_MAX)
-        return cls({(exponent, ()): Fraction(_rational_in("q", q))})
+        return cls({(exponent, ()): q})
 
     @classmethod
     def zeta_odd(cls, index, exponent=1, q=1) -> "ExactCoefficient":
-        index = _int_in("index", index, 3, ZETA_INDEX_MAX)  # the ring refuses an even one
-        exponent = _int_in("exponent", exponent, 0)
-        return cls({(0, ((index, exponent),)): Fraction(_rational_in("q", q))})
+        # refused here even at exponent 0, which the mapping skips; the ring refuses an even one
+        index = _int_in("index", index, 3, ZETA_INDEX_MAX)
+        return cls({(0, ((index, exponent),)): q})
 
     # -- structure ------------------------------------------------------------
 
@@ -325,11 +317,10 @@ class ExactCoefficient:
             return _dot(((self, other),))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        q = _as_fraction(other)
-        if not q or not self._keys:
+        if not other or not self._keys:
             return EC_ZERO
-        nums = [n * q.numerator for n in self._nums]
-        den = self._den * q.denominator
+        nums = [n * other.numerator for n in self._nums]
+        den = self._den * other.denominator
         g = math.gcd(den, *nums)
         return _make(self._keys, _compact([n // g for n in nums]), den // g, self._deg)
 

@@ -143,13 +143,22 @@ def _first_levels(p: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(ok & (np.abs(d) + bound < half_gap), res, np.nan)
 
 
-def passes(lengths) -> list[tuple[int, int]]:
-    """Ranges [i, j) of consecutive segments, in order, each of at most ``PASS_ENTRIES``
-    entries in all unless it is one longer segment, so that a flat pass stays small."""
-    out, i, total = [], 0, 0
-    for j, k in enumerate(lengths):
+def passes(lengths):
+    """The flat layout of consecutive segments of the given lengths, cut into passes
+    of at most ``PASS_ENTRIES`` entries in all unless a pass is one longer segment,
+    so that a flat array over many segments stays small.  Yields (i, j, ends,
+    offsets) for each pass, in order: its segments [i, j), the ends of their
+    stretches within the pass, as ``exact_sums`` takes them, and the offset of
+    each entry within its own segment."""
+    lengths = list(lengths)
+    i, total = 0, 0
+    for j, k in enumerate(lengths + [PASS_ENTRIES + 1]):  # the sentinel ends the last pass
         if total + k > PASS_ENTRIES and j > i:
-            out.append((i, j))
+            if j - i == 1:  # a lone segment: no array of ends, no repeat
+                yield i, j, lengths[i:j], np.arange(lengths[i])
+            else:
+                n = np.array(lengths[i:j])
+                ends = np.cumsum(n)
+                yield i, j, ends, np.arange(ends[-1]) - np.repeat(ends - n, n)
             i, total = j, 0
         total += k
-    return out + [(i, len(lengths))] if len(lengths) > i else out

@@ -70,6 +70,9 @@ _C2J = (
 )
 _J_MAX = len(_C2J) - 1
 _M_MAX = 2 ** 25  # the largest Euler-Maclaurin cutoff
+#: the oracle's target: zeta_em's default, zeta_logderiv's and hardy_z's below T_RS,
+#: and the Riemann-Siegel remainder's from T_RS on
+_TARGET = 1e-12
 
 
 def _csums(arr: np.ndarray, ends) -> list[complex]:
@@ -137,12 +140,13 @@ def _em_sum(ss, target: float, min_m: int, orders: tuple[int, ...]) -> list[tupl
     found before any head is summed.  The heads n^-s, n < M, of consecutive points,
     up to ``PASS_ENTRIES`` terms in all (``passes``), are one flat array: log n from
     one row, gathered by index, times -s, exponentiated in place once, summed head by
-    head (``_csums``) for zeta and scaled in place by -log n for zeta'.  A head is
-    the same array, and its sum the same correctly rounded one, as for that s alone,
-    so every value equals a batch of one bit for bit.  In a batch a point costs its
-    tail, about 0.035 ms from t = 1e3 on, and about 0.07 us a head term (about
-    0.05 ms at t = 1e3 and 0.12 ms at 5e3 on a 2-core x86 machine); alone, about
-    0.015 ms more, mostly the sums of its head.
+    head (``_csums``) for zeta and scaled in place by -log n for zeta'.  A batch of
+    one, the float calls' case, is its log row, summed by ``exact_sum`` with none of
+    that layout.  A head is the same array, and its sum the same correctly rounded
+    one, as for that s alone, so every value equals a batch of one bit for bit.  In
+    a batch a point costs its tail, about 0.035 ms from t = 1e3 on, and about
+    0.07 us a head term (about 0.05 ms at t = 1e3 and 0.12 ms at 5e3 on a 2-core
+    x86 machine); alone, about 0.015 ms more, mostly the sums of its head.
     """
     ss = [complex(s) for s in ss]
     Ms, tails = [], []
@@ -166,18 +170,9 @@ def _em_sum(ss, target: float, min_m: int, orders: tuple[int, ...]) -> list[tupl
             out.append(complex(exact_sum(head.real), exact_sum(head.imag)) + tails[0][k])
         return [tuple(out)]
     out = []
-    for i, j in passes([M - 1 for M in Ms]):
-        if j - i == 1:  # a lone head is a slice of its log row: no gather
-            ends = [Ms[i] - 1]
-            ln = np.log(np.arange(1, Ms[i], dtype=float))
-            s_of = ss[i]
-        else:
-            n = np.array(Ms[i:j]) - 1
-            ends = np.cumsum(n)
-            ln = np.log(np.arange(1, n.max() + 1, dtype=float))[
-                np.arange(ends[-1]) - np.repeat(ends - n, n)]  # each term's log n, by n - 1
-            s_of = np.repeat(np.array(ss[i:j]), n)
-        head = ln * -s_of
+    for i, j, ends, n0 in passes([M - 1 for M in Ms]):
+        ln = np.log(np.arange(1, max(Ms[i:j]), dtype=float))[n0]  # each term's log n, by n - 1
+        head = ln * np.repeat(-np.array(ss[i:j]), np.array(Ms[i:j]) - 1)
         np.exp(head, out=head)  # in place: one complex buffer per pass, not two
         sums = []
         for k in orders:
@@ -188,7 +183,7 @@ def _em_sum(ss, target: float, min_m: int, orders: tuple[int, ...]) -> list[tupl
     return out
 
 
-def zeta_em(s: complex, target: float = 1e-12, min_m: int = 0) -> complex:
+def zeta_em(s: complex, target: float = _TARGET, min_m: int = 0) -> complex:
     """zeta(s) by Euler-Maclaurin summation (see ``_em_tail``), at the cutoff
     M of ``_em_sum``: max(ceil(|Im s|/4), 10, min_m), doubled until the tail
     meets the target.  A target that is not finite and > 0, or a min_m that
@@ -236,7 +231,7 @@ def zeta_logderiv(s: complex) -> complex:
     pass; a refusal (``NearZeroOfZeta`` when |zeta| <= ZERO_GUARD) is not
     kept and is raised again on every call.
     """
-    z, dz = _em_sum([s], 1e-12, 0, (0, 1))[0]
+    z, dz = _em_sum([s], _TARGET, 0, (0, 1))[0]
     if abs(z) <= ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta({s})| = {abs(z):.2e}")
     return dz / z
@@ -277,7 +272,7 @@ def _theta(t):
 #: for t >= 200, with d_7 = 9.2 (Gabcke 1979, Satz 4.2.3)
 _GABCKE_D7 = 9.2
 #: the least t at which that bound meets the oracle's 1e-12 target (about 7.06e3)
-T_RS = 2 * math.pi * (_GABCKE_D7 / 1e-12) ** (4 / 17)
+T_RS = 2 * math.pi * (_GABCKE_D7 / _TARGET) ** (4 / 17)
 
 # Taylor coefficients of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) about
 # p = 1/2, at (p - 1/2)^0, ^2, ..., ^100.  Psi is entire and even there; on
@@ -475,10 +470,6 @@ def _theta_phase(t: float):
             return N, p, math.fsum([N, p, p_lo]), th_hi, th_lo + _theta_tail(t)
 
 
-#: points per pass of ``riemann_siegel_z``, so that its flat arrays stay small
-_RS_SLICE = 256
-
-
 def riemann_siegel_z(t):
     """Z(t), with |Z(t)| = |zeta(1/2+it)|, by the Riemann-Siegel formula.
 
@@ -499,40 +490,34 @@ def riemann_siegel_z(t):
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
     array whose entries equal the float calls bit for bit; a t that is not
     real (``_points``), or below 200, is a ``DomainError``.  Every t is
-    checked before any is evaluated.  Then each slice of ``_RS_SLICE``
-    points is one pass: ``_theta_phase`` per point; the phases and the terms
-    of every point's main sum over a flat array of sum N entries, each
-    point's sum correctly rounded over its own part, all in one
-    ``exact_sums``; and the corrections of
-    every point at once, from one cumulative product of powers and two
-    contractions.  A float call is a batch of one, about 0.08 ms at 1e5 and
-    0.10 ms at 1e6 on a 2-core x86 machine; in a batch of 200 a point at 1e5
-    costs about 0.03 ms, of which ``_theta_phase`` is 0.011 ms and the
-    corrections 0.0014 ms.
+    checked before any is evaluated.  Then ``_theta_phase`` runs per point,
+    and the points are walked in flat passes of consecutive points, of up to
+    ``PASS_ENTRIES`` terms (``passes``): the phases and the terms of every
+    point's main sum over a flat array of sum N entries, each point's sum
+    correctly rounded over its own part, all in one ``exact_sums``; and the
+    corrections of every point at once, from one cumulative product of
+    powers and two contractions.  A float call is a batch of one, about
+    0.08 ms at 1e5 and 0.10 ms at 1e6 on a 2-core x86 machine; in a batch of
+    200 a point at 1e5 costs about 0.03 ms, of which ``_theta_phase`` is
+    0.011 ms and the corrections 0.0014 ms.
     """
     ts = _points(t, 200)  # where Gabcke's remainder bound holds
     if len(ts):  # _points refused NaN and infinities: only the top can leave the window
         _check_window(complex(0.5, float(ts.max())))
-    if len(ts) > _RS_SLICE:
-        return np.concatenate([riemann_siegel_z(ts[i:i + _RS_SLICE])
-                               for i in range(0, len(ts), _RS_SLICE)])
-    ts = ts.tolist()
-    Ns, ps, As, th_hi, th_lo = zip(*map(_theta_phase, ts)) if ts else ((),) * 5
-    Ns = np.array(Ns, dtype=int)
-    ends = np.cumsum(Ns)
-    point = np.repeat(np.arange(len(ts)), Ns)  # the point each term belongs to
-    n0 = np.arange(len(point)) - (ends - Ns)[point]  # n - 1 within its point
-    log_hi, log_lo = (v[n0] for v in _log_pairs(max(Ns, default=0)))
-    t_of = np.array(ts)[point]
-    big, big_err = _two_product(t_of, log_hi)  # t log n = big + big_err + t lo
-    th_hi_of = np.array(th_hi)[point]
-    k = np.round((th_hi_of - big) / _TWO_PI_HI)
-    red, red_err = _two_product(k, _TWO_PI_HI)
-    phase = (((-big - red) + th_hi_of)
-             + (np.array(th_lo)[point] - big_err - red_err - k * _TWO_PI_LO - t_of * log_lo))
-    terms = np.cos(phase) / np.sqrt(n0 + 1.0)
-    main = 2 * exact_sums(terms, ends)
-    return _shaped(t, main + _rs_corrections(Ns, np.array(ps), np.array(As)))
+    phases = [_theta_phase(ti) for ti in ts.tolist()]
+    z = np.empty(len(ts))
+    for i, j, ends, n0 in passes([ph[0] for ph in phases]):
+        Ns, ps, As, th_hi, th_lo = map(np.array, zip(*phases[i:j]))
+        log_hi, log_lo = (v[n0] for v in _log_pairs(Ns.max()))
+        t_of, th_hi_of, th_lo_of = (np.repeat(v, Ns) for v in (ts[i:j], th_hi, th_lo))
+        big, big_err = _two_product(t_of, log_hi)  # t log n = big + big_err + t lo
+        k = np.round((th_hi_of - big) / _TWO_PI_HI)
+        red, red_err = _two_product(k, _TWO_PI_HI)
+        phase = (((-big - red) + th_hi_of)
+                 + (th_lo_of - big_err - red_err - k * _TWO_PI_LO - t_of * log_lo))
+        terms = np.cos(phase) / np.sqrt(n0 + 1.0)
+        z[i:j] = 2 * exact_sums(terms, ends) + _rs_corrections(Ns, ps, As)
+    return _shaped(t, z)
 
 
 def _rs_corrections(N: np.ndarray, p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -566,7 +551,7 @@ def hardy_z(t):
     ``t`` is a float, which gives a float, or a 1-D array, which gives an
     array equal to the float calls bit for bit: its points at or above T_RS
     go to ``riemann_siegel_z`` as one batch (about 0.018 ms a point at 7e3),
-    and the others, at ``zeta_em``'s cutoff and target, to ``_em_sum`` as
+    and the others, at ``zeta_em``'s cutoff and ``_TARGET``, to ``_em_sum`` as
     another (about 0.05 ms a point at 1e3 and 0.12 ms at 5e3, against 0.07
     and 0.13 ms as float calls, 2-core x86).  A batch is refused whole,
     before any point is evaluated, if any t is below 10, not finite or
@@ -577,7 +562,7 @@ def hardy_z(t):
     high = [ti for ti in ts if ti >= T_RS]  # RS first: its window check precedes any EM sum
     rs = iter(riemann_siegel_z(np.array(high)).tolist() if high else ())
     low = [ti for ti in ts if ti < T_RS]
-    em = iter(_em_sum([complex(0.5, ti) for ti in low], 1e-12, 0, (0,)))
+    em = iter(_em_sum([complex(0.5, ti) for ti in low], _TARGET, 0, (0,)) if low else ())
     z = [next(rs) if ti >= T_RS else (cmath.exp(1j * _theta(ti)) * next(em)[0]).real for ti in ts]
     return _shaped(t, z)
 

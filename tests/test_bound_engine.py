@@ -283,7 +283,7 @@ def test_scan_is_one_weight_pass_and_one_rs_batch(monkeypatch, policy, points):
         return wrapped
 
     monkeypatch.setattr(bound_engine, "f_closed_form", counting("f", bound_engine.f_closed_form))
-    # at most _RS_SLICE (256) points: one riemann_siegel_z call is one RS batch
+    # every Riemann-Siegel point of a scan in one riemann_siegel_z call
     monkeypatch.setattr(zeta_oracle, "riemann_siegel_z",
                         counting("rs", zeta_oracle.riemann_siegel_z))
     t_min, t_max, _, x_fixed = SCAN_CASES[policy]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from critline import prime_arith, summation
+from critline.errors import DomainError
 from critline.bound_engine import dirichlet_term, scan_margins
 from critline.explicit_formula import _prime_term, lemma3_bracket
 from critline.extremal_poisson import KernelParams, ft_numerator, kernel_constants
@@ -176,3 +177,12 @@ def test_many_short_rows_equal_float_calls(lam_small, monkeypatch):
     assert plain[xs < 2].tolist() == [0.0] * 20
     monkeypatch.setattr(summation, "PASS_ENTRIES", 1000)
     assert prime_arith.dirichlet_cos_sum(lam_small, xs, ts, rows).tolist() == both.tolist()
+
+
+def test_a_cutoff_per_t_must_match_the_points(lam_small):
+    calls = []
+    for xs in ([30.5], [30.5, 40.0, 50.0]):
+        with pytest.raises(DomainError, match="^x holds"):
+            prime_arith.dirichlet_cos_sum(lam_small, np.array(xs), np.array([10.0, 20.0]),
+                                          lambda n, ln, log_x: calls.append(1) or n)
+    assert not calls  # refused before the weight is formed

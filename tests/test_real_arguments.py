@@ -209,6 +209,17 @@ def test_a_numpy_index_in_a_mapping_keeps_its_zeta_symbol(int_type):
             _EC({key: 1})
 
 
+def test_a_mapping_takes_its_values_by_the_rational_rule():
+    assert _EC({(0, ()): np.int64(3)}) == 3 and _EC({(1, ()): Fraction(1, 2)}) == sa.L * Fraction(1, 2)
+    for bad in ["3", 0.5, None]:
+        with pytest.raises(DomainError, match="^q must be a rational number"):
+            _EC({(0, ()): bad})
+    # the key is checked under a zero value too, as log2_power and zeta_odd rely on
+    for call in (lambda: _EC.log2_power(1.5, 0), lambda: _EC.zeta_odd(3, -1, 0)):
+        with pytest.raises(DomainError, match="^exponent must be an integer"):
+            call()
+
+
 @pytest.mark.parametrize("valuation, order, name", [(2.0, 2.0, "valuation"), (2, 2.5, "order"),
                                                     ("0", None, "valuation"), (0, "1", "order")])
 def test_a_series_valuation_or_order_that_is_not_an_integer_is_a_domain_error(

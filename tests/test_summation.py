@@ -252,6 +252,21 @@ def test_fifty_thousand_seeded_segments_are_fsum(kind):
         assert_segments_fsum(segment_values(rng, lengths, kind), lengths)
 
 
+@PROPERTY
+@given(segment_lengths, st.integers(1, 2000))
+def test_passes_lay_out_every_segment_once_and_stay_capped(lengths, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(summation, "PASS_ENTRIES", cap)
+        cuts = list(summation.passes(lengths))
+    assert [i for i, _, _, _ in cuts] == ([0] + [j for _, j, _, _ in cuts])[:-1]
+    assert (cuts[-1][1] if cuts else 0) == len(lengths)
+    for i, j, ends, offsets in cuts:
+        n = lengths[i:j]
+        assert list(ends) == np.cumsum(n).tolist()
+        assert offsets.tolist() == [m for k in n for m in range(k)]
+        assert sum(n) <= cap or j - i == 1  # over the cap only as one longer segment
+
+
 def test_segments_cover_the_rounding_cases_of_exact_sum():
     # the arrays drawn for exact_sum above, end to end as segments of one array
     rng = np.random.default_rng(7)

@@ -618,9 +618,10 @@ def test_hardy_z_array_equals_the_scalar_loop():
 
 
 @pytest.mark.parametrize("f", [riemann_siegel_z, hardy_z])
-def test_batches_across_slice_boundaries_equal_the_scalar_loop(monkeypatch, f):
-    monkeypatch.setattr(zeta_oracle, "_RS_SLICE", 3)
-    # 10 points above T_RS make slices of 3, 3, 3 and 1; hardy_z mixes in EM points
+def test_batches_across_pass_boundaries_equal_the_scalar_loop(monkeypatch, f):
+    monkeypatch.setattr(summation, "PASS_ENTRIES", 500)
+    # 10 points above T_RS, of 33 to 398 terms, make passes of 6, 2, 1 and 1 points;
+    # hardy_z mixes in EM points
     ts = np.geomspace(T_RS, 1e6, 10)
     if f is hardy_z:
         ts = np.sort(np.concatenate([ts, [100.0, 5e3]]))
@@ -628,13 +629,12 @@ def test_batches_across_slice_boundaries_equal_the_scalar_loop(monkeypatch, f):
 
 
 def test_a_batch_across_both_tiers_and_many_passes_equals_the_float_loop(monkeypatch):
-    # 219 points below T_RS, whose 2.0e5 head terms fill seven passes, and 381 above it
-    # in two slices; with passes and slices of one entry, every point is its own
+    # 219 points below T_RS, whose 2.0e5 head terms fill seven passes, and 381 above it,
+    # whose 1.7e4 terms fill one; with passes of one entry, every point is its own
     ts = np.random.default_rng(600).uniform(10.0, 2e4, 600)
     loop = [hardy_z(t) for t in ts.tolist()]
-    assert 2 * 256 > (ts >= T_RS).sum() > 256 and sum(ts[ts < T_RS] / 4) > 3 * 2 ** 16
+    assert (ts >= T_RS).sum() == 381 and sum(ts[ts < T_RS] / 4) > 3 * 2 ** 16
     assert hardy_z(ts).tolist() == loop
-    monkeypatch.setattr(zeta_oracle, "_RS_SLICE", 1)
     monkeypatch.setattr(summation, "PASS_ENTRIES", 1)
     assert hardy_z(ts).tolist() == loop
 
