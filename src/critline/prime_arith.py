@@ -41,7 +41,7 @@ class LambdaTable:
 
     def prime_powers(self, up_to: float | None = None) -> np.ndarray:
         """Indices n <= up_to with Lambda(n) != 0, ascending: a read-only view of ``support``."""
-        hi = self.limit if up_to is None else math.floor(up_to)
+        hi = self.limit if up_to is None else math.floor(_real_in("up_to", up_to))
         return self.support[: np.searchsorted(self.support, hi, side="right")]
 
 

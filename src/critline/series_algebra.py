@@ -315,7 +315,9 @@ class ExactCoefficient:
     def __mul__(self, other):
         if type(other) is ExactCoefficient:
             return _dot(((self, other),))
-        if not isinstance(other, (int, Fraction)):
+        try:
+            other = _rational_in("coefficient", other)
+        except DomainError:
             return NotImplemented
         if not other or not self._keys:
             return EC_ZERO
@@ -347,13 +349,21 @@ class ExactCoefficient:
         return format_coefficient(self)
 
 
+def _coerce_coeff(c) -> ExactCoefficient:
+    """c as a ring element: itself, or a rational number by ``_rational_in``,
+    which refuses anything else with a ``DomainError`` naming ``coefficient``."""
+    if type(c) is ExactCoefficient:
+        return c
+    return ExactCoefficient.rational(_rational_in("coefficient", c))
+
+
 def _as_coeff(q) -> ExactCoefficient | None:
-    """q as a ring element, or None when it is not an int, Fraction or one."""
-    if isinstance(q, ExactCoefficient):
-        return q
-    if isinstance(q, (int, Fraction)):
-        return ExactCoefficient.rational(q)
-    return None
+    """q as a ring element, or None where ``_coerce_coeff`` refuses it, so that an
+    operator can return NotImplemented."""
+    try:
+        return _coerce_coeff(q)
+    except DomainError:
+        return None
 
 
 _ONE_KEY = _INTERNED.setdefault((0,), (0,))
@@ -375,7 +385,9 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
     floating point.  Note: to first order its error is the sum of |rational|
     * |monomial value| * (relative binding error); with 1e-15 bindings and
     the magnitudes in play this stays far below every downstream tolerance.
+    A rational ``c`` is taken by ``_coerce_coeff``.
     """
+    c = _coerce_coeff(c)
     parts = []
     for key, n in zip(c._keys, c._nums):
         eL, zpart = _unpack(key)
@@ -396,15 +408,6 @@ def coeff_eval(c: ExactCoefficient, constants: Mapping[str, float]) -> float:
 # -----------------------------------------------------------------------------
 # truncated Laurent series
 # -----------------------------------------------------------------------------
-
-def _coerce_coeff(c) -> ExactCoefficient:
-    if type(c) is ExactCoefficient:
-        return c
-    out = _as_coeff(c)
-    if out is None:
-        raise TypeError(f"bad coefficient type {type(c).__name__}")
-    return out
-
 
 class TruncatedSeries:
     """Laurent series sum_{k=v}^{N} c_k z^k + O(z^{N+1}) with exact coefficients."""
@@ -491,15 +494,15 @@ class TruncatedSeries:
         return ps_add(self, other)
 
     def __sub__(self, other):
-        return ps_add(self, ps_neg(other))
+        return ps_add(self, ps_scale(other, -1))
 
     def __neg__(self):
-        return ps_neg(self)
+        return ps_scale(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactCoefficient)):
-            return ps_scale(self, other)
-        return ps_mul(self, other)
+        if isinstance(other, TruncatedSeries):
+            return ps_mul(self, other)
+        return ps_scale(self, other)
 
     __rmul__ = __mul__
 
@@ -513,10 +516,6 @@ def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     v = min(a.valuation, b.valuation, order)
     coeffs = [a.coefficient(k) + b.coefficient(k) for k in range(v, order + 1)]
     return TruncatedSeries(v, coeffs, order)
-
-
-def ps_neg(a: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(a.valuation, [-c for c in a.coeffs], a.order)
 
 
 def ps_scale(a: TruncatedSeries, c) -> TruncatedSeries:

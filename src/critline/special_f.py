@@ -73,37 +73,26 @@ def f_closed_form(u):
 
 def f_taylor(k: int) -> float:
     """2 (1 - 4^-k) zeta(2k+1), the coefficient of u^(2k+1) in F, k >= 1."""
-    return _taylor(_int_in("k", k, 1))
-
-
-def _taylor(k: int) -> float:  # f_taylor unchecked, for the series loops
+    k = _int_in("k", k, 1)
     return 2 * (1 - 0.25 ** k) * zeta_real(2 * k + 1)
 
 
-def _series_terms(u: float, tol: float) -> int:
-    # tail bound: 2 sum_{k>K} zeta(2k+1) u^{2k+1} <= 2 zeta(3) u^{2K+3} / (1-u^2)
-    if u == 0.0:
-        return 0
-    z3 = zeta_real(3)
-    k = 1
-    while 2 * z3 * u ** (2 * k + 3) / (1 - u * u) > tol:
-        k += 1
-    return k
-
-
-def f_series(u: float, terms: int | None = None) -> float:
-    """Power series with the term count chosen from the geometric tail bound
-    (<= 1e-12) unless ``terms`` is forced."""
+def f_series(u: float) -> float:
+    """The power series through u^(2K+1), K >= 1 the least for which the tail
+    bound 2 sum_{k>K} zeta(2k+1) u^{2k+1} <= 2 zeta(3) u^{2K+3} / (1-u^2) is <= 1e-12."""
     u = _real_in("u", u, 0, U_MAX)
     if u == 0.0:
         return 0.0
-    K = _series_terms(u, 1e-12) if terms is None else terms
-    vals = [TWO_LOG2 * u]
     u2 = u * u
+    z3 = zeta_real(3)
+    K = 1
+    while 2 * z3 * u ** (2 * K + 3) / (1 - u2) > 1e-12:
+        K += 1
+    vals = [TWO_LOG2 * u]
     upow = u
     for k in range(1, K + 1):
         upow *= u2
-        vals.append(_taylor(k) * upow)
+        vals.append(f_taylor(k) * upow)
     return fsum(vals)
 
 
@@ -141,7 +130,7 @@ def f_prime(u: float) -> float:
     xpow = 1.0
     for k in range(1, K + 1):
         xpow *= x
-        vals.append(_taylor(k) * (2 * k + 1) * xpow)
+        vals.append(f_taylor(k) * (2 * k + 1) * xpow)
     return fsum(vals)
 
 

@@ -55,7 +55,7 @@ class ZeroTable:
         return len(self.gammas)
 
     def count_below(self, T: float) -> int:
-        return int(np.searchsorted(self.gammas, T, side="right"))
+        return int(np.searchsorted(self.gammas, _real_in("T", T), side="right"))
 
     def distance_to_nearest(self, t: float) -> float:
         g = self.gammas
@@ -176,16 +176,16 @@ def zero_count_predicted(T):
     return theta(T) / math.pi + 1
 
 
-def verify_ordinates(table: ZeroTable, sample: int = 50, tol: float = 1e-5) -> float:
-    """Largest |zeta(1/2 + i gamma)| over ``sample`` ordinates drawn with
-    seed 0 (all of a shorter table); raises if any exceeds ``tol``.  It uses
-    ``zeta_em``, independent of the ``hardy_z`` that a search finds them on.
+def verify_ordinates(table: ZeroTable) -> float:
+    """Largest |zeta(1/2 + i gamma)| over 50 ordinates drawn with seed 0 (all
+    of a shorter table); raises if any exceeds 1e-8.  It uses ``zeta_em``,
+    independent of the ``hardy_z`` that a search finds them on.
     """
     rng = np.random.default_rng(0)
-    picks = rng.choice(table.gammas, min(sample, len(table.gammas)), replace=False)
+    picks = rng.choice(table.gammas, min(50, len(table.gammas)), replace=False)
     worst = max((abs(zeta_em(complex(0.5, g))) for g in picks.tolist()), default=0.0)
-    if worst > tol:
-        raise CrossCheckFailed(f"an ordinate fails |zeta| <= {tol}: worst {worst:.2e}")
+    if worst > 1e-8:
+        raise CrossCheckFailed(f"an ordinate fails |zeta| <= 1e-08: worst {worst:.2e}")
     return worst
 
 
@@ -324,8 +324,8 @@ def write_zeros_table(height: float, out: str | os.PathLike) -> tuple[int, float
     """Open a temporary file next to ``out``, so that an ``out`` that cannot
     be written (or is a directory) fails before the search, then
     ``search_zeros(height)`` into it,
-    read it back with ``load_zeros``, run ``turing_certificate`` and a
-    50-ordinate ``verify_ordinates`` sample at 1e-8, and only then move it
+    read it back with ``load_zeros``, run ``turing_certificate`` and
+    ``verify_ordinates`` (50 ordinates at 1e-8), and only then move it
     onto ``out``.  Returns the number of ordinates and the certified height;
     on any failure ``out`` is left as it was.
     """
@@ -341,7 +341,7 @@ def write_zeros_table(height: float, out: str | os.PathLike) -> tuple[int, float
             fh.writelines(f"{g:.12f}\n" for g in gammas)
         table = load_zeros(tmp)
         certified = turing_certificate(table, gram)
-        verify_ordinates(table, sample=50, tol=1e-8)
+        verify_ordinates(table)
         os.replace(tmp, out)
     finally:
         if os.path.exists(tmp):  # not moved onto ``out``: it failed

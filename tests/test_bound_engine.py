@@ -217,6 +217,8 @@ def test_scan_validation():
     for x_fixed in (None, 1.5, 100 + 0j, "50"):
         with pytest.raises(DomainError):
             scan_margins(1e3, 1e4, 2, x_policy="fixed", x_fixed=x_fixed)
+    with pytest.raises(DomainError, match="unknown x policy 'bogus'"):
+        scan_margins(1e3, 1e4, 2, x_policy="bogus")
 
 
 @pytest.mark.parametrize("x_fixed", [5.0, math.nan])

@@ -43,6 +43,14 @@ def test_t_below_ten_is_usage_error(capsys):
     assert "t" in err and ">= 10" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["coeffs", "--order", "0"], "--order must be >= 1"),
+    (["scan", "--t-min", "1e3", "--t-max", "1e4", "--points", "0"], "--points must be >= 1")])
+def test_an_order_or_point_count_below_one_exits_two(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and message in err and not out
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         parse_args(["coeffs", "--bogus"])

@@ -197,6 +197,9 @@ def test_order_cap_and_extrapolation():
     # the eighth coefficient involves zeta(7) but nothing beyond
     syms = {k for key in r8.coefficient(8).terms for k, _ in key[1]}
     assert syms <= {3, 5, 7}
+    lines = format_report(r8).splitlines()  # only the order past the vetted range is labelled
+    assert lines[-1].startswith("C_8 = ") and lines[-1].endswith("  (extrapolated)")
+    assert not any("extrapolated" in line for line in lines[:-1])
 
 
 def test_golden_file_regression(repo_root):

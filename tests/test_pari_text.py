@@ -60,6 +60,8 @@ def test_parse_rejects_z_in_coefficient():
     "L^(1/2)",  # fractional exponent
     "(L + 1",  # syntax error
     "(1+z)*(1+z)",  # neither factor is a single z-monomial
+    "1/(1+z)",  # nor is the divisor
+    "1/(L+1)",  # a divisor of two monomials leaves the ring
 ])
 def test_parse_rejects_outside_dialect(text):
     with pytest.raises(ParseError):

@@ -69,14 +69,15 @@ _ENTRY_POINTS = {
     "log_abs_zeta_crit": [(1000.0, zo.log_abs_zeta_crit)],
     "search_zeros": [(30.0, zt.search_zeros)],
     "zero_count_check": [(20.0, lambda v: zt.zero_count_check(_TABLE, v))],
+    "ZeroTable.count_below": [(20.0, _TABLE.count_below)],
 }
 
 #: each bad value made from a good one, so that only its kind is wrong
 _BAD = {"complex": complex, "str": repr, "None": lambda good: None, "NaN": lambda good: math.nan}
 
 
-def test_the_table_probes_28_entry_points():
-    assert len(_ENTRY_POINTS) == 28
+def test_the_table_probes_29_entry_points():
+    assert len(_ENTRY_POINTS) == 29
 
 
 @pytest.mark.parametrize("bad", _BAD)
@@ -232,12 +233,32 @@ def test_a_series_valuation_or_order_that_is_not_an_integer_is_a_domain_error(
 
 @pytest.mark.parametrize("call, name", [
     (lambda v: _EC.rational(v), "num"), (lambda v: _EC.rational(1, v), "den"),
-    (lambda v: _EC.log2_power(1, v), "q"), (lambda v: _EC.zeta_odd(3, 1, v), "q")])
+    (lambda v: _EC.log2_power(1, v), "q"), (lambda v: _EC.zeta_odd(3, 1, v), "q"),
+    (lambda v: _TS(0, [v]), "coefficient"), (lambda v: _TS.constant(v, 2), "coefficient"),
+    (lambda v: sa.ps_scale(_TS.identity(3), v), "coefficient"),
+    (lambda v: _TS.identity(3) * v, "coefficient"),
+    (lambda v: sa.coeff_eval(v, {"L": math.log(2)}), "coefficient")])
 def test_a_rational_argument_that_is_not_one_is_a_domain_error(call, name):
     assert call(Fraction(2, 3)) == call(Fraction(2, 3)) and call(np.int64(3)) == call(3)
     for bad in ["3", "2/3", 0.5, 1.0, None, complex(1)]:
         with pytest.raises(DomainError, match=f"^{name} must be a rational number"):
             call(bad)
+
+
+def test_the_coefficient_operators_leave_a_refused_operand_to_the_other_side():
+    for bad in ["3", 0.5, None]:
+        assert sa.L.__mul__(bad) is sa.L.__add__(bad) is sa.L.__sub__(bad) is NotImplemented
+        assert sa.L.__eq__(bad) is NotImplemented and sa.L != bad
+        with pytest.raises(TypeError):
+            sa.L * bad
+
+
+def test_a_prime_power_height_that_is_not_a_real_number_is_a_domain_error():
+    lam = pa.lambda_sieve(100)
+    assert len(lam.prime_powers(10.0)) == 7 and len(lam.prime_powers(None)) == 35
+    for bad in [math.nan, "x", complex(20)]:  # None is the whole support
+        with pytest.raises(DomainError, match="^up_to must be finite"):
+            lam.prime_powers(bad)
 
 
 def test_a_cached_integer_does_not_answer_for_a_float():

@@ -60,6 +60,7 @@ def test_coefficient_basics():
     assert L + rational(0) == L
     assert (L * Z(3)) == (Z(3) * L)
     assert EC.log2_power(-1) * L == EC_ONE
+    assert 1 - L == -(L - 1) and Fraction(1, 2) - L == rational(1, 2) - L
     assert str(EC.zeta_odd(3, 1, Fraction(9, 4)) * EC.log2_power(-1)) == "9/4*Z3/L"
 
 
@@ -604,6 +605,35 @@ def test_scale_and_sub():
     a = series(0, [1, 2], 1)
     assert ps_scale(a, L).coefficient(1) == L * 2
     assert (a - a).is_zero()
+
+
+def test_series_operators_are_the_module_functions():
+    a, b = series(0, [1, L, 2], 2), series(1, [Fraction(1, 2), Z(3)], 2)
+    assert a + b == ps_add(a, b)
+    assert -a == a * -1 == ps_scale(a, -1)
+    assert a - b == ps_add(a, ps_scale(b, -1))
+    assert a * L == L * a == ps_scale(a, L)
+    assert a * Fraction(1, 3) == Fraction(1, 3) * a == ps_scale(a, Fraction(1, 3))
+    assert a * b == b * a == ps_mul(a, b)
+    assert hash(a * 1) == hash(a) and len({a, series(0, [1, L, 2], 2), b}) == 2
+    assert str(b) == "1/2*z + Z3*z^2 + O(z^3)" and repr(b) == f"TruncatedSeries({b})"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ps_mul(series(-1, [1, 1]), series(-1, [1, 1])), DomainError, r"below z\^-1"),
+    (lambda: ps_recip(series(2, [1, 1], 3)), DomainError, "valuation 2 falls below"),
+    (lambda: ps_recip(TS.zero(3)), NonInvertibleLeadingCoefficient, "the zero series"),
+    (lambda: series_algebra._cauchy(series(0, [1, 1]), series(0, [1, 1]), 2), DomainError,
+     "cannot extend"),
+    (lambda: series(0, [1, 1], 2), DomainError, "coefficient count does not match"),
+    (lambda: series(-2, [1, 1]), DomainError, "valuation below -1"),
+    (lambda: L.rational_value(), DomainError, "not a pure rational"),
+    (lambda: coeff_eval(L, {"Z3": 1.2}), MissingConstant, "no binding for L"),
+], ids=["mul-below-z^-1", "recip-valuation-2", "recip-zero", "cauchy-past-order",
+        "count-mismatch", "valuation-2", "rational-value-of-L", "eval-without-L"])
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # --- Horner, baby-step/giant-step and a'/a against the algorithms they replace --

@@ -316,7 +316,7 @@ def test_table_ordinates_are_zeros(zeros):
 
 
 def test_verify_ordinates_sample(zeros):
-    assert verify_ordinates(zeros, sample=25) <= 1e-5
+    assert verify_ordinates(zeros) <= 1e-8
 
 
 def test_verify_ordinates_rejects_a_non_zero(tmp_path):
